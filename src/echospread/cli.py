@@ -2,10 +2,12 @@
 
 Every stage reads its inputs from files in the output directory and writes
 its artifacts back there; the one-shot pipeline simply runs the stages in
-order. Re-running a stage in isolation therefore reproduces the one-shot
-bytes exactly. The manifest carries the config echo, library versions,
-stage counts, and the master seed; it deliberately omits the worker count
-and any timestamps so output bytes are schedule-independent.
+order, sharing one ``Workspace`` so that each intermediate is read and
+derived once per process. Re-running a stage in isolation therefore
+reproduces the one-shot bytes exactly. The manifest carries the config
+echo, library versions, stage counts, and the master seed; it deliberately
+omits the worker count and any timestamps so output bytes are
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 import multiprocessing
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,11 +38,13 @@ from .graph import (
 )
 from .ingest import (
     Cascade,
+    CascadeReport,
     TweetRecord,
     build_cascades,
     filter_corpus,
     parse_records,
     seed_pair_users,
+    write_records_jsonl,
 )
 from .labels import (
     CoderSheet,
@@ -73,6 +78,7 @@ from .virality import (
     ViralityEstimate,
     activity_values,
     compute_activities,
+    normalize_activities,
     score_corpus,
     write_virality_csv,
 )
@@ -185,7 +191,7 @@ def record_failure(config: PipelineConfig, stage: str, error: Exception) -> None
     write_manifest(config.out, manifest)
 
 
-# ------------------------------------------------------- shared file loads
+# ---------------------------------------------------------------- workspace
 
 
 def _require(path: Path, what: str) -> Path:
@@ -194,65 +200,86 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_filtered(out: Path) -> list[TweetRecord]:
-    path = _require(out / "filtered.jsonl", "intermediate filtered.jsonl (run ingest)")
-    records, report = parse_records(path)
-    if report.malformed:
-        raise ValueError(f"corrupt intermediate {path}")
-    return records
-
-
-def _load_activities(out: Path) -> dict[str, UserActivity]:
-    path = _require(out / "activities.csv", "intermediate activities.csv (run ingest)")
-    raw: dict[str, int] = {}
+def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
+    """The rows of a CSV intermediate after checking its header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "raw"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        for row in reader:
-            raw[row[0]] = int(row[1])
-    max_raw = max(raw.values(), default=0)
-    return {
-        u: UserActivity(raw=c, normalized=(c / max_raw if max_raw else 0.0))
-        for u, c in raw.items()
-    }
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"unexpected header in {path}: {found}")
+        return list(reader)
 
 
-def _load_retweet_network(out: Path) -> RetweetNetwork:
-    path = _require(
-        out / "retweet_edges.csv", "intermediate retweet_edges.csv (run network)"
-    )
-    edges = []
-    nodes = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["a", "b"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        for a, b in reader:
-            edges.append((a, b))
-            nodes.update((a, b))
-    return RetweetNetwork(nodes=frozenset(nodes), edges=tuple(edges))
+class Workspace:
+    """The config plus the intermediates in ``config.out``.
 
+    Each intermediate is read from its artifact on first use and kept for
+    the rest of the process, so ``run`` reads each one once and a stage
+    subcommand reads only what it needs. A stage never touches a property
+    backed by an artifact that it or a later stage writes: that file may be
+    stale until its producing stage has run.
+    """
 
-def _load_partition(out: Path) -> PartitionAssignment:
-    path = _require(out / "partition.csv", "intermediate partition.csv (run partition)")
-    groups: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "group"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        for user, group in reader:
-            groups[user] = int(group)
-    net = _load_retweet_network(out)
-    cut = sum(1 for a, b in net.edges if groups.get(a) != groups.get(b))
-    sizes = [0, 0]
-    for g in groups.values():
-        sizes[g] += 1
-    balance = max(sizes) / max(1, sum(sizes))
-    return PartitionAssignment(groups=groups, cut_size=cut, balance=balance)
+    def __init__(self, config: PipelineConfig) -> None:
+        self.config = config
+
+    @cached_property
+    def filtered(self) -> list[TweetRecord]:
+        path = _require(
+            self.config.out / "filtered.jsonl", "intermediate filtered.jsonl (run ingest)"
+        )
+        records, report = parse_records(path)
+        if report.malformed:
+            raise ValueError(f"corrupt intermediate {path}")
+        return records
+
+    @cached_property
+    def topical(self) -> tuple[list[TweetRecord], set[str]]:
+        """Topical records and eligible users."""
+        return filter_corpus(self.filtered)
+
+    @cached_property
+    def cascades(self) -> tuple[list[Cascade], CascadeReport]:
+        return build_cascades(self.topical[0])
+
+    @cached_property
+    def activities(self) -> dict[str, UserActivity]:
+        path = _require(
+            self.config.out / "activities.csv", "intermediate activities.csv (run ingest)"
+        )
+        rows = _read_rows(path, ["user", "raw"])
+        return normalize_activities({user: int(raw) for user, raw in rows})
+
+    @cached_property
+    def network(self) -> RetweetNetwork:
+        path = _require(
+            self.config.out / "retweet_edges.csv",
+            "intermediate retweet_edges.csv (run network)",
+        )
+        edges = tuple((a, b) for a, b in _read_rows(path, ["a", "b"]))
+        return RetweetNetwork(nodes=frozenset(u for e in edges for u in e), edges=edges)
+
+    @cached_property
+    def partition(self) -> PartitionAssignment:
+        path = _require(
+            self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
+        )
+        groups = {user: int(g) for user, g in _read_rows(path, ["user", "group"])}
+        cut = sum(1 for a, b in self.network.edges if groups.get(a) != groups.get(b))
+        assignment = PartitionAssignment(groups=groups, cut_size=cut, balance=0.0)
+        return replace(assignment, balance=max(assignment.group_sizes()) / len(groups))
+
+    @cached_property
+    def hoax_users(self) -> set[str]:
+        return seed_pair_users(self.filtered, (SKEPTIC_PAIR,))[SKEPTIC_PAIR]
+
+    @cached_property
+    def names(self) -> dict[int, str]:
+        return name_groups(self.hoax_users, self.partition)
+
+    @cached_property
+    def activist(self) -> int:
+        return next(g for g, n in self.names.items() if n == "activist")
 
 
 def _load_virality(out: Path) -> list[ViralityEstimate]:
@@ -276,11 +303,8 @@ def _load_virality(out: Path) -> list[ViralityEstimate]:
     return estimates
 
 
-def name_groups(
-    records: Sequence[TweetRecord], assignment: PartitionAssignment
-) -> dict[int, str]:
+def name_groups(hoax_users: set[str], assignment: PartitionAssignment) -> dict[int, str]:
     """The group holding more hoax-pair users is the skeptic side."""
-    hoax_users = seed_pair_users(records, (SKEPTIC_PAIR,))[SKEPTIC_PAIR]
     counts = [0, 0]
     for user in hoax_users:
         g = assignment.groups.get(user)
@@ -290,36 +314,16 @@ def name_groups(
     return {skeptic: "skeptic", 1 - skeptic: "activist"}
 
 
-def _cascades(records: Sequence[TweetRecord]) -> tuple[list[Cascade], object]:
-    topical, _ = filter_corpus(records)
-    return build_cascades(topical)
-
-
 # ------------------------------------------------------------------ stages
 
 
-def stage_ingest(config: PipelineConfig) -> dict:
+def stage_ingest(ws: Workspace) -> dict:
+    config = ws.config
     records, parse_report = parse_records(_require(config.tweets, "tweets file"))
     topical, eligible = filter_corpus(records)
     activities = compute_activities(records)
 
-    with open(config.out / "filtered.jsonl", "w", encoding="utf-8") as fh:
-        for rec in topical:
-            fh.write(
-                json.dumps(
-                    {
-                        "tweet_id": rec.tweet_id,
-                        "user_id": rec.user_id,
-                        "timestamp": rec.timestamp,
-                        "text": rec.text,
-                        "retweet_of": rec.retweet_of,
-                        "reply_to": rec.reply_to,
-                        "lang": rec.lang,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_records_jsonl(topical, config.out / "filtered.jsonl")
     with open(config.out / "activities.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "raw"])
@@ -335,13 +339,12 @@ def stage_ingest(config: PipelineConfig) -> dict:
     }
 
 
-def stage_network(config: PipelineConfig) -> dict:
-    records = _load_filtered(config.out)
-    topical, eligible = filter_corpus(records)
-    cascades, report = build_cascades(topical)
+def stage_network(ws: Workspace) -> dict:
+    _, eligible = ws.topical
+    cascades, report = ws.cascades
     net = build_retweet_network(cascades, eligible)
     comp = largest_component(net)
-    with open(config.out / "retweet_edges.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(ws.config.out / "retweet_edges.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b"])
         for a, b in sorted(comp.edges):
@@ -357,11 +360,11 @@ def stage_network(config: PipelineConfig) -> dict:
     }
 
 
-def stage_partition(config: PipelineConfig) -> dict:
-    net = _load_retweet_network(config.out)
+def stage_partition(ws: Workspace) -> dict:
+    config = ws.config
+    net = ws.network
     assignment = bisect_partition(net, balance_tol=config.balance_tol, seed=config.seed)
-    records = _load_filtered(config.out)
-    names = name_groups(records, assignment)
+    names = name_groups(ws.hoax_users, assignment)
     with open(config.out / "partition.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "group"])
@@ -395,12 +398,10 @@ def _ledger_task(cascade: Cascade) -> tuple[str, ExposureLedger | None]:
     )
 
 
-def stage_virality(config: PipelineConfig) -> dict:
-    records = _load_filtered(config.out)
-    cascades, _ = _cascades(records)
-    assignment = _load_partition(config.out)
-    activities = _load_activities(config.out)
-    universe = {rec.user_id for rec in records}
+def stage_virality(ws: Workspace) -> dict:
+    config = ws.config
+    cascades, _ = ws.cascades
+    universe = {rec.user_id for rec in ws.filtered}
     follow, dropped_edges = build_follower_network(
         _require(config.edges, "edges file"), universe
     )
@@ -410,13 +411,13 @@ def stage_virality(config: PipelineConfig) -> dict:
         cascades,
         config.workers,
         initializer=_init_ledger_worker,
-        initargs=(follow, assignment, config.include_unexposed_retweeters),
+        initargs=(follow, ws.partition, config.include_unexposed_retweeters),
     )
     ledgers = [led for _, led in results if led is not None]
     unscorable = sum(1 for _, led in results if led is None)
     write_ledger_csv(ledgers, config.out / "ledgers.csv")
 
-    act = activity_values(activities, raw=config.raw_activities)
+    act = activity_values(ws.activities, raw=config.raw_activities)
     estimates, report = score_corpus(cascades, ledgers, act)
     write_virality_csv(estimates, config.out / "virality.csv")
     return {
@@ -428,15 +429,14 @@ def stage_virality(config: PipelineConfig) -> dict:
     }
 
 
-def stage_words(config: PipelineConfig) -> dict:
-    records = _load_filtered(config.out)
-    cascades, _ = _cascades(records)
-    assignment = _load_partition(config.out)
-    names = name_groups(records, assignment)
-    activist = next(g for g, n in names.items() if n == "activist")
+def stage_words(ws: Workspace) -> dict:
+    config = ws.config
+    cascades, _ = ws.cascades
+    groups = ws.partition.groups
+    activist = ws.activist
     texts: dict[int, list[str]] = {0: [], 1: []}
     for cascade in sorted(cascades, key=lambda c: c.tweet_id):
-        g = assignment.groups.get(cascade.origin.user_id)
+        g = groups.get(cascade.origin.user_id)
         if g is not None and not cascade.stub_origin:
             texts[g].append(cascade.origin.text)
     rows_act, rows_ske = word_diff_table(
@@ -451,21 +451,18 @@ def stage_words(config: PipelineConfig) -> dict:
     }
 
 
-def stage_spread(config: PipelineConfig) -> dict:
-    records = _load_filtered(config.out)
-    cascades, _ = _cascades(records)
-    assignment = _load_partition(config.out)
-    names = name_groups(records, assignment)
-    activist = next(g for g, n in names.items() if n == "activist")
+def stage_spread(ws: Workspace) -> dict:
+    cascades, _ = ws.cascades
     counts, summary = cross_group_counts(
-        cascades, assignment, threshold=config.threshold, activist_group=activist
+        cascades, ws.partition, threshold=ws.config.threshold, activist_group=ws.activist
     )
-    write_spread_csv(counts, config.out / "spread.csv")
+    write_spread_csv(counts, ws.config.out / "spread.csv")
     return {"tweets": len(counts), "threshold": summary.threshold,
             "qualifying": summary.qualifying}
 
 
-def stage_labels(config: PipelineConfig) -> dict:
+def stage_labels(ws: Workspace) -> dict:
+    config = ws.config
     if len(config.labels) < 2:
         raise ValueError("need at least two label sheets")
     sheets = [CoderSheet.from_csv(_require(p, "label sheet")) for p in config.labels]
@@ -473,13 +470,11 @@ def stage_labels(config: PipelineConfig) -> dict:
     vote = majority_vote(sheets)
     alpha = krippendorff_alpha(sheets)
 
-    records = _load_filtered(config.out)
-    by_id = {rec.tweet_id: rec for rec in records}
+    by_id = {rec.tweet_id: rec for rec in ws.filtered}
     authors = {tid: by_id[tid].user_id for tid in vote.rows if tid in by_id}
     marks = {tid: extract_marks(by_id[tid].text) for tid in vote.rows if tid in by_id}
     estimates = _load_virality(config.out)
-    assignment = _load_partition(config.out)
-    names = name_groups(records, assignment)
+    names = ws.names
     name_to_group = {n: g for g, n in names.items()}
     group_only = {
         name_to_group[name]: tuple(feats)
@@ -535,7 +530,8 @@ def _read_features(path: Path) -> tuple[np.ndarray, np.ndarray, tuple, list[str]
     return X, y, groups, columns
 
 
-def stage_regress(config: PipelineConfig) -> dict:
+def stage_regress(ws: Workspace) -> dict:
+    config = ws.config
     counts: dict = {}
     for name in ("activist", "skeptic"):
         path = _require(
@@ -585,11 +581,12 @@ def _exit_code_for(error: Exception) -> int:
     return EXIT_INPUT
 
 
-def run_stage(config: PipelineConfig, name: str) -> int:
+def run_stage(ws: Workspace, name: str) -> int:
     fn = dict(STAGES)[name]
+    config = ws.config
     config.out.mkdir(parents=True, exist_ok=True)
     try:
-        counts = fn(config)
+        counts = fn(ws)
     except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
         record_failure(config, name, error)
         print(f"error in stage {name}: {error}", file=sys.stderr)
@@ -610,8 +607,9 @@ def run_pipeline(config: PipelineConfig) -> int:
             record_failure(config, "validate-inputs", error)
             print(f"error: {error}", file=sys.stderr)
             return EXIT_INPUT
+    ws = Workspace(config)
     for name, _ in STAGES:
-        code = run_stage(config, name)
+        code = run_stage(ws, name)
         if code != EXIT_OK:
             return code
     return EXIT_OK
@@ -763,7 +761,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     if args.command == "run":
         return run_pipeline(config)
-    return run_stage(config, args.command)
+    return run_stage(Workspace(config), args.command)
 
 
 if __name__ == "__main__":

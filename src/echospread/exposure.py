@@ -60,7 +60,9 @@ class ExposureLedger:
             raise ValueError("origin author cannot be a trial")
 
 
-def _classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list[int]:
+def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list[int]:
+    """Unique retweeters per group, the origin author and unclassified users
+    left out."""
     counts = [0, 0]
     seen: set[str] = set()
     for rt in cascade.retweets:
@@ -75,29 +77,25 @@ def _classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> lis
 
 
 def main_group(cascade: Cascade, assignment: PartitionAssignment) -> int:
-    """Group holding strictly more classified retweeters.
-
-    Ties go to the origin author's group; if the author is unclassified too,
-    group 0 is the deterministic fallback.
-    """
-    counts = _classified_counts(cascade, assignment)
-    if counts[0] == 0 and counts[1] == 0:
-        raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
-    if counts[0] != counts[1]:
-        return 0 if counts[0] > counts[1] else 1
-    author_group = assignment.groups.get(cascade.origin.user_id)
-    return author_group if author_group is not None else 0
+    """The main group of ``choose_scope``."""
+    return choose_scope(cascade, assignment).main_group
 
 
 def choose_scope(cascade: Cascade, assignment: PartitionAssignment) -> GroupScope:
-    """Pick the main group and record whether the group-0 fallback fired."""
-    group = main_group(cascade, assignment)
-    counts = _classified_counts(cascade, assignment)
-    fallback = (
-        counts[0] == counts[1]
-        and assignment.groups.get(cascade.origin.user_id) is None
-    )
-    return GroupScope(assignment=assignment, main_group=group, tie_fallback=fallback)
+    """Pick the group holding strictly more classified retweeters.
+
+    Ties go to the origin author's group; if the author is unclassified too,
+    group 0 is the deterministic fallback, recorded in ``tie_fallback``.
+    """
+    counts = classified_counts(cascade, assignment)
+    if counts[0] == 0 and counts[1] == 0:
+        raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
+    if counts[0] != counts[1]:
+        return GroupScope(assignment, main_group=0 if counts[0] > counts[1] else 1)
+    author_group = assignment.groups.get(cascade.origin.user_id)
+    if author_group is None:
+        return GroupScope(assignment, main_group=0, tie_fallback=True)
+    return GroupScope(assignment, main_group=author_group)
 
 
 def build_exposure_ledger(

@@ -481,14 +481,18 @@ def bisect_partition(
 def to_dot(net: RetweetNetwork, assignment: PartitionAssignment | None = None) -> str:
     """DOT serialization of the network, node color by group when given."""
     colors = {0: "#e08214", 1: "#7fbf7b"}
+
+    def quoted(u: str) -> str:
+        return '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["graph retweet_network {", "  node [style=filled];"]
     for u in sorted(net.nodes):
         if assignment is not None and u in assignment.groups:
             color = colors[assignment.groups[u]]
-            lines.append(f'  "{u}" [fillcolor="{color}"];')
+            lines.append(f'  {quoted(u)} [fillcolor="{color}"];')
         else:
-            lines.append(f'  "{u}";')
+            lines.append(f"  {quoted(u)};")
     for a, b in sorted(net.edges):
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {quoted(a)} -- {quoted(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

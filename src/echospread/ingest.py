@@ -146,20 +146,20 @@ def parse_records(path: str | Path) -> tuple[list[TweetRecord], ParseReport]:
     """Parse a JSONL tweet file, skipping malformed lines and duplicate ids.
 
     The first occurrence of a tweet_id wins; later ones are dropped and
-    counted. Unreadable files raise OSError.
+    counted. A line that is not valid UTF-8 is malformed like one that is not
+    valid JSON. Unreadable files raise OSError.
     """
     report = ParseReport()
     records: list[TweetRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             report.lines += 1
             try:
-                rec = _record_from_obj(json.loads(line))
-            except (json.JSONDecodeError, ValueError):
+                rec = _record_from_obj(json.loads(line.decode("utf-8")))
+            except ValueError:  # bad UTF-8, bad JSON or a bad field
                 report.malformed += 1
                 continue
             if rec.tweet_id in seen:
@@ -169,6 +169,14 @@ def parse_records(path: str | Path) -> tuple[list[TweetRecord], ParseReport]:
             records.append(rec)
             report.parsed += 1
     return records, report
+
+
+def write_records_jsonl(records: Iterable[TweetRecord], path: str | Path) -> None:
+    """Write records in the input schema, one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            obj = {key: getattr(rec, key) for key in _REQUIRED + _OPTIONAL}
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:

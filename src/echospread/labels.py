@@ -16,9 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .ingest import HASHTAG_RE
 from .virality import Boundary, ViralityEstimate
 
-HASHTAG_RE = re.compile(r"#\w+")
 MENTION_RE = re.compile(r"@\w+")
 
 

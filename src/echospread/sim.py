@@ -9,7 +9,6 @@ ground-truth oracle for the estimation pipeline.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .exposure import GroupScope, build_exposure_ledger
 from .graph import FollowerNetwork, PartitionAssignment
-from .ingest import Cascade, TweetRecord, build_cascades
+from .ingest import Cascade, TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
 
@@ -276,24 +275,7 @@ def write_world(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tweets = out / "tweets.jsonl"
-    with open(tweets, "w", encoding="utf-8") as fh:
-        for sim in sims:
-            for rec in sim.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "tweet_id": rec.tweet_id,
-                            "user_id": rec.user_id,
-                            "timestamp": rec.timestamp,
-                            "text": rec.text,
-                            "retweet_of": rec.retweet_of,
-                            "reply_to": rec.reply_to,
-                            "lang": rec.lang,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    write_records_jsonl((rec for sim in sims for rec in sim.records), tweets)
     edges_path = out / "edges.csv"
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

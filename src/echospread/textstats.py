@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .exposure import classified_counts
 from .graph import PartitionAssignment
 from .ingest import Cascade
 
@@ -118,13 +119,7 @@ def cross_group_counts(
     counts: list[SpreadCount] = []
     qualifying = 0
     for cascade in sorted(cascades, key=lambda c: c.tweet_id):
-        per_group = [0, 0]
-        for user in set(cascade.retweeters()):
-            if user == cascade.origin.user_id:
-                continue
-            g = assignment.groups.get(user)
-            if g is not None:
-                per_group[g] += 1
+        per_group = classified_counts(cascade, assignment)
         activist = per_group[activist_group]
         skeptic = per_group[1 - activist_group]
         counts.append(

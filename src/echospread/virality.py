@@ -81,6 +81,11 @@ def compute_activities(records: Sequence[TweetRecord]) -> dict[str, UserActivity
     raw: dict[str, int] = {}
     for rec in records:
         raw[rec.user_id] = raw.get(rec.user_id, 0) + 1
+    return normalize_activities(raw)
+
+
+def normalize_activities(raw: Mapping[str, int]) -> dict[str, UserActivity]:
+    """Activities from raw per-user counts, normalized by the largest count."""
     max_raw = max(raw.values(), default=0)
     return {
         u: UserActivity(raw=c, normalized=(c / max_raw if max_raw else 0.0))

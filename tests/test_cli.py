@@ -2,6 +2,8 @@
 determinism across reruns and worker counts, stage isolation, input
 validation, exit codes, and the simulate subcommand."""
 
+import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from echospread import cli
 from echospread.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -134,6 +137,42 @@ class TestStageIsolation:
         code = main([stage, "--config", str(CONFIG), "--out", str(out)])
         assert code == EXIT_OK
         assert tree_bytes(out) == tree_bytes(baseline)
+
+
+class TestStaleIntermediates:
+    def test_run_overwrites_stale_intermediates(self, baseline, tmp_path):
+        """``run`` into a directory holding valid but different intermediates
+        must not read any of them before its own stage rewrites it."""
+        out = tmp_path / "stale"
+        shutil.copytree(baseline, out)
+        partition = (out / "partition.csv").read_text().splitlines()
+        swapped = [line[:-1] + str(1 - int(line[-1])) for line in partition[1:]]
+        (out / "partition.csv").write_text("\n".join(partition[:1] + swapped) + "\n")
+        for name in ("filtered.jsonl", "virality.csv", "activities.csv"):
+            lines = (out / name).read_text().splitlines(keepends=True)
+            (out / name).write_text("".join(lines[: len(lines) // 2]))
+        code = main(["run", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_OK
+        assert tree_bytes(out) == tree_bytes(baseline)
+
+
+class TestBenchmarkSpanTargets:
+    """The benchmark's traced mode wraps ``echospread.cli`` names and the
+    two-parameter ``run_stage`` from outside the package."""
+
+    def test_wrapped_names_resolve_and_run_stage_takes_two_parameters(
+        self, monkeypatch
+    ):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        for module, attr, _, _ in spans.WRAPPED:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (
+                f"{module}.{attr}"
+            )
+        assert len(inspect.signature(cli.run_stage).parameters) == 2
 
 
 class TestInputValidation:

@@ -1,6 +1,7 @@
 """Network construction and bisection, checked against exhaustive oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -314,3 +315,31 @@ class TestDotExport:
         assert dot.startswith("graph")
         assert '"a1" -- "a2";' in dot
         assert "fillcolor" in dot
+
+    def test_ids_with_quotes_backslashes_and_spaces_round_trip(self):
+        ids = ['a"b', "c\\d", "e f", "g\\", '"', "plain"]
+        net = net_from_pairs([(ids[i], ids[i + 1]) for i in range(len(ids) - 1)])
+        groups = {u: i % 2 for i, u in enumerate(ids)}
+        dot = to_dot(net, PartitionAssignment(groups=groups, cut_size=0, balance=0.5))
+
+        # A DOT quoted ID: '"', then characters other than '"' and '\', or
+        # a backslash escape, then '"'.
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+
+        def unquote(body):
+            return re.sub(r"\\(.)", r"\1", body)
+
+        lines = dot.splitlines()
+        assert lines[0] == "graph retweet_network {" and lines[-1] == "}"
+        nodes, edges = {}, set()
+        for line in lines[2:-1]:
+            node = re.fullmatch(rf'  {quoted} \[fillcolor="(#[0-9a-f]{{6}})"\];', line)
+            edge = re.fullmatch(rf"  {quoted} -- {quoted};", line)
+            assert node or edge, line
+            if node:
+                nodes[unquote(node.group(1))] = node.group(2)
+            else:
+                edges.add((unquote(edge.group(1)), unquote(edge.group(2))))
+        assert set(nodes) == set(ids)
+        assert edges == set(net.edges)
+        assert {nodes[u] for u in ids if groups[u] == 0} == {"#e08214"}

@@ -71,6 +71,16 @@ class TestParseRecords:
         assert len(records) == 4
         assert report.malformed == 1
 
+    def test_invalid_utf8_line_counted(self, tmp_path):
+        first = json.dumps(obj("t1", text="climaté"), ensure_ascii=False)
+        last = json.dumps(obj("t2"))
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(first.encode("utf-8") + b"\n\xff\n" + last.encode("utf-8") + b"\n")
+        records, report = parse_records(path)
+        assert [r.tweet_id for r in records] == ["t1", "t2"]
+        assert records[0].text == "climaté"
+        assert (report.lines, report.parsed, report.malformed) == (3, 2, 1)
+
     def test_duplicate_id_first_wins(self, tmp_path):
         path = write_jsonl(
             tmp_path / "t.jsonl",
