@@ -107,61 +107,41 @@ def build_exposure_ledger(
     """Single-trial exposure bookkeeping for one cascade within its main group.
 
     Exposure travels from the origin author and from main-group retweeters to
-    their followers. A retweeter counts as a success only when some exposing
-    event (the origin, or an earlier retweet in cascade order) precedes their
-    own retweet; a failure counts as exposed if any event in the whole
-    cascade reaches them. Users outside the main group and their follow
-    edges are disregarded, as is the origin author as a trial.
+    their followers. ``first`` maps each main-group user to the position, in
+    ``sources = [author, *events]``, of the earliest event that reaches them;
+    the author comes first, so Rule 1 wins every tie. A retweeter counts as a
+    success only when that event precedes their own retweet; a failure counts
+    as exposed if any event in the whole cascade reaches them. Users outside
+    the main group and their follow edges are disregarded, as is the origin
+    author as a trial.
     """
     author = cascade.origin.user_id
     groups = scope.assignment.groups
     g = scope.main_group
 
-    def in_group(u: str) -> bool:
-        return groups.get(u) == g
+    events = list(
+        dict.fromkeys(
+            rt.user_id
+            for rt in cascade.retweets
+            if rt.user_id != author and groups.get(rt.user_id) == g
+        )
+    )
+    sources = [author, *events]
 
-    events = []
-    seen: set[str] = set()
-    for rt in cascade.retweets:
-        u = rt.user_id
-        if u == author or u in seen or not in_group(u):
-            continue
-        seen.add(u)
-        events.append(u)
-
-    # earliest exposing event per user over the full cascade; the origin
-    # author's audience is claimed first so Rule 1 wins every tie
-    first_source: dict[str, str] = {}
-    for w in follow.followers_of(author):
-        if w != author and in_group(w):
-            first_source[w] = author
-    for source in events:
-        for w in follow.followers_of(source):
-            if w != author and in_group(w) and w not in first_source:
-                first_source[w] = source
-
-    successes: set[str] = set()
-    unexposed: set[str] = set()
-    attribution: dict[str, str] = {}
-    for k, u in enumerate(events):
-        followees = follow.followees_of(u)
-        if author in followees:
-            attribution[u] = author
-            successes.add(u)
-            continue
-        source = next((events[j] for j in range(k) if events[j] in followees), None)
-        if source is None:
-            unexposed.add(u)
-        else:
-            attribution[u] = source
-            successes.add(u)
+    first: dict[str, int] = {}
+    seen = {author}
+    for pos, source in enumerate(sources):
+        fresh = follow.followers_of(source) - seen
+        seen |= fresh
+        for w in fresh:
+            if groups.get(w) == g:
+                first[w] = pos
 
     retweeters = set(events)
-    failures: set[str] = set()
-    for w, source in first_source.items():
-        if w not in retweeters:
-            failures.add(w)
-            attribution[w] = source
+    successes = {u for k, u in enumerate(events) if first.get(u, k + 1) <= k}
+    unexposed = retweeters - successes
+    failures = first.keys() - retweeters
+    attribution = {w: sources[pos] for w, pos in first.items() if w not in unexposed}
 
     flags: tuple[str, ...] = ()
     if include_unexposed_retweeters and unexposed:

@@ -52,13 +52,13 @@ class RetweetNetwork:
 
 @dataclass(frozen=True)
 class FollowerNetwork:
-    """Directed follow graph with forward and reverse adjacency views.
+    """Directed follow graph, held as one view: each user's followers.
 
     An edge (follower, followee) means the follower subscribes to the
-    followee; exposure travels followee -> follower.
+    followee; exposure travels followee -> follower, so the followers of a
+    user are exactly the audience their tweets and retweets reach.
     """
 
-    followees: Mapping[str, frozenset[str]]
     followers: Mapping[str, frozenset[str]]
 
     @classmethod
@@ -72,8 +72,7 @@ class FollowerNetwork:
         Self-loops, duplicates, and edges leaving the universe are dropped;
         only out-of-universe and self-loop edges are counted as dropped.
         """
-        fwd: dict[str, set[str]] = {}
-        rev: dict[str, set[str]] = {}
+        followers: dict[str, set[str]] = {}
         dropped = 0
         for follower, followee in edges:
             if follower == followee:
@@ -84,30 +83,15 @@ class FollowerNetwork:
             ):
                 dropped += 1
                 continue
-            fwd.setdefault(follower, set()).add(followee)
-            rev.setdefault(followee, set()).add(follower)
-        return (
-            cls(
-                followees={u: frozenset(v) for u, v in fwd.items()},
-                followers={u: frozenset(v) for u, v in rev.items()},
-            ),
-            dropped,
-        )
-
-    def followees_of(self, user: str) -> frozenset[str]:
-        return self.followees.get(user, frozenset())
+            followers.setdefault(followee, set()).add(follower)
+        return cls({u: frozenset(v) for u, v in followers.items()}), dropped
 
     def followers_of(self, user: str) -> frozenset[str]:
         return self.followers.get(user, frozenset())
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self.followees.values())
-
-    def consistent(self) -> bool:
-        fwd = {(u, v) for u, vs in self.followees.items() for v in vs}
-        rev = {(u, v) for v, us in self.followers.items() for u in us}
-        return fwd == rev
+        return sum(len(v) for v in self.followers.values())
 
 
 @dataclass(frozen=True)

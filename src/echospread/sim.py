@@ -17,7 +17,7 @@ import numpy as np
 
 from .exposure import GroupScope, build_exposure_ledger
 from .graph import FollowerNetwork, PartitionAssignment
-from .ingest import Cascade, TweetRecord, build_cascades, write_records_jsonl
+from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
 
@@ -208,12 +208,9 @@ def simulate_cascade(
     seq = 0
     while frontier:
         newly = sorted(
-            {
-                f
-                for u in frontier
-                for f in world.follow.followers_of(u)
-                if f not in exposed and f != seed_user
-            }
+            set().union(*(world.follow.followers_of(u) for u in frontier))
+            - exposed
+            - {seed_user}
         )
         frontier = []
         for u in newly:

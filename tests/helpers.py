@@ -1,4 +1,5 @@
-"""Shared test utilities: random ledgers and an exhaustive likelihood oracle."""
+"""Shared test utilities: random ledgers, a reference exposure ledger, and
+an exhaustive likelihood oracle."""
 
 import numpy as np
 
@@ -92,3 +93,68 @@ def grid_oracle(ledger, act, step=1e-5, coarsen=100):
     window = np.arange(lo, hi + 1)
     vals = _loglik_on_grid(window * step, n_s, alphas_f)
     return window[int(np.argmax(vals))] * step
+
+
+def reference_ledger(cascade, edges, scope, include_unexposed_retweeters=False):
+    """The exposure ledger straight from raw (follower, followee) edges.
+
+    Three loops, each following the display rules literally: the earliest
+    exposing source of every main-group user (the origin author's audience
+    claimed first, Rule 1), each retweeter's own followees scanned for the
+    author or an earlier main-group retweeter, and the exposed users who
+    did not retweet. A self-loop carries no exposure.
+    """
+    author = cascade.origin.user_id
+    groups = scope.assignment.groups
+    g = scope.main_group
+    followees, followers = {}, {}
+    for follower, followee in edges:
+        if follower != followee:
+            followees.setdefault(follower, set()).add(followee)
+            followers.setdefault(followee, set()).add(follower)
+
+    events = []
+    for rt in cascade.retweets:
+        u = rt.user_id
+        if u != author and u not in events and groups.get(u) == g:
+            events.append(u)
+
+    first_source = {}
+    for source in [author, *events]:
+        for w in followers.get(source, ()):
+            if w != author and groups.get(w) == g and w not in first_source:
+                first_source[w] = source
+
+    successes, unexposed, attribution = set(), set(), {}
+    for k, u in enumerate(events):
+        mine = followees.get(u, set())
+        source = author if author in mine else next(
+            (events[j] for j in range(k) if events[j] in mine), None
+        )
+        if source is None:
+            unexposed.add(u)
+        else:
+            successes.add(u)
+            attribution[u] = source
+
+    failures = set()
+    for w, source in first_source.items():
+        if w not in events:
+            failures.add(w)
+            attribution[w] = source
+
+    flags = ()
+    if include_unexposed_retweeters and unexposed:
+        successes |= unexposed
+        flags = ("included_unexposed_retweeters",)
+    return ExposureLedger(
+        tweet_id=cascade.tweet_id,
+        origin_author=author,
+        group=g,
+        exposed=frozenset(successes | failures),
+        successes=frozenset(successes),
+        failures=frozenset(failures),
+        unexposed_successes=frozenset(unexposed),
+        attribution=attribution,
+        flags=flags,
+    )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_ledger
 from echospread.exposure import (
     GroupScope,
     build_exposure_ledger,
@@ -243,7 +244,7 @@ class TestLedgerProperties:
         led = build_exposure_ledger(cascade, net, scope_over(USERS, author))
         order = [rt.user_id for rt in cascade.retweets]
         for s in led.successes:
-            followees = net.followees_of(s)
+            followees = {b for a, b in edges if a == s}
             earlier = set(order[: order.index(s)])
             assert author in followees or followees & earlier
 
@@ -257,3 +258,54 @@ class TestLedgerProperties:
         led = build_exposure_ledger(cascade, net, scope)
         for u in led.exposed:
             assert scope.assignment.groups[u] == scope.main_group
+
+
+MIXED = [f"m{i}" for i in range(6)]
+
+
+@st.composite
+def mixed_scenarios(draw):
+    """Cascades over a graph whose users fall in either group or in none.
+
+    The author may be unclassified or in either group and may retweet their
+    own tweet; a user may retweet more than once. ``g0`` and ``g1`` keep
+    both groups nonempty.
+    """
+    author = "auth"
+    everyone = MIXED + ["g0", "g1", author]
+    main = draw(st.sampled_from([0, 1]))
+    groups = {"g0": 0, "g1": 1}
+    for u in MIXED + [author]:
+        g = draw(st.sampled_from([main, main, 1 - main, None]))
+        if g is not None:
+            groups[u] = g
+    assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
+    scope = GroupScope(assignment=assignment, main_group=main)
+    edges = [
+        (a, b) for a in everyone for b in everyone if a != b and draw(st.booleans())
+    ]
+    retweets = draw(
+        st.lists(
+            st.tuples(st.sampled_from(everyone), st.integers(min_value=0, max_value=6)),
+            max_size=8,
+        )
+    )
+    origin = TweetRecord("T", author, 0, "climate", lang="en")
+    rts = sorted(
+        (
+            TweetRecord(f"T-{i}", u, t, "rt", retweet_of="T")
+            for i, (u, t) in enumerate(retweets)
+        ),
+        key=lambda r: (r.timestamp, r.tweet_id),
+    )
+    return Cascade(origin, tuple(rts)), edges, scope, draw(st.booleans())
+
+
+class TestReferenceLedger:
+    @given(mixed_scenarios())
+    @settings(max_examples=400)
+    def test_equals_reference_on_every_field(self, scenario):
+        cascade, edges, scope, include = scenario
+        net = follow_net(edges) if edges else EMPTY_NET
+        led = build_exposure_ledger(cascade, net, scope, include)
+        assert led == reference_ledger(cascade, edges, scope, include)

@@ -142,9 +142,10 @@ class TestFollowerNetwork:
         net, _ = FollowerNetwork.from_edges(
             [("a", "b"), ("c", "b"), ("b", "a")], {"a", "b", "c"}
         )
-        assert net.consistent()
         assert net.followers_of("b") == frozenset({"a", "c"})
-        assert net.followees_of("a") == frozenset({"b"})
+        assert net.followers_of("a") == frozenset({"b"})
+        assert net.followers_of("c") == frozenset()
+        assert net.n_edges == 3
 
 
 def two_triangles():
