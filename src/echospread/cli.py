@@ -18,7 +18,7 @@ import json
 import multiprocessing
 import platform
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -73,6 +73,7 @@ from .sim import (
 )
 from .textstats import cross_group_counts, word_diff_table, write_spread_csv, write_words_csv
 from .virality import (
+    VIRALITY_COLUMNS,
     Boundary,
     UserActivity,
     ViralityEstimate,
@@ -261,13 +262,12 @@ class Workspace:
 
     @cached_property
     def partition(self) -> PartitionAssignment:
+        """The groups only: no stage reads the cut, so the network is not read."""
         path = _require(
             self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
         )
         groups = {user: int(g) for user, g in _read_rows(path, ["user", "group"])}
-        cut = sum(1 for a, b in self.network.edges if groups.get(a) != groups.get(b))
-        assignment = PartitionAssignment(groups=groups, cut_size=cut, balance=0.0)
-        return replace(assignment, balance=max(assignment.group_sizes()) / len(groups))
+        return PartitionAssignment(groups=groups)
 
     @cached_property
     def hoax_users(self) -> set[str]:
@@ -284,23 +284,20 @@ class Workspace:
 
 def _load_virality(out: Path) -> list[ViralityEstimate]:
     path = _require(out / "virality.csv", "intermediate virality.csv (run virality)")
-    estimates = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            estimates.append(
-                ViralityEstimate(
-                    tweet_id=row["tweet_id"],
-                    group=int(row["group"]),
-                    successes=int(row["successes"]),
-                    failures=int(row["failures"]),
-                    exposed=int(row["exposed"]),
-                    r_hat=float(row["r_hat"]) if row["r_hat"] else None,
-                    ln_r=float(row["ln_r"]) if row["ln_r"] else None,
-                    boundary=Boundary(row["boundary"]),
-                )
-            )
-    return estimates
+    return [
+        ViralityEstimate(
+            tweet_id=tweet_id,
+            group=int(group),
+            successes=int(successes),
+            failures=int(failures),
+            exposed=int(exposed),
+            r_hat=float(r_hat) if r_hat else None,
+            ln_r=float(ln_r) if ln_r else None,
+            boundary=Boundary(boundary),
+        )
+        for tweet_id, group, successes, failures, exposed, r_hat, ln_r, boundary
+        in _read_rows(path, VIRALITY_COLUMNS)
+    ]
 
 
 def name_groups(hoax_users: set[str], assignment: PartitionAssignment) -> dict[int, str]:

@@ -96,11 +96,15 @@ class FollowerNetwork:
 
 @dataclass(frozen=True)
 class PartitionAssignment:
-    """A two-way node assignment with its recounted cut size and balance."""
+    """A two-way node assignment with its recounted cut size and balance.
+
+    An assignment read back from ``partition.csv`` or built for a synthetic
+    world has no network to count a cut on; both figures are then None.
+    """
 
     groups: Mapping[str, int]
-    cut_size: int
-    balance: float
+    cut_size: int | None = None
+    balance: float | None = None
 
     def __post_init__(self) -> None:
         sizes = self.group_sizes()

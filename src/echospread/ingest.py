@@ -40,10 +40,6 @@ class TweetRecord:
         if self.timestamp < 0:
             raise ValueError(f"record {self.tweet_id} has negative timestamp")
 
-    @property
-    def is_retweet(self) -> bool:
-        return self.retweet_of is not None
-
 
 @dataclass(frozen=True)
 class CorpusFilter:

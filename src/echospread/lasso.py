@@ -5,15 +5,25 @@ unpenalized intercept. Solved by monotone proximal gradient (ISTA) with
 backtracking on the centered, optionally standardized design; gradients use
 the Gram form G = X'X/n, c = X'y/n. FISTA is deliberately not used so the
 objective is non-increasing at every iteration, which is checked.
+
+The groups of a problem are split once into a layout: the singleton groups
+are thresholded together as arrays, and only the multi-column blocks are
+visited one at a time. Two choices keep every bit equal to the per-group
+``np.linalg.norm`` loop this replaces. A singleton's norm is
+``sqrt(x * x)``, which is what ``norm`` computes for one entry; ``abs(x)``
+differs where ``x * x`` underflows (|x| below ~1e-154), and would move
+both the prox and the KKT branch there. The penalty is a sequential Python
+sum over groups in group order, since ``np.sum`` adds pairwise and would
+move the last bits of the objective.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,7 +90,29 @@ def pct_change(beta: float) -> float:
     return (math.exp(beta) - 1.0) * 100.0
 
 
-def _check_groups(groups: Groups, p: int) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True)
+class _Layout:
+    """The column groups of one problem, split for the solver's inner loop."""
+
+    groups: tuple[np.ndarray, ...]
+    w: np.ndarray  # sqrt(p_g) per group
+    single_cols: np.ndarray  # the column of each singleton group
+    single_pos: np.ndarray  # the position of each singleton group
+    blocks: tuple[tuple[int, np.ndarray, float], ...]  # (position, columns, w)
+
+    def norms(self, b: np.ndarray) -> np.ndarray:
+        """||b_g||_2 for every group, in group order."""
+        out = np.empty(len(self.groups))
+        s = b[self.single_cols]
+        out[self.single_pos] = np.sqrt(s * s)
+        for pos, idx, _ in self.blocks:
+            blk = b[idx]
+            out[pos] = math.sqrt(blk.dot(blk))
+        return out
+
+
+def _check_groups(groups: Groups, p: int) -> _Layout:
+    """The layout of groups that partition the p columns; raises otherwise."""
     seen: set[int] = set()
     arrays = []
     for g in groups:
@@ -93,10 +125,31 @@ def _check_groups(groups: Groups, p: int) -> tuple[np.ndarray, ...]:
         arrays.append(idx)
     if seen != set(range(p)):
         raise ValueError("groups must cover every column exactly once")
-    return tuple(arrays)
+    singles = [k for k, g in enumerate(arrays) if g.size == 1]
+    return _Layout(
+        groups=tuple(arrays),
+        w=np.array([math.sqrt(g.size) for g in arrays]),
+        single_cols=np.array([arrays[k][0] for k in singles], dtype=int),
+        single_pos=np.array(singles, dtype=int),
+        blocks=tuple(
+            (k, g, math.sqrt(g.size)) for k, g in enumerate(arrays) if g.size > 1
+        ),
+    )
 
 
-def _prepare(X: np.ndarray, y: np.ndarray, standardize: bool):
+class _Centered(NamedTuple):
+    """A design centered (and optionally scaled), with its Gram form."""
+
+    Xs: np.ndarray
+    yc: np.ndarray
+    mu: np.ndarray
+    sd: np.ndarray
+    y_mean: float
+    G: np.ndarray  # Xs'Xs/n
+    c: np.ndarray  # Xs'yc/n
+
+
+def _center(X: np.ndarray, y: np.ndarray, standardize: bool) -> _Centered:
     """Center (and optionally scale) the design; constants scale to zero."""
     mu = X.mean(axis=0)
     if standardize:
@@ -107,20 +160,22 @@ def _prepare(X: np.ndarray, y: np.ndarray, standardize: bool):
     Xs = (X - mu) / sd
     y_mean = float(y.mean())
     yc = y - y_mean
-    return Xs, yc, mu, sd, y_mean
+    n = X.shape[0]
+    return _Centered(Xs, yc, mu, sd, y_mean, Xs.T @ Xs / n, Xs.T @ yc / n)
+
+
+def _lam_top(c: np.ndarray, layout: _Layout) -> float:
+    """Smallest penalty at which every group of the centered problem is zero."""
+    return max((layout.norms(c) / layout.w).tolist())
 
 
 def lambda_max(
     X: np.ndarray, y: np.ndarray, groups: Groups, standardize: bool = True
 ) -> float:
     """Smallest penalty at which every group's coefficient block is zero."""
-    garr = _check_groups(groups, X.shape[1])
-    Xs, yc, _, _, _ = _prepare(np.asarray(X, float), np.asarray(y, float), standardize)
-    n = X.shape[0]
-    c = Xs.T @ yc / n
-    return max(
-        float(np.linalg.norm(c[g])) / math.sqrt(len(g)) for g in garr
-    )
+    layout = _check_groups(groups, X.shape[1])
+    cen = _center(np.asarray(X, float), np.asarray(y, float), standardize)
+    return _lam_top(cen.c, layout)
 
 
 def lambda_grid(lam_max: float, size: int) -> np.ndarray:
@@ -132,45 +187,57 @@ def lambda_grid(lam_max: float, size: int) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * 1e-4, size)
 
 
-def _prox(v: np.ndarray, thresholds: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
+def _prox(v: np.ndarray, layout: _Layout, t: float) -> np.ndarray:
+    """Block soft threshold of v at t * sqrt(p_g) for every group g."""
     out = v.copy()
-    for idx, thr in thresholds:
+    # A singleton's weight is 1, so its threshold is t itself.
+    s = v[layout.single_cols]
+    norm = np.sqrt(s * s)
+    zero = norm <= t
+    out[layout.single_cols] = np.where(
+        zero, 0.0, (1.0 - t / np.where(zero, 1.0, norm)) * s
+    )
+    for _, idx, w in layout.blocks:
         block = v[idx]
-        norm = float(np.linalg.norm(block))
-        if norm <= thr:
-            out[idx] = 0.0
-        else:
-            out[idx] = (1.0 - thr / norm) * block
+        norm = math.sqrt(block.dot(block))
+        thr = t * w
+        out[idx] = 0.0 if norm <= thr else (1.0 - thr / norm) * block
     return out
 
 
 def _kkt_residual(
-    Gb: np.ndarray,
-    c: np.ndarray,
-    beta: np.ndarray,
-    lam: float,
-    garr: Sequence[np.ndarray],
-    weights: Sequence[float],
+    Gb: np.ndarray, c: np.ndarray, beta: np.ndarray, lam: float, layout: _Layout
 ) -> float:
     res = c - Gb
-    worst = 0.0
-    for idx, w in zip(garr, weights):
+    r = res[layout.single_cols]
+    b = beta[layout.single_cols]
+    norm = np.sqrt(b * b)
+    active = norm > 0.0
+    d = r - lam * b / np.where(active, norm, 1.0)
+    per_group = np.where(active, np.sqrt(d * d), np.sqrt(r * r) - lam)
+    # Python's max ignores a NaN that is not first, as the group loop did.
+    worst = max([0.0, *per_group.tolist()])
+    for _, idx, w in layout.blocks:
         r_g = res[idx]
         b_g = beta[idx]
-        norm = float(np.linalg.norm(b_g))
+        norm = math.sqrt(b_g.dot(b_g))
         if norm > 0.0:
-            worst = max(worst, float(np.linalg.norm(r_g - lam * w * b_g / norm)))
+            d = r_g - lam * w * b_g / norm
+            worst = max(worst, math.sqrt(d.dot(d)))
         else:
-            worst = max(worst, max(0.0, float(np.linalg.norm(r_g)) - lam * w))
+            worst = max(worst, math.sqrt(r_g.dot(r_g)) - lam * w)
     return worst
+
+
+def _penalty(b: np.ndarray, lam: float, layout: _Layout) -> float:
+    return lam * sum((layout.w * layout.norms(b)).tolist())
 
 
 def _solve_std(
     G: np.ndarray,
     c: np.ndarray,
     lam: float,
-    garr: Sequence[np.ndarray],
-    weights: Sequence[float],
+    layout: _Layout,
     beta0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -178,26 +245,19 @@ def _solve_std(
 ) -> tuple[np.ndarray, float, int]:
     """Monotone proximal gradient on the centered problem; returns
     (beta, smooth+penalty objective up to the constant ||yc||^2/2n, iters)."""
-
-    def penalty(b: np.ndarray) -> float:
-        return lam * sum(
-            w * float(np.linalg.norm(b[idx])) for idx, w in zip(garr, weights)
-        )
-
     beta = beta0.copy()
     Gb = G @ beta
     smooth = 0.5 * float(beta @ Gb) - float(c @ beta)
-    obj = smooth + penalty(beta)
+    obj = smooth + _penalty(beta, lam, layout)
     # Near the optimum the objective is flat at float resolution and the
     # iterate can drift, so keep the best-certified point seen so far.
-    best_res = _kkt_residual(Gb, c, beta, lam, garr, weights)
+    best_res = _kkt_residual(Gb, c, beta, lam, layout)
     best_beta, best_obj, best_it = beta.copy(), obj, 0
     step = 1.0
     for it in range(1, max_iter + 1):
         grad = Gb - c
         while True:
-            thresholds = [(idx, step * lam * w) for idx, w in zip(garr, weights)]
-            z = _prox(beta - step * grad, thresholds)
+            z = _prox(beta - step * grad, layout, step * lam)
             dz = z - beta
             Gz = G @ z
             smooth_z = 0.5 * float(z @ Gz) - float(c @ z)
@@ -205,7 +265,7 @@ def _solve_std(
             if smooth_z <= quad + 1e-12:
                 break
             step *= 0.5
-        new_obj = smooth_z + penalty(z)
+        new_obj = smooth_z + _penalty(z, lam, layout)
         if new_obj > obj + 1e-9:
             raise ConvergenceError(
                 f"objective increased at iteration {it}", z, math.inf
@@ -213,7 +273,7 @@ def _solve_std(
         rel = (obj - new_obj) / max(1.0, abs(new_obj))
         beta, Gb, smooth, obj = z, Gz, smooth_z, new_obj
         step *= 1.25
-        residual = _kkt_residual(Gb, c, beta, lam, garr, weights)
+        residual = _kkt_residual(Gb, c, beta, lam, layout)
         if residual < best_res:
             best_res, best_beta, best_obj, best_it = residual, beta.copy(), obj, it
         if rel < tol and best_res <= kkt_tol:
@@ -250,48 +310,37 @@ def fit_group_lasso(
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     n, p = X.shape
-    garr = _check_groups(groups, p)
-    weights = [math.sqrt(len(g)) for g in garr]
-    Xs, yc, mu, sd, y_mean = _prepare(X, y, cfg.standardize)
+    layout = _check_groups(groups, p)
+    cen = _center(X, y, cfg.standardize)
 
     if lam == 0.0:
-        beta_std, *_ = np.linalg.lstsq(Xs, yc, rcond=None)
+        beta_std, *_ = np.linalg.lstsq(cen.Xs, cen.yc, rcond=None)
         n_iter = 0
-        G = Xs.T @ Xs / n
-        c = Xs.T @ yc / n
-        objective = 0.5 * float(beta_std @ (G @ beta_std)) - float(c @ beta_std)
+        objective = 0.5 * float(beta_std @ (cen.G @ beta_std)) - float(cen.c @ beta_std)
+    elif lam >= _lam_top(cen.c, layout):
+        beta_std = np.zeros(p)
+        objective = 0.0
+        n_iter = 0
     else:
-        G = Xs.T @ Xs / n
-        c = Xs.T @ yc / n
-        lam_top = max(
-            float(np.linalg.norm(c[g])) / w for g, w in zip(garr, weights)
+        beta0 = (
+            np.asarray(warm_start, dtype=float).copy()
+            if warm_start is not None
+            else np.zeros(p)
         )
-        if lam >= lam_top:
-            beta_std = np.zeros(p)
-            objective = 0.0
-            n_iter = 0
-        else:
-            beta0 = (
-                np.asarray(warm_start, dtype=float).copy()
-                if warm_start is not None
-                else np.zeros(p)
-            )
-            beta_std, objective, n_iter = _solve_std(
-                G, c, lam, garr, weights, beta0, cfg.tol, cfg.max_iter, cfg.kkt_tol
-            )
+        beta_std, objective, n_iter = _solve_std(
+            cen.G, cen.c, lam, layout, beta0, cfg.tol, cfg.max_iter, cfg.kkt_tol
+        )
 
-    beta = beta_std / sd
-    intercept = y_mean - float(beta @ mu)
-    active = tuple(
-        i for i, g in enumerate(garr) if float(np.linalg.norm(beta_std[g])) > 0.0
-    )
-    constant = 0.5 * float(yc @ yc) / n
+    beta = beta_std / cen.sd
+    intercept = cen.y_mean - float(beta @ cen.mu)
+    active = tuple(np.flatnonzero(layout.norms(beta_std) > 0.0).tolist())
+    constant = 0.5 * float(cen.yc @ cen.yc) / n
     return LassoFit(
         lam=float(lam),
         intercept=intercept,
         beta=beta,
         active_groups=active,
-        groups=tuple(tuple(int(j) for j in g) for g in garr),
+        groups=tuple(tuple(g.tolist()) for g in layout.groups),
         objective=objective + constant,
         n_iter=n_iter,
         standardized=cfg.standardize,
@@ -304,14 +353,12 @@ def kkt_residual_from_fit(
     """Independent certificate: residual recomputed from data and fit alone."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    garr = _check_groups(groups, X.shape[1])
-    weights = [math.sqrt(len(g)) for g in garr]
-    Xs, yc, _, sd, _ = _prepare(X, y, fit.standardized)
-    beta_std = fit.beta * sd
-    n = X.shape[0]
-    Gb = Xs.T @ (Xs @ beta_std) / n
-    c = Xs.T @ yc / n
-    return _kkt_residual(Gb, c, beta_std, fit.lam, garr, weights)
+    layout = _check_groups(groups, X.shape[1])
+    cen = _center(X, y, fit.standardized)
+    beta_std = fit.beta * cen.sd
+    # Recomputed from the design rather than the Gram matrix the solver used.
+    Gb = cen.Xs.T @ (cen.Xs @ beta_std) / X.shape[0]
+    return _kkt_residual(Gb, cen.c, beta_std, fit.lam, layout)
 
 
 def select_best_lambda(grid: Sequence[float], mean_err: Sequence[float]) -> int:
@@ -345,8 +392,7 @@ def cv_select_lambda(
     n = X.shape[0]
     if n < cfg.folds:
         raise ValueError("need at least one row per fold")
-    garr = _check_groups(groups, X.shape[1])
-    weights = [math.sqrt(len(g)) for g in garr]
+    layout = _check_groups(groups, X.shape[1])
 
     if fold_ids is not None:
         fold_ids = np.asarray(list(fold_ids))
@@ -359,31 +405,27 @@ def cv_select_lambda(
     if any(len(f) == 0 for f in folds):
         raise ValueError("fold with zero rows; reduce folds")
 
-    grid = lambda_grid(lambda_max(X, y, groups, cfg.standardize), cfg.lambda_grid)
+    grid = lambda_grid(
+        _lam_top(_center(X, y, cfg.standardize).c, layout), cfg.lambda_grid
+    )
     errors = np.zeros((len(folds), len(grid)))
     for k, val_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
-        X_tr, y_tr = X[mask], y[mask]
         X_val, y_val = X[val_idx], y[val_idx]
-        Xs, yc, mu, sd, y_mean = _prepare(X_tr, y_tr, cfg.standardize)
-        n_tr = X_tr.shape[0]
-        G = Xs.T @ Xs / n_tr
-        c = Xs.T @ yc / n_tr
-        lam_top = max(
-            float(np.linalg.norm(c[g])) / w for g, w in zip(garr, weights)
-        )
+        cen = _center(X[mask], y[mask], cfg.standardize)
+        lam_top = _lam_top(cen.c, layout)
         beta_std = np.zeros(X.shape[1])
         for j, lam in enumerate(grid):
             if lam >= lam_top:
                 beta_std = np.zeros(X.shape[1])
             else:
                 beta_std, _, _ = _solve_std(
-                    G, c, float(lam), garr, weights, beta_std,
+                    cen.G, cen.c, float(lam), layout, beta_std,
                     cfg.tol, cfg.max_iter, max(cfg.kkt_tol, 1e-6),
                 )
-            beta = beta_std / sd
-            intercept = y_mean - float(beta @ mu)
+            beta = beta_std / cen.sd
+            intercept = cen.y_mean - float(beta @ cen.mu)
             pred = intercept + X_val @ beta
             errors[k, j] = float(np.mean((y_val - pred) ** 2))
 
@@ -399,18 +441,7 @@ def fit_cv(
     """CV-selected penalty, then a final certified fit on all rows."""
     cfg = config if config is not None else LassoConfig()
     lam_best, curve = cv_select_lambda(X, y, groups, cfg)
-    fit = fit_group_lasso(X, y, groups, lam_best, cfg)
-    return LassoFit(
-        lam=fit.lam,
-        intercept=fit.intercept,
-        beta=fit.beta,
-        active_groups=fit.active_groups,
-        groups=fit.groups,
-        objective=fit.objective,
-        n_iter=fit.n_iter,
-        standardized=fit.standardized,
-        cv_curve=curve,
-    )
+    return replace(fit_group_lasso(X, y, groups, lam_best, cfg), cv_curve=curve)
 
 
 def report_coefficients(

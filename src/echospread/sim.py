@@ -292,8 +292,7 @@ def world_scope(world: SyntheticWorld) -> GroupScope:
     """Every simulated user in one scoring group; sentinel keeps group 1 legal."""
     groups = {u: 0 for u in world.users}
     groups["__outside__"] = 1
-    assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.0)
-    return GroupScope(assignment, main_group=0)
+    return GroupScope(PartitionAssignment(groups=groups), main_group=0)
 
 
 def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], SyntheticWorld]:

@@ -49,6 +49,11 @@ class UserActivity:
             raise ValueError("normalized can be zero only for raw zero")
 
 
+VIRALITY_COLUMNS = [
+    "tweet_id", "group", "successes", "failures", "exposed", "r_hat", "ln_r", "boundary"
+]
+
+
 @dataclass(frozen=True)
 class ViralityEstimate:
     """MLE virality for one cascade; r_hat is None when S is empty."""
@@ -213,9 +218,7 @@ def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) 
     rows = sorted(estimates, key=lambda e: e.tweet_id)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["tweet_id", "group", "successes", "failures", "exposed", "r_hat", "ln_r", "boundary"]
-        )
+        writer.writerow(VIRALITY_COLUMNS)
         for est in rows:
             writer.writerow(
                 [

@@ -1,5 +1,6 @@
-"""Shared test utilities: random ledgers, a reference exposure ledger, and
-an exhaustive likelihood oracle."""
+"""Shared test utilities: random ledgers, a reference exposure ledger, an
+exhaustive likelihood oracle, and per-group references for the group-lasso
+prox, KKT residual and penalty."""
 
 import numpy as np
 
@@ -157,4 +158,41 @@ def reference_ledger(cascade, edges, scope, include_unexposed_retweeters=False):
         unexposed_successes=frozenset(unexposed),
         attribution=attribution,
         flags=flags,
+    )
+
+
+def reference_prox(v, thresholds):
+    """Block soft threshold, one group at a time: thresholds holds
+    (columns, threshold) pairs."""
+    out = v.copy()
+    for idx, thr in thresholds:
+        block = v[idx]
+        norm = float(np.linalg.norm(block))
+        if norm <= thr:
+            out[idx] = 0.0
+        else:
+            out[idx] = (1.0 - thr / norm) * block
+    return out
+
+
+def reference_kkt_residual(Gb, c, beta, lam, garr, weights):
+    """Largest violation of the group-lasso optimality conditions, one group
+    at a time."""
+    res = c - Gb
+    worst = 0.0
+    for idx, w in zip(garr, weights):
+        r_g = res[idx]
+        b_g = beta[idx]
+        norm = float(np.linalg.norm(b_g))
+        if norm > 0.0:
+            worst = max(worst, float(np.linalg.norm(r_g - lam * w * b_g / norm)))
+        else:
+            worst = max(worst, max(0.0, float(np.linalg.norm(r_g)) - lam * w))
+    return worst
+
+
+def reference_penalty(b, lam, garr, weights):
+    """lam * sum_g w_g ||b_g||, summed group by group."""
+    return lam * sum(
+        w * float(np.linalg.norm(b[idx])) for idx, w in zip(garr, weights)
     )

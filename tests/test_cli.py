@@ -138,6 +138,13 @@ class TestStageIsolation:
         assert code == EXIT_OK
         assert tree_bytes(out) == tree_bytes(baseline)
 
+    def test_partition_readers_do_not_read_the_retweet_network(self, baseline, tmp_path):
+        out = tmp_path / "no_network"
+        shutil.copytree(baseline, out)
+        (out / "retweet_edges.csv").unlink()
+        for stage in ("words", "spread"):
+            assert main([stage, "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+
 
 class TestStaleIntermediates:
     def test_run_overwrites_stale_intermediates(self, baseline, tmp_path):
@@ -200,6 +207,28 @@ class TestInputValidation:
         out.mkdir()
         code = main(["network", "--config", str(CONFIG), "--out", str(out)])
         assert code == EXIT_INPUT
+
+    def test_read_back_partition_with_an_empty_group_exits_one(
+        self, baseline, tmp_path, capsys
+    ):
+        out = tmp_path / "one_group"
+        shutil.copytree(baseline, out)
+        rows = (out / "partition.csv").read_text().splitlines()
+        (out / "partition.csv").write_text(
+            "\n".join(rows[:1] + [line[:-1] + "0" for line in rows[1:]]) + "\n"
+        )
+        code = main(["spread", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "both groups must be nonempty" in capsys.readouterr().err
+
+    def test_virality_csv_with_wrong_header_exits_one(self, baseline, tmp_path, capsys):
+        out = tmp_path / "bad_header"
+        shutil.copytree(baseline, out)
+        lines = (out / "virality.csv").read_text().splitlines(keepends=True)
+        (out / "virality.csv").write_text(lines[0].replace("r_hat", "rhat") + "".join(lines[1:]))
+        code = main(["labels", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "unexpected header" in capsys.readouterr().err
 
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"

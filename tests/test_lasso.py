@@ -1,9 +1,13 @@
-"""Group-lasso solver tests against closed-form and least-squares oracles."""
+"""Group-lasso solver tests against closed-form and least-squares oracles,
+and the vectorized group operations against their per-group references."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echospread.lasso import (
     ConvergenceError,
@@ -20,6 +24,8 @@ from echospread.lasso import (
     write_cv_curve_csv,
     write_regress_csv,
 )
+from echospread.lasso import _check_groups, _kkt_residual, _penalty, _prox
+from helpers import reference_kkt_residual, reference_penalty, reference_prox
 
 
 def random_problem(seed, n=60, p=8, noise=0.5):
@@ -325,3 +331,124 @@ class TestReports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "lambda,mean_val_mse"
         assert lines[1] == "0.5,1.25"
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def grouped_vectors(draw):
+    """Groups over p columns (singletons only, one block, or a mix of sizes
+    1-3, scattered over the columns), a threshold t and two vectors whose
+    groups are random, zero, tiny (below 1e-154, where x * x underflows) or
+    of norm exactly t * sqrt(p_g)."""
+    layout = draw(st.sampled_from(("singletons", "block", "mixed")))
+    p = draw(st.integers(2 if layout == "block" else 1, 9))
+    if layout == "singletons":
+        sizes = [1] * p
+    elif layout == "block":
+        sizes = [p]
+    else:
+        sizes = []
+        while sum(sizes) < p:
+            sizes.append(min(draw(st.integers(1, 3)), p - sum(sizes)))
+    columns = draw(st.permutations(range(p)))
+    starts = np.cumsum([0] + sizes)
+    groups = tuple(tuple(columns[a:b]) for a, b in zip(starts, starts[1:]))
+    t = draw(st.sampled_from((1e-160, 1e-3, 0.37, 1.0, 2.5)))
+
+    def vector():
+        v = np.zeros(p)
+        for g in groups:
+            idx = list(g)
+            kind = draw(st.sampled_from(("random", "zero", "tiny", "tie")))
+            if kind == "random":
+                v[idx] = draw(st.lists(
+                    st.floats(-3.0, 3.0), min_size=len(idx), max_size=len(idx)
+                ))
+            elif kind == "tiny":
+                for j in idx:
+                    mantissa = draw(st.floats(-1.0, 1.0))
+                    exponent = draw(st.integers(-560, -512) | st.integers(-1074, -512))
+                    v[j] = math.ldexp(mantissa, exponent)
+            elif kind == "tie":
+                v[idx[0]] = draw(st.sampled_from((1.0, -1.0))) * t * math.sqrt(len(idx))
+        return v
+
+    return groups, t, vector(), vector()
+
+
+def references(groups, p):
+    garr = [np.asarray(sorted(g), dtype=int) for g in groups]
+    return _check_groups(groups, p), garr, [math.sqrt(len(g)) for g in garr]
+
+
+class TestVectorizedGroupOps:
+    """The layout's array code must equal the per-group loops bit for bit:
+    ``manifest.json`` records the KKT residual and lambda at full precision."""
+
+    @given(grouped_vectors())
+    @settings(max_examples=300)
+    def test_prox_equals_reference(self, case):
+        groups, t, v, _ = case
+        layout, garr, weights = references(groups, len(v))
+        expected = reference_prox(v, [(idx, t * w) for idx, w in zip(garr, weights)])
+        assert bits(_prox(v, layout, t)) == bits(expected)
+
+    @given(grouped_vectors())
+    @settings(max_examples=300)
+    def test_kkt_residual_equals_reference(self, case):
+        groups, lam, beta, c = case
+        layout, garr, weights = references(groups, len(beta))
+        Gb = np.zeros_like(c)
+        assert bits(_kkt_residual(Gb, c, beta, lam, layout)) == bits(
+            reference_kkt_residual(Gb, c, beta, lam, garr, weights)
+        )
+
+    @given(grouped_vectors())
+    @settings(max_examples=300)
+    def test_penalty_and_norms_equal_reference(self, case):
+        groups, lam, b, _ = case
+        layout, garr, weights = references(groups, len(b))
+        assert bits(_penalty(b, lam, layout)) == bits(
+            reference_penalty(b, lam, garr, weights)
+        )
+        assert bits(layout.norms(b)) == bits([np.linalg.norm(b[g]) for g in garr])
+
+
+def fit_fingerprint(seed, n, groups, standardize, binary):
+    """Digests of a CV selection and the final fit on one random problem."""
+    rng = np.random.default_rng(seed)
+    p = sum(len(g) for g in groups)
+    X = (rng.random((n, p)) < 0.4).astype(float) if binary else rng.normal(size=(n, p))
+    y = X @ rng.normal(size=p) + 0.5 * rng.normal(size=n)
+    cfg = LassoConfig(lambda_grid=15, folds=3, standardize=standardize, seed=seed)
+    lam, curve = cv_select_lambda(X, y, groups, cfg)
+    fit = fit_group_lasso(X, y, groups, lam, cfg)
+    digest = hashlib.sha256(bits(curve) + bits(fit.beta)).hexdigest()[:16]
+    return (lam.hex(), fit.intercept.hex(), fit.objective.hex(), fit.n_iter,
+            kkt_residual_from_fit(X, y, groups, fit).hex(), digest)
+
+
+# Computed by the per-group loop solver that the layout replaced, with
+# numpy 2.4 on x86-64; another BLAS may round the Gram products differently.
+PINNED_FITS = (
+    ((31, 40, ((0, 1, 2), (3,), (4,), (5, 6)), True, False),
+     ('0x1.4f1ea9a22437cp-4', '0x1.15da1a51f9987p-5', '0x1.dd3e45edc65f0p-2', 17,
+      '0x1.94b4764400000p-24', 'eec16c33b6fd24d1')),
+    ((32, 60, ((0,), (1, 2), (3,), (4, 5, 6), (7,)), True, True),
+     ('0x1.98e051757a1cap-8', '-0x1.0c9108472d560p-3', '0x1.622e9a7c455f8p-4', 41,
+      '0x1.266b950e88764p-24', 'd6ae480567ad76bb')),
+    ((33, 30, ((1, 3), (0,), (2,), (4,)), False, False),
+     ('0x1.07db5c8af5500p-4', '0x1.66690de7aeb76p-7', '0x1.5f1e696960aa8p-2', 19,
+      '0x1.6f12e13ed7e34p-24', '376724a0f018dcab')),
+    ((34, 50, ((0,), (1,), (2,), (3, 4, 5, 6, 7, 8)), True, True),
+     ('0x1.e2194e0294be3p-14', '-0x1.ca0c24bf1a09ap-3', '0x1.d0542904df2f0p-4', 27,
+      '0x1.3c210f8d8aa32p-24', 'a88636bf6ad98a75')),
+)
+
+
+@pytest.mark.parametrize("problem, pinned", PINNED_FITS)
+def test_fit_bits_pinned(problem, pinned):
+    assert fit_fingerprint(*problem) == pinned
