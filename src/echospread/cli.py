@@ -47,6 +47,7 @@ from .ingest import (
     write_records_jsonl,
 )
 from .labels import (
+    FEATURE_KEYS,
     CoderSheet,
     build_feature_matrix,
     extract_marks,
@@ -507,7 +508,9 @@ def _read_features(path: Path) -> tuple[np.ndarray, np.ndarray, tuple, list[str]
     author one-hots recovered from the author_id column (sorted order)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
+            raise ValueError(f"unexpected header in {path}: {header}")
         rows = list(reader)
     value_cols = header[3:-1]
     author_ids = [row[1] for row in rows]

@@ -3,6 +3,16 @@
 The bisection is a self-contained multilevel partitioner: heavy-edge-matching
 coarsening, greedy initial growing, and Fiduccia-Mattheyses-style refinement
 with a balance constraint. It is deterministic for a fixed seed.
+
+Growing, rebalancing and FM moves each pick the next node from a min-heap
+keyed ``(-gain, v)``: among the admissible nodes of maximal gain (or
+attachment), the lowest index, the node a full scan would pick. The output
+bytes depend on that tie-break. A changed gain pushes a fresh entry, and an
+entry whose node moved, got locked or no longer has that gain is dropped
+when it surfaces. FM keeps one heap per side, skips a side that no node may
+leave, and sets aside the entries above a side's balance cap while it looks
+for that side's best admissible entry. A move then costs O(deg log m)
+amortized instead of a scan of all nodes.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -270,17 +281,23 @@ def _grow_partition(
     side[start] = 0
     w_a = node_w[start]
     attach: dict[int, int] = dict(adj[start])
+    heap = [(-a, u) for u, a in attach.items()]
+    heapify(heap)
     while w_a < total // 2:
-        candidates = [u for u in attach if w_a + node_w[u] <= allowed]
-        if not candidates:
+        while heap:
+            a, best = heappop(heap)
+            # w_a only grows: a node that breaks the cap now never fits again
+            if attach.get(best) == -a and w_a + node_w[best] <= allowed:
+                break
+        else:
             break
-        best = min(candidates, key=lambda u: (-attach[u], u))
         attach.pop(best)
         side[best] = 0
         w_a += node_w[best]
         for u, w in adj[best].items():
             if side[u] == 1:
                 attach[u] = attach.get(u, 0) + w
+                heappush(heap, (-attach[u], u))
     return side
 
 
@@ -294,6 +311,16 @@ def _gains(adj: list[dict[int, int]], side: list[int]) -> list[int]:
     return gains
 
 
+def _side_heaps(gains: list[int], side: list[int]) -> list[list[tuple[int, int]]]:
+    """One min-heap of ``(-gain, v)`` per side."""
+    heaps: list[list[tuple[int, int]]] = [[], []]
+    for v, s in enumerate(side):
+        heaps[s].append((-gains[v], v))
+    for heap in heaps:
+        heapify(heap)
+    return heaps
+
+
 def _rebalance(
     adj: list[dict[int, int]],
     node_w: list[int],
@@ -305,16 +332,21 @@ def _rebalance(
     for v, s in enumerate(side):
         w_side[s] += node_w[v]
     gains = _gains(adj, side)
+    heaps = _side_heaps(gains, side)
     while max(w_side) > allowed:
         heavy = 0 if w_side[0] >= w_side[1] else 1
-        movable = [v for v in range(len(side)) if side[v] == heavy]
-        v = min(movable, key=lambda x: (-gains[x], x))
+        heap = heaps[heavy]
+        g, v = heappop(heap)
+        while side[v] != heavy or gains[v] != -g:
+            g, v = heappop(heap)
         side[v] = 1 - heavy
         w_side[heavy] -= node_w[v]
         w_side[1 - heavy] += node_w[v]
         gains[v] = -gains[v]
+        heappush(heaps[1 - heavy], (-gains[v], v))
         for u, w in adj[v].items():
             gains[u] += 2 * w if side[u] == heavy else -2 * w
+            heappush(heaps[side[u]], (-gains[u], u))
 
 
 def _fm_refine(
@@ -330,32 +362,43 @@ def _fm_refine(
     that both respects the balance cap and strictly reduces the cut.
     """
     n = len(adj)
+    min_w = min(node_w)
     cut = _cut_weight(adj, side)
     for _ in range(max_passes):
         w_side = [0, 0]
         for v, s in enumerate(side):
             w_side[s] += node_w[v]
         gains = _gains(adj, side)
+        heaps = _side_heaps(gains, side)
         locked = [False] * n
         moves: list[int] = []
         cur = cut
         best_cut = cut
         best_len = 0
         while True:
-            best_v = -1
-            best_g = None
-            for v in range(n):
-                if locked[v]:
+            pick = None
+            for s in (0, 1):
+                # a node v may leave side s iff node_w[v] <= cap
+                cap = min(allowed - w_side[1 - s], w_side[s] - 1)
+                if cap < min_w:
                     continue
-                s = side[v]
-                if w_side[1 - s] + node_w[v] > allowed:
-                    continue
-                if w_side[s] - node_w[v] <= 0:
-                    continue
-                if best_g is None or gains[v] > best_g:
-                    best_v, best_g = v, gains[v]
-            if best_v == -1:
+                heap = heaps[s]
+                aside = []
+                while heap:
+                    g, v = heap[0]
+                    if locked[v] or gains[v] != -g:
+                        heappop(heap)
+                    elif node_w[v] > cap:
+                        aside.append(heappop(heap))
+                    else:
+                        if pick is None or heap[0] < pick:
+                            pick = heap[0]
+                        break
+                for entry in aside:
+                    heappush(heap, entry)
+            if pick is None:
                 break
+            best_g, best_v = -pick[0], pick[1]
             s = side[best_v]
             side[best_v] = 1 - s
             w_side[s] -= node_w[best_v]
@@ -366,6 +409,7 @@ def _fm_refine(
             for u, w in adj[best_v].items():
                 if not locked[u]:
                     gains[u] += 2 * w if side[u] == s else -2 * w
+                    heappush(heaps[side[u]], (-gains[u], u))
             if cur < best_cut:
                 best_cut = cur
                 best_len = len(moves)

@@ -279,6 +279,10 @@ def build_feature_matrix(
     )
 
 
+# The leading columns of features_<group>.csv; the value columns and ln_r follow.
+FEATURE_KEYS = ["tweet_id", "author_id", "group"]
+
+
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Mirror of the matrix rows for inspection."""
     n_auth = len(matrix.authors)
@@ -289,7 +293,7 @@ def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tweet_id", "author_id", "group"] + value_cols + ["ln_r"])
+        writer.writerow(FEATURE_KEYS + value_cols + ["ln_r"])
         for i, tweet_id in enumerate(matrix.tweet_ids):
             values = [
                 ("%g" % v) for v in matrix.X[i, : len(value_cols)]

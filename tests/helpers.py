@@ -1,10 +1,11 @@
 """Shared test utilities: random ledgers, a reference exposure ledger, an
-exhaustive likelihood oracle, and per-group references for the group-lasso
-prox, KKT residual and penalty."""
+exhaustive likelihood oracle, per-group references for the group-lasso
+prox, KKT residual and penalty, and the linear-scan bisection steps."""
 
 import numpy as np
 
 from echospread.exposure import ExposureLedger
+from echospread.graph import _cut_weight, _gains
 from echospread.virality import Boundary, mle_virality
 
 
@@ -196,3 +197,116 @@ def reference_penalty(b, lam, garr, weights):
     return lam * sum(
         w * float(np.linalg.norm(b[idx])) for idx, w in zip(garr, weights)
     )
+
+
+# The bisection steps as linear scans, one full scan per move.
+
+
+def reference_grow_partition(
+    adj: list[dict[int, int]],
+    node_w: list[int],
+    start: int,
+    allowed: int,
+) -> list[int]:
+    """Greedy region growing from a start node toward half the total weight."""
+    n = len(adj)
+    total = sum(node_w)
+    side = [1] * n
+    side[start] = 0
+    w_a = node_w[start]
+    attach: dict[int, int] = dict(adj[start])
+    while w_a < total // 2:
+        candidates = [u for u in attach if w_a + node_w[u] <= allowed]
+        if not candidates:
+            break
+        best = min(candidates, key=lambda u: (-attach[u], u))
+        attach.pop(best)
+        side[best] = 0
+        w_a += node_w[best]
+        for u, w in adj[best].items():
+            if side[u] == 1:
+                attach[u] = attach.get(u, 0) + w
+    return side
+
+
+def reference_rebalance(
+    adj: list[dict[int, int]],
+    node_w: list[int],
+    side: list[int],
+    allowed: int,
+) -> None:
+    """Move max-gain nodes off the heavy side until the balance cap holds."""
+    w_side = [0, 0]
+    for v, s in enumerate(side):
+        w_side[s] += node_w[v]
+    gains = _gains(adj, side)
+    while max(w_side) > allowed:
+        heavy = 0 if w_side[0] >= w_side[1] else 1
+        movable = [v for v in range(len(side)) if side[v] == heavy]
+        v = min(movable, key=lambda x: (-gains[x], x))
+        side[v] = 1 - heavy
+        w_side[heavy] -= node_w[v]
+        w_side[1 - heavy] += node_w[v]
+        gains[v] = -gains[v]
+        for u, w in adj[v].items():
+            gains[u] += 2 * w if side[u] == heavy else -2 * w
+
+
+def reference_fm_refine(
+    adj: list[dict[int, int]],
+    node_w: list[int],
+    side: list[int],
+    allowed: int,
+    max_passes: int = 30,
+) -> int:
+    """FM refinement: sequences of locked moves, keeping the best prefix.
+
+    Returns the final cut weight. The final state admits no single-node move
+    that both respects the balance cap and strictly reduces the cut.
+    """
+    n = len(adj)
+    cut = _cut_weight(adj, side)
+    for _ in range(max_passes):
+        w_side = [0, 0]
+        for v, s in enumerate(side):
+            w_side[s] += node_w[v]
+        gains = _gains(adj, side)
+        locked = [False] * n
+        moves: list[int] = []
+        cur = cut
+        best_cut = cut
+        best_len = 0
+        while True:
+            best_v = -1
+            best_g = None
+            for v in range(n):
+                if locked[v]:
+                    continue
+                s = side[v]
+                if w_side[1 - s] + node_w[v] > allowed:
+                    continue
+                if w_side[s] - node_w[v] <= 0:
+                    continue
+                if best_g is None or gains[v] > best_g:
+                    best_v, best_g = v, gains[v]
+            if best_v == -1:
+                break
+            s = side[best_v]
+            side[best_v] = 1 - s
+            w_side[s] -= node_w[best_v]
+            w_side[1 - s] += node_w[best_v]
+            cur -= best_g
+            locked[best_v] = True
+            moves.append(best_v)
+            for u, w in adj[best_v].items():
+                if not locked[u]:
+                    gains[u] += 2 * w if side[u] == s else -2 * w
+            if cur < best_cut:
+                best_cut = cur
+                best_len = len(moves)
+        for v in moves[best_len:]:
+            side[v] = 1 - side[v]
+        if best_cut >= cut:
+            break
+        cut = best_cut
+    return cut

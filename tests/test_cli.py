@@ -230,6 +230,18 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert "unexpected header" in capsys.readouterr().err
 
+    def test_features_csv_with_wrong_response_column_exits_one(
+        self, baseline, tmp_path, capsys
+    ):
+        out = tmp_path / "bad_features"
+        shutil.copytree(baseline, out)
+        path = out / "features_activist.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0].replace("ln_r", "not_the_response") + "".join(lines[1:]))
+        code = main(["regress", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "unexpected header" in capsys.readouterr().err
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

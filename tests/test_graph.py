@@ -1,7 +1,9 @@
 """Network construction and bisection, checked against exhaustive oracles."""
 
+import hashlib
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from echospread.graph import (
     FollowerNetwork,
     PartitionAssignment,
     RetweetNetwork,
+    _fm_refine,
+    _grow_partition,
+    _rebalance,
     allowed_group_size,
     bisect_partition,
     build_retweet_network,
@@ -20,6 +25,11 @@ from echospread.graph import (
     to_dot,
 )
 from echospread.ingest import Cascade, TweetRecord
+from helpers import (
+    reference_fm_refine,
+    reference_grow_partition,
+    reference_rebalance,
+)
 
 
 def net_from_pairs(pairs):
@@ -231,6 +241,20 @@ def planted_two_blocks(rng, n_per=50, p_in=0.3, p_out=0.002):
     return net_from_pairs(pairs), set(left), set(right), cross
 
 
+def hub_and_spoke(rng, n, hubs):
+    """The shape of a retweet network: a few hub authors and n - hubs
+    retweeters, each linked to 1-3 hubs, mostly of its own block (parity).
+    Each hub absorbs one retweeter in a heavy-edge matching, so with hubs
+    under 5% of n the bisection does not coarsen."""
+    pairs = set()
+    for i in range(hubs, n):
+        own = range(i % 2, hubs, 2) or range(hubs)
+        for _ in range(int(rng.integers(1, 4))):
+            pool = own if rng.random() >= 0.05 else range(hubs)
+            pairs.add((f"h{pool[int(rng.integers(len(pool)))]:02d}", f"s{i:05d}"))
+    return net_from_pairs(pairs)
+
+
 class TestPlantedPartition:
     def test_recovers_planted_blocks(self):
         rng = np.random.default_rng(11)
@@ -263,6 +287,22 @@ class TestLocalOptimality:
         result = bisect_partition(net, balance_tol=0.1, seed=seed)
         assert_locally_optimal(net, result, 0.1)
 
+    @given(
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=30, max_value=120),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_single_move_improves_at_scale(self, seed, n, hubs):
+        rng = np.random.default_rng(seed)
+        if hubs:  # single level: too few hubs to coarsen
+            net = hub_and_spoke(rng, n, hubs=max(1, n // 25))
+        else:  # dense blocks: coarsened, refined level by level
+            net = planted_two_blocks(rng, n_per=n // 2, p_in=0.2, p_out=0.01)[0]
+        net = largest_component(net)
+        result = bisect_partition(net, balance_tol=0.1, seed=seed)
+        assert_locally_optimal(net, result, 0.1)
+
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
     def test_matches_enumeration_on_small_graphs(self, seed):
@@ -285,6 +325,121 @@ class TestLocalOptimality:
         n = net.n_nodes
         allowed = allowed_group_size(n, 0.1)
         assert max(result.group_sizes()) <= allowed
+
+
+def weighted_graph(rng, n, unit):
+    """Random adjacency with edge weights 1-3 and node weights 1-4 (or
+    unit), as at the coarse levels of a bisection."""
+    adj = [{} for _ in range(n)]
+    p = rng.random()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i][j] = adj[j][i] = int(rng.integers(1, 4))
+    node_w = [1] * n if unit else [int(w) for w in rng.integers(1, 5, size=n)]
+    return adj, node_w
+
+
+def groups_digest(assignment):
+    rows = "".join(f"{u},{g}\n" for u, g in sorted(assignment.groups.items()))
+    return hashlib.sha256(rows.encode()).hexdigest()[:16]
+
+
+class TestHeapSelection:
+    """The heaps pick the node the linear scans in tests/helpers.py pick:
+    among the admissible nodes of maximal gain, the lowest index."""
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=40),
+        st.booleans(),
+        st.sampled_from(["side 0", "side 1", "any"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grow_and_refine_equal_the_scans(self, seed, n, unit, cap):
+        rng = np.random.default_rng(seed)
+        adj, node_w = weighted_graph(rng, n, unit)
+        side = [int(s) for s in rng.integers(0, 2, size=n)]
+        w_side = [sum(w for w, s in zip(node_w, side) if s == k) for k in (0, 1)]
+        # a cap at one side's weight leaves that side at it and may put the
+        # other over it; "any" runs from no admissible move to no cap at all
+        allowed = {
+            "side 0": w_side[0],
+            "side 1": w_side[1],
+            "any": int(rng.integers(0, sum(node_w) + 1)),
+        }[cap]
+        start = int(rng.integers(n))
+        assert _grow_partition(adj, node_w, start, allowed) == reference_grow_partition(
+            adj, node_w, start, allowed
+        )
+        heap_side, scan_side = side[:], side[:]
+        assert _fm_refine(adj, node_w, heap_side, allowed) == reference_fm_refine(
+            adj, node_w, scan_side, allowed
+        )
+        assert heap_side == scan_side
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rebalance_equals_the_scan(self, seed, n, unit):
+        rng = np.random.default_rng(seed)
+        adj, node_w = weighted_graph(rng, n, unit)
+        side = [int(s) for s in rng.integers(0, 2, size=n)]
+        total = sum(node_w)
+        # the caps bisect_partition passes: at least total // 2 + max weight
+        allowed = total // 2 + max(node_w) + int(rng.integers(0, total // 2 + 1))
+        heap_side, scan_side = side[:], side[:]
+        _rebalance(adj, node_w, heap_side, allowed)
+        reference_rebalance(adj, node_w, scan_side, allowed)
+        assert heap_side == scan_side
+
+    def test_rebalance_follows_a_heavy_side_that_flips(self):
+        # moving node 0 (gain 6, weight 4) off side 0 puts side 1 over the cap
+        adj = [{3: 3, 4: 3}, {}, {}, {0: 3}, {0: 3}]
+        node_w = [4, 1, 1, 1, 1]
+        heap_side, scan_side = [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]
+        _rebalance(adj, node_w, heap_side, 5)
+        reference_rebalance(adj, node_w, scan_side, 5)
+        assert heap_side == scan_side == [1, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "build, digest, cut",
+        [
+            (  # 60 dense nodes: coarsened twice
+                lambda: planted_two_blocks(
+                    np.random.default_rng(3), n_per=30, p_in=0.3, p_out=0.01
+                )[0],
+                "0d8f42828ae05382",
+                10,
+            ),
+            (  # 600 nodes, 8 hubs: matching shrinks it too little to coarsen
+                lambda: hub_and_spoke(np.random.default_rng(5), 600, hubs=8),
+                "e14e6c47c7215ffd",
+                240,
+            ),
+            (two_triangles, "9870a3be3cc9443a", 1),
+        ],
+        ids=["coarsens", "hub-and-spoke", "two-triangles"],
+    )
+    def test_groups_pinned(self, build, digest, cut):
+        net = largest_component(build())
+        result = bisect_partition(net, balance_tol=0.1, seed=2)
+        assert (groups_digest(result), result.cut_size) == (digest, cut)
+
+
+class TestScaling:
+    def test_hub_and_spoke_4000_nodes_within_budget(self):
+        # on a 2-core Xeon the linear scans took 50-60 s, the heaps about 1 s
+        net = largest_component(hub_and_spoke(np.random.default_rng(4000), 4000, hubs=16))
+        assert net.n_nodes > 3900
+        t0 = time.perf_counter()
+        result = bisect_partition(net, balance_tol=0.1, seed=0)
+        elapsed = time.perf_counter() - t0
+        assert max(result.group_sizes()) <= allowed_group_size(net.n_nodes, 0.1)
+        assert elapsed < 15.0, f"bisecting {net.n_nodes} nodes took {elapsed:.1f} s"
 
 
 class TestBalance:
