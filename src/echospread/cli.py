@@ -575,10 +575,14 @@ STAGES: tuple[tuple[str, object], ...] = (
 )
 
 
-def _exit_code_for(error: Exception) -> int:
+def _exit_code_for(error: Exception) -> int | None:
+    """2 for a numerical failure, 1 for bad input, None for anything else:
+    an exception of another type is a bug and is not turned into a code."""
     if isinstance(error, (ConvergenceError, ArithmeticError)):
         return EXIT_NUMERICAL
-    return EXIT_INPUT
+    if isinstance(error, (OSError, ValueError, csv.Error)):
+        return EXIT_INPUT
+    return None
 
 
 def run_stage(ws: Workspace, name: str) -> int:
@@ -589,8 +593,11 @@ def run_stage(ws: Workspace, name: str) -> int:
         counts = fn(ws)
     except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
         record_failure(config, name, error)
+        code = _exit_code_for(error)
+        if code is None:
+            raise
         print(f"error in stage {name}: {error}", file=sys.stderr)
-        return _exit_code_for(error)
+        return code
     record_stage(config, name, counts)
     return EXIT_OK
 
@@ -737,12 +744,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out is not None else Path("out")
     try:
         config = _sim_config(args)
+    except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         world = generate_world(config)
         sims, truth = simulate_corpus(world)
         write_world(world, sims, truth, out)
     except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
+        code = _exit_code_for(error)
+        if code is None:
+            raise
         print(f"error: {error}", file=sys.stderr)
-        return _exit_code_for(error)
+        return code
     return EXIT_OK
 
 

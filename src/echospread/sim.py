@@ -4,12 +4,28 @@ Cascades follow the same single-trial display-rule model the estimator
 assumes: synchronous rounds, one Bernoulli(alpha_u * r) draw per exposed
 user, round index as timestamp. The simulator therefore doubles as the
 ground-truth oracle for the estimation pipeline.
+
+A world holds its follow graph once, as interned integers: user ``k`` is
+``users[k]``, and ``users`` is sorted, so integer order is string order.
+The graph is a compressed sparse row (CSR) layout keyed by followee: the
+followers of ``users[j]`` are ``users[k]`` for ``k`` in
+``follower_idx[follower_ptr[j]:follower_ptr[j + 1]]``, ascending. The
+``FollowerNetwork`` the exposure ledger reads and the activity array
+aligned with ``users`` are derived from the CSR once, when the world is
+built.
+
+The output bytes rest on one stream invariant: a cascade draws exactly one
+uniform per exposed user, in ascending id order, and takes each round's
+draws as one batch from its own PCG64 stream. Because ids ascend with the
+strings they stand for, this is the draw order of a simulator that sorts
+user names, and a batch of k uniforms equals k single draws.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -81,12 +97,37 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
+    """A world whose follow graph is one followee-keyed CSR over ``users``.
+
+    ``follow`` and ``alpha`` (the activities aligned with ``users``) are
+    derived at construction; the arrays stay out of ``==``, which compares
+    the graph through ``follow``.
+    """
+
     config: SimConfig
     users: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    follower_ptr: np.ndarray = field(compare=False, repr=False)
+    follower_idx: np.ndarray = field(compare=False, repr=False)
     activities: Mapping[str, float]
-    follow: FollowerNetwork
     block_labels: Mapping[str, int] | None = None
+    follow: FollowerNetwork = field(init=False, repr=False)
+    alpha: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        users = self.users
+        if any(a >= b for a, b in zip(users, users[1:])):
+            raise ValueError("world users must be sorted and distinct")
+        if len(self.follower_ptr) != len(users) + 1:
+            raise ValueError("follower_ptr needs one entry per user plus one")
+        ptr, idx = self.follower_ptr.tolist(), self.follower_idx
+        followers = {
+            users[j]: frozenset([users[k] for k in idx[ptr[j] : ptr[j + 1]].tolist()])
+            for j in range(len(users))
+            if ptr[j] < ptr[j + 1]
+        }
+        object.__setattr__(self, "follow", FollowerNetwork(followers))
+        alpha = np.array([self.activities[u] for u in users], dtype=float)
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -115,27 +156,45 @@ def _user_ids(n: int) -> tuple[str, ...]:
     return tuple(f"u{i:0{width}d}" for i in range(n))
 
 
+# Rows of uniforms drawn at once, so the n x n float matrix is never held.
+_ROW_BLOCK = 256
+
+
+def follower_csr(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(follower_ptr, follower_idx) of a square mask; mask[i, j]: i follows j."""
+    followee, follower = np.nonzero(mask.T)
+    ptr = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(followee, minlength=len(mask)), out=ptr[1:])
+    return ptr, follower
+
+
 def generate_network(
     config: SimConfig,
-) -> tuple[tuple[tuple[str, str], ...], dict[str, int] | None]:
-    """Directed edges (follower, followee); planted blocks also get labels."""
+) -> tuple[np.ndarray, np.ndarray, dict[str, int] | None]:
+    """Follower CSR of the generated graph; planted blocks also get labels.
+
+    Edge (i, j) is present when uniform [i, j] of one row-major n x n draw
+    falls below its probability. The draw is taken in row blocks; the
+    generator fills in C order, so the values equal a one-shot draw's.
+    """
     spec = config.graph
-    users = _user_ids(spec.n)
+    n = spec.n
     rng = np.random.default_rng([config.master_seed, 0])
-    labels: dict[str, int] | None = None
-    if spec.kind == "directed-random":
-        mask = rng.random((spec.n, spec.n)) < spec.p
-    else:
-        half = spec.n // 2
-        blocks = np.array([0] * half + [1] * (spec.n - half))
-        same = blocks[:, None] == blocks[None, :]
-        probs = np.where(same, spec.p_in, spec.p_out)
-        mask = rng.random((spec.n, spec.n)) < probs
-        labels = {u: int(b) for u, b in zip(users, blocks)}
+    blocks = np.repeat([0, 1], [n // 2, n - n // 2])
+    mask = np.empty((n, n), dtype=bool)
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, min(start + _ROW_BLOCK, n))
+        if spec.kind == "directed-random":
+            probs = spec.p
+        else:
+            same = blocks[rows, None] == blocks[None, :]
+            probs = np.where(same, spec.p_in, spec.p_out)
+        mask[rows] = rng.random((rows.stop - start, n)) < probs
     np.fill_diagonal(mask, False)
-    rows, cols = np.nonzero(mask)
-    edges = tuple((users[i], users[j]) for i, j in zip(rows, cols))
-    return edges, labels
+    labels: dict[str, int] | None = None
+    if spec.kind == "planted-two-block":
+        labels = {u: int(b) for u, b in zip(_user_ids(n), blocks)}
+    return (*follower_csr(mask), labels)
 
 
 def generate_activities(config: SimConfig) -> dict[str, float]:
@@ -152,17 +211,13 @@ def generate_activities(config: SimConfig) -> dict[str, float]:
 
 
 def generate_world(config: SimConfig) -> SyntheticWorld:
-    edges, labels = generate_network(config)
-    users = _user_ids(config.graph.n)
-    follow, dropped = FollowerNetwork.from_edges(edges, set(users))
-    if dropped:
-        raise RuntimeError("generated edges must all be valid")
+    follower_ptr, follower_idx, labels = generate_network(config)
     return SyntheticWorld(
         config=config,
-        users=users,
-        edges=edges,
+        users=_user_ids(config.graph.n),
+        follower_ptr=follower_ptr,
+        follower_idx=follower_idx,
         activities=generate_activities(config),
-        follow=follow,
         block_labels=labels,
     )
 
@@ -171,11 +226,10 @@ def seed_pool(world: SyntheticWorld) -> tuple[str, ...]:
     """Candidate cascade seeds: top-decile follower counts by default."""
     if world.config.seed_pool == "uniform":
         return world.users
-    ranked = sorted(
-        world.users, key=lambda u: (-len(world.follow.followers_of(u)), u)
-    )
-    k = max(1, len(ranked) // 10)
-    return tuple(ranked[:k])
+    # A stable sort of ascending ids ranks ties by name, as users are sorted.
+    ranked = np.argsort(-np.diff(world.follower_ptr), kind="stable")
+    k = max(1, len(world.users) // 10)
+    return tuple(world.users[i] for i in ranked[:k].tolist())
 
 
 def simulate_cascade(
@@ -186,14 +240,19 @@ def simulate_cascade(
     Round 0 exposes the seed's followers; an activation in exposure round t
     is stamped t+1 and exposes its not-yet-exposed followers next round.
     """
-    alpha_max = max(world.activities.values())
-    if r > 1.0 / alpha_max + 1e-12:
+    if r > 1.0 / float(world.alpha.max()) + 1e-12:
         raise ValueError("planted r exceeds 1/max activity")
+    users = world.users
+    seed = bisect_left(users, seed_user)
+    if seed == len(users) or users[seed] != seed_user:
+        raise ValueError(f"unknown seed user {seed_user!r}")
+    ptr, idx = world.follower_ptr, world.follower_idx
     rng = np.random.default_rng([world.config.master_seed, 2, cascade_index])
     tweet_id = f"sim{cascade_index:05d}"
-    exposed: set[str] = set()
-    successes: list[str] = []
-    failures: set[str] = set()
+    seen = np.zeros(len(users), dtype=bool)
+    seen[seed] = True
+    exposed: list[int] = []
+    successes: list[int] = []
     records = [
         TweetRecord(
             tweet_id=tweet_id,
@@ -203,43 +262,40 @@ def simulate_cascade(
             lang="en",
         )
     ]
-    frontier = [seed_user]
+    frontier = [seed]
     t = 0
-    seq = 0
     while frontier:
-        newly = sorted(
-            set().union(*(world.follow.followers_of(u) for u in frontier))
-            - exposed
-            - {seed_user}
-        )
-        frontier = []
-        for u in newly:
-            exposed.add(u)
-            if rng.random() < world.activities[u] * r:
-                successes.append(u)
-                frontier.append(u)
-                records.append(
-                    TweetRecord(
-                        tweet_id=f"{tweet_id}-r{seq:05d}",
-                        user_id=u,
-                        timestamp=t + 1,
-                        text=f"RT @{seed_user}: climate cascade {tweet_id}",
-                        retweet_of=tweet_id,
-                        lang="en",
-                    )
+        reach = np.zeros(len(users), dtype=bool)
+        reach[np.concatenate([idx[ptr[u] : ptr[u + 1]] for u in frontier])] = True
+        reach[seen] = False
+        newly = np.flatnonzero(reach)
+        seen[newly] = True
+        hits = newly[rng.random(len(newly)) < world.alpha[newly] * r]
+        frontier = hits.tolist()
+        for u in frontier:
+            records.append(
+                TweetRecord(
+                    tweet_id=f"{tweet_id}-r{len(successes):05d}",
+                    user_id=users[u],
+                    timestamp=t + 1,
+                    text=f"RT @{seed_user}: climate cascade {tweet_id}",
+                    retweet_of=tweet_id,
+                    lang="en",
                 )
-                seq += 1
-            else:
-                failures.add(u)
+            )
+            successes.append(u)
+        exposed.extend(newly.tolist())
         t += 1
+    exposed_names = frozenset(users[u] for u in exposed)
+    success_names = frozenset(users[u] for u in successes)
     return SimCascade(
         tweet_id=tweet_id,
         seed_user=seed_user,
         planted_r=r,
         records=tuple(records),
-        exposed=frozenset(exposed),
-        successes=frozenset(successes),
-        failures=frozenset(failures),
+        exposed=exposed_names,
+        successes=success_names,
+        failures=exposed_names - success_names,
     )
 
 
@@ -277,8 +333,11 @@ def write_world(
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["follower", "followee"])
-        for follower, followee in world.edges:
-            writer.writerow([follower, followee])
+        users = world.users
+        followee = np.repeat(np.arange(len(users)), np.diff(world.follower_ptr))
+        order = np.lexsort((followee, world.follower_idx))
+        for i, j in zip(world.follower_idx[order].tolist(), followee[order].tolist()):
+            writer.writerow([users[i], users[j]])
     truth_path = out / "truth.csv"
     with open(truth_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -308,7 +367,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
     by_r: dict[float, list[SimCascade]] = {}
     for sim in sims:
         by_r.setdefault(sim.planted_r, []).append(sim)
-    for r in config.r_values:
+    for r in dict.fromkeys(config.r_values):
         errors: list[float] = []
         exposures: list[int] = []
         unscorable = 0

@@ -1,11 +1,17 @@
 """Shared test utilities: random ledgers, a reference exposure ledger, an
 exhaustive likelihood oracle, per-group references for the group-lasso
-prox, KKT residual and penalty, and the linear-scan bisection steps."""
+prox, KKT residual and penalty, the linear-scan bisection steps, and the
+string-set simulator."""
+
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from echospread.exposure import ExposureLedger
-from echospread.graph import _cut_weight, _gains
+from echospread.graph import FollowerNetwork, _cut_weight, _gains
+from echospread.ingest import TweetRecord
+from echospread.sim import SimCascade, SimConfig, _user_ids
 from echospread.virality import Boundary, mle_virality
 
 
@@ -310,3 +316,121 @@ def reference_fm_refine(
             break
         cut = best_cut
     return cut
+
+
+# The simulator on string sets: edges as (follower, followee) tuples, the
+# follow graph as a FollowerNetwork built from them, one draw per user.
+
+
+@dataclass(frozen=True)
+class ReferenceWorld:
+    config: SimConfig
+    users: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+    activities: Mapping[str, float]
+    follow: FollowerNetwork
+
+
+def reference_world(config, users, edges, activities):
+    follow, dropped = FollowerNetwork.from_edges(edges, set(users))
+    assert dropped == 0
+    return ReferenceWorld(config, tuple(users), tuple(edges), dict(activities), follow)
+
+
+def reference_generate_network(
+    config: SimConfig,
+) -> tuple[tuple[tuple[str, str], ...], dict[str, int] | None]:
+    """Directed edges (follower, followee); planted blocks also get labels."""
+    spec = config.graph
+    users = _user_ids(spec.n)
+    rng = np.random.default_rng([config.master_seed, 0])
+    labels: dict[str, int] | None = None
+    if spec.kind == "directed-random":
+        mask = rng.random((spec.n, spec.n)) < spec.p
+    else:
+        half = spec.n // 2
+        blocks = np.array([0] * half + [1] * (spec.n - half))
+        same = blocks[:, None] == blocks[None, :]
+        probs = np.where(same, spec.p_in, spec.p_out)
+        mask = rng.random((spec.n, spec.n)) < probs
+        labels = {u: int(b) for u, b in zip(users, blocks)}
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    edges = tuple((users[i], users[j]) for i, j in zip(rows, cols))
+    return edges, labels
+
+
+def reference_seed_pool(world: ReferenceWorld) -> tuple[str, ...]:
+    """Candidate cascade seeds: top-decile follower counts by default."""
+    if world.config.seed_pool == "uniform":
+        return world.users
+    ranked = sorted(
+        world.users, key=lambda u: (-len(world.follow.followers_of(u)), u)
+    )
+    k = max(1, len(ranked) // 10)
+    return tuple(ranked[:k])
+
+
+def reference_simulate_cascade(
+    world: ReferenceWorld, seed_user: str, r: float, cascade_index: int
+) -> SimCascade:
+    """One synchronous-round cascade; each exposed user draws exactly once.
+
+    Round 0 exposes the seed's followers; an activation in exposure round t
+    is stamped t+1 and exposes its not-yet-exposed followers next round.
+    """
+    alpha_max = max(world.activities.values())
+    if r > 1.0 / alpha_max + 1e-12:
+        raise ValueError("planted r exceeds 1/max activity")
+    rng = np.random.default_rng([world.config.master_seed, 2, cascade_index])
+    tweet_id = f"sim{cascade_index:05d}"
+    exposed: set[str] = set()
+    successes: list[str] = []
+    failures: set[str] = set()
+    records = [
+        TweetRecord(
+            tweet_id=tweet_id,
+            user_id=seed_user,
+            timestamp=0,
+            text=f"climate cascade {tweet_id} #ClimateCrisis",
+            lang="en",
+        )
+    ]
+    frontier = [seed_user]
+    t = 0
+    seq = 0
+    while frontier:
+        newly = sorted(
+            set().union(*(world.follow.followers_of(u) for u in frontier))
+            - exposed
+            - {seed_user}
+        )
+        frontier = []
+        for u in newly:
+            exposed.add(u)
+            if rng.random() < world.activities[u] * r:
+                successes.append(u)
+                frontier.append(u)
+                records.append(
+                    TweetRecord(
+                        tweet_id=f"{tweet_id}-r{seq:05d}",
+                        user_id=u,
+                        timestamp=t + 1,
+                        text=f"RT @{seed_user}: climate cascade {tweet_id}",
+                        retweet_of=tweet_id,
+                        lang="en",
+                    )
+                )
+                seq += 1
+            else:
+                failures.add(u)
+        t += 1
+    return SimCascade(
+        tweet_id=tweet_id,
+        seed_user=seed_user,
+        planted_r=r,
+        records=tuple(records),
+        exposed=frozenset(exposed),
+        successes=frozenset(successes),
+        failures=frozenset(failures),
+    )

@@ -2,6 +2,7 @@
 determinism across reruns and worker counts, stage isolation, input
 validation, exit codes, and the simulate subcommand."""
 
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -268,6 +269,42 @@ class TestExitCodes:
         assert _exit_code_for(FileNotFoundError("gone")) == EXIT_INPUT
         assert _exit_code_for(ValueError("bad field")) == EXIT_INPUT
 
+    def test_other_failures_map_to_no_code(self):
+        assert _exit_code_for(json.JSONDecodeError("bad", "{", 0)) == EXIT_INPUT
+        assert _exit_code_for(KeyError("u1")) is None
+        assert _exit_code_for(IndexError("out of range")) is None
+
+    def test_stage_bug_surfaces_and_is_recorded(self, baseline, tmp_path, monkeypatch):
+        out = tmp_path / "bug"
+        shutil.copytree(baseline, out)
+
+        def broken(ws):
+            raise KeyError("u0042")
+
+        stages = tuple((n, broken if n == "words" else fn) for n, fn in STAGES)
+        monkeypatch.setattr(cli, "STAGES", stages)
+        with pytest.raises(KeyError, match="u0042"):
+            main(["words", "--config", str(CONFIG), "--out", str(out)])
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure == {"stage": "words", "error": "'u0042'"}
+
+    def test_simulate_bug_surfaces(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise IndexError("index 800 is out of bounds")
+
+        monkeypatch.setattr(cli, "generate_world", broken)
+        with pytest.raises(IndexError):
+            main(["simulate", "--out", str(tmp_path / "w")])
+
+    def test_simulate_bad_config_exits_one(self, tmp_path):
+        config = tmp_path / "sim.json"
+        out = tmp_path / "world"
+        config.write_text(json.dumps({"sim": {"graph": {"n": "many"}}}))
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_INPUT
+        config.write_text(json.dumps({"sim": []}))
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
 
 class TestSimulate:
     def write_config(self, tmp_path, master_seed=7):
@@ -306,6 +343,45 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(first)]) == EXIT_OK
         assert main(["simulate", "--config", str(config), "--out", str(second)]) == EXIT_OK
         assert tree_bytes(first) == tree_bytes(second)
+
+    @pytest.mark.parametrize(
+        "sim, digest",
+        [
+            (
+                {
+                    "graph": {"kind": "directed-random", "n": 300, "p": 0.1},
+                    "activity": {"kind": "uniform", "lo": 0.2, "hi": 1.0},
+                    "r_values": [0.05, 0.2, 0.6],
+                    "cascades_per_r": 5,
+                    "master_seed": 11,
+                },
+                "dcfa833e13c1871913d869fca84269ff15386b891be5eefd5aad2750269f79d8",
+            ),
+            (
+                {
+                    "graph": {"kind": "planted-two-block", "n": 301, "p_in": 0.3,
+                              "p_out": 0.03},
+                    "activity": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
+                    "r_values": [0.1, 0.3],
+                    "cascades_per_r": 4,
+                    "master_seed": 5,
+                    "seed_pool": "uniform",
+                },
+                "9e6357063e17377286b2dd1f26b5eae5391a01317cd2a362d4b64d146b37e254",
+            ),
+        ],
+        ids=["directed-random", "planted-two-block"],
+    )
+    def test_simulate_output_is_pinned(self, tmp_path, sim, digest):
+        """Digests of the string-set simulator's output, before the CSR."""
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"sim": sim}))
+        out = tmp_path / "world"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        h = hashlib.sha256()
+        for name in ("tweets.jsonl", "edges.csv", "truth.csv"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == digest
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.write_config(tmp_path, master_seed=7)

@@ -1,9 +1,17 @@
-"""Simulator tests: forced-structure cases, round-trips, recovery sanity."""
+"""Simulator tests: forced-structure cases, round-trips, recovery sanity,
+and bit equality with the string-set simulator in tests/helpers.py."""
+
+import csv
+import io
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echospread.graph import FollowerNetwork, build_follower_network
+from echospread import sim
+from echospread.graph import build_follower_network
 from echospread.ingest import build_cascades, filter_corpus, parse_records
 from echospread.sim import (
     ActivitySpec,
@@ -11,6 +19,7 @@ from echospread.sim import (
     RecoveryRow,
     SimConfig,
     SyntheticWorld,
+    follower_csr,
     generate_activities,
     generate_network,
     generate_world,
@@ -24,22 +33,47 @@ from echospread.sim import (
 )
 from echospread.exposure import build_exposure_ledger
 from echospread.virality import Boundary, mle_virality
+from helpers import (
+    reference_generate_network,
+    reference_seed_pool,
+    reference_simulate_cascade,
+    reference_world,
+)
 
 
 def hand_world(edges, activities, seed=0):
     """World with explicit edges and activities for forced-structure cases."""
     users = tuple(sorted({u for e in edges for u in e} | set(activities)))
-    follow, dropped = FollowerNetwork.from_edges(edges, set(users))
-    assert dropped == 0
+    index = {u: k for k, u in enumerate(users)}
+    mask = np.zeros((len(users), len(users)), dtype=bool)
+    for follower, followee in edges:
+        assert follower != followee
+        mask[index[follower], index[followee]] = True
+    follower_ptr, follower_idx = follower_csr(mask)
     config = SimConfig(
         graph=GraphSpec(n=len(users)), r_values=(1.0,), master_seed=seed
     )
     return SyntheticWorld(
         config=config,
         users=users,
-        edges=tuple(edges),
+        follower_ptr=follower_ptr,
+        follower_idx=follower_idx,
         activities=dict(activities),
-        follow=follow,
+    )
+
+
+def edge_pairs(follower_ptr, follower_idx):
+    """(follower, followee) index pairs of a CSR, row-major."""
+    followee = np.repeat(np.arange(len(follower_ptr) - 1), np.diff(follower_ptr))
+    return sorted(zip(follower_idx.tolist(), followee.tolist()))
+
+
+def csr_edges(world):
+    """The world's edges as name pairs in the generator's row-major order."""
+    users = world.users
+    return tuple(
+        (users[i], users[j])
+        for i, j in edge_pairs(world.follower_ptr, world.follower_idx)
     )
 
 
@@ -70,27 +104,67 @@ class TestConfigValidation:
 class TestGenerateNetwork:
     def test_complete_directed_graph(self):
         config = SimConfig(graph=GraphSpec(n=4, p=1.0))
-        edges, labels = generate_network(config)
+        follower_ptr, follower_idx, labels = generate_network(config)
+        edges = edge_pairs(follower_ptr, follower_idx)
         assert len(edges) == 12
         assert labels is None
         assert all(a != b for a, b in edges)
 
     def test_empty_graph(self):
         config = SimConfig(graph=GraphSpec(n=6, p=0.0))
-        edges, _ = generate_network(config)
-        assert edges == ()
+        follower_ptr, follower_idx, _ = generate_network(config)
+        assert edge_pairs(follower_ptr, follower_idx) == []
+        assert follower_ptr.tolist() == [0] * 7
 
     def test_planted_blocks_no_cross_edges(self):
         config = SimConfig(
             graph=GraphSpec(kind="planted-two-block", n=20, p_in=0.8, p_out=0.0)
         )
-        edges, labels = generate_network(config)
+        follower_ptr, follower_idx, labels = generate_network(config)
         assert labels is not None and set(labels.values()) == {0, 1}
-        assert all(labels[a] == labels[b] for a, b in edges)
+        block = [labels[u] for u in sorted(labels)]
+        edges = edge_pairs(follower_ptr, follower_idx)
+        assert edges and all(block[a] == block[b] for a, b in edges)
 
     def test_deterministic(self):
         config = SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=7)
-        assert generate_network(config) == generate_network(config)
+        first, second = generate_network(config), generate_network(config)
+        assert first[2] == second[2]
+        assert all(np.array_equal(a, b) for a, b in zip(first[:2], second[:2]))
+
+    @pytest.mark.parametrize("kind", ["directed-random", "planted-two-block"])
+    @pytest.mark.parametrize("n", [2, 7, 100, 257, 513])
+    @pytest.mark.parametrize("block", [1, 64, None])
+    def test_row_blocks_equal_one_shot_draw(self, monkeypatch, kind, n, block):
+        if block is not None:
+            monkeypatch.setattr(sim, "_ROW_BLOCK", block)
+        config = SimConfig(
+            graph=GraphSpec(kind=kind, n=n, p=0.3, p_in=0.4, p_out=0.1),
+            master_seed=n,
+        )
+        edges, labels = reference_generate_network(config)
+        world = generate_world(config)
+        assert csr_edges(world) == edges
+        assert world.block_labels == labels
+
+    def test_users_must_be_sorted(self):
+        world = hand_world([("b", "a")], {"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="sorted"):
+            SyntheticWorld(
+                config=world.config,
+                users=("b", "a"),
+                follower_ptr=world.follower_ptr,
+                follower_idx=world.follower_idx,
+                activities=world.activities,
+            )
+
+    def test_array_fields_stay_out_of_equality(self):
+        config = SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=7)
+        first, second = generate_world(config), generate_world(config)
+        assert first.follower_idx is not second.follower_idx
+        assert first == second
+        other = generate_world(SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=8))
+        assert other.follow != first.follow and other != first
 
 
 class TestGenerateActivities:
@@ -153,6 +227,12 @@ class TestSimulateCascade:
             assert sim.successes | sim.failures == sim.exposed
             users = [r.user_id for r in sim.records[1:]]
             assert len(users) == len(set(users)) == len(sim.successes)
+
+    def test_unknown_seed_user_rejected(self):
+        world = hand_world([("b", "a")], {"a": 1.0, "b": 1.0})
+        for seed_user in ("c", "0", "ab"):
+            with pytest.raises(ValueError, match="unknown seed user"):
+                simulate_cascade(world, seed_user, 0.5, 0)
 
     def test_r_above_model_ceiling_rejected(self):
         world = generate_world(SimConfig(graph=GraphSpec(n=10, p=0.5)))
@@ -259,6 +339,15 @@ class TestRecovery:
         assert est.boundary is Boundary.UPPER_BOUNDARY
         assert est.r_hat == 1.0
 
+    def test_repeated_planted_r_is_one_row(self):
+        config = SimConfig(
+            graph=GraphSpec(n=40, p=0.3), r_values=(0.3, 0.3), cascades_per_r=4
+        )
+        rows, _ = recovery_experiment(config)
+        assert len(rows) == 1
+        assert rows[0].planted_r == 0.3
+        assert rows[0].cascades == 8
+
     def test_all_null_cascades_counted_unscorable(self):
         config = SimConfig(
             graph=GraphSpec(n=30, p=0.3), r_values=(0.0,), cascades_per_r=5
@@ -321,3 +410,100 @@ class TestRecovery:
             "p90_rel_error,mean_exposed"
         )
         assert lines[1] == "0.2,10,1,0.05,0.12,310"
+
+
+# Bit equality with the string-set simulator (tests/helpers.py): ids that
+# are not zero-padded, so string order is not numeric order.
+NAMES = ("a", "b", "hub", "f1", "f2", "f9", "f10", "f11", "f100", "u2", "u10", "Z")
+user_names = st.lists(
+    st.one_of(st.sampled_from(NAMES), st.text("af019", min_size=1, max_size=3)),
+    min_size=2,
+    max_size=16,
+    unique=True,
+)
+unit_activity = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def reference_edges_csv(edges):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["follower", "followee"])
+    writer.writerows(edges)
+    return buf.getvalue().encode("utf-8")
+
+
+def written_edges_csv(world):
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_world(world, [], [], tmp)["edges"].read_bytes()
+
+
+class TestStringSetOracle:
+    def test_knife_edge_activities(self):
+        """Each follower's activity sits on its own uniform: a tie fails, one
+        ulp above succeeds. Any other draw order, or a product rounded to
+        float32, flips some of the fates."""
+        names = sorted(f"f{i}" for i in range(40))
+        draws = np.random.default_rng([3, 2, 0]).random(len(names))
+        acts = {
+            name: float(np.nextafter(u, 2.0)) if i % 2 else float(u)
+            for i, (name, u) in enumerate(zip(names, draws))
+        }
+        world = hand_world([(f, "hub") for f in names], acts | {"hub": 1.0}, seed=3)
+        sim = simulate_cascade(world, "hub", 1.0, 0)
+        assert sim.successes == {name for i, name in enumerate(names) if i % 2}
+        assert sim.exposed == set(names)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), users=user_names, master_seed=st.integers(0, 2**32 - 1))
+    def test_hand_world_cascades(self, data, users, master_seed):
+        pairs = data.draw(
+            st.lists(st.tuples(st.sampled_from(users), st.sampled_from(users)), max_size=60)
+        )
+        edges = [(a, b) for a, b in pairs if a != b]
+        acts = {u: data.draw(unit_activity) for u in users}
+        world = hand_world(edges, acts, seed=master_seed)
+        ref = reference_world(world.config, world.users, edges, acts)
+        assert world.follow == ref.follow
+        for _ in range(3):
+            seed_user = data.draw(st.sampled_from(users))
+            r = data.draw(st.floats(0.0, 1.0 / max(acts.values())))
+            index = data.draw(st.integers(0, 99_999))
+            assert simulate_cascade(world, seed_user, r, index) == (
+                reference_simulate_cascade(ref, seed_user, r, index)
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["directed-random", "planted-two-block"]),
+        n=st.integers(2, 80),
+        probs=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+        activity=st.sampled_from(
+            [ActivitySpec(), ActivitySpec(kind="lognormal", sigma=1.5)]
+        ),
+        pool=st.sampled_from(["top-decile", "uniform"]),
+        master_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_world(self, data, kind, n, probs, activity, pool, master_seed):
+        p, p_in, p_out = probs
+        config = SimConfig(
+            graph=GraphSpec(kind=kind, n=n, p=p, p_in=p_in, p_out=p_out),
+            activity=activity,
+            master_seed=master_seed,
+            seed_pool=pool,
+        )
+        world = generate_world(config)
+        edges, labels = reference_generate_network(config)
+        ref = reference_world(config, world.users, edges, world.activities)
+        assert world.follow == ref.follow
+        assert world.block_labels == labels
+        assert len(world.follower_idx) == len(edges)
+        assert seed_pool(world) == reference_seed_pool(ref)
+        assert written_edges_csv(world) == reference_edges_csv(edges)
+        r_max = 1.0 / max(world.activities.values())
+        for index in range(3):
+            seed_user = data.draw(st.sampled_from(seed_pool(world)))
+            r = data.draw(st.floats(0.0, r_max))
+            assert simulate_cascade(world, seed_user, r, index) == (
+                reference_simulate_cascade(ref, seed_user, r, index)
+            )
