@@ -50,7 +50,7 @@ def main() -> None:
         seed_pool=args.seed_pool,
     )
     rows, world = recovery_experiment(config)
-    print(f"world: {len(world.users)} users, {len(world.follower_idx)} follow edges")
+    print(f"world: {len(world.users)} users, {world.follow.n_edges} follow edges")
     print(f"{'planted_r':>9} {'cascades':>8} {'unscorable':>10} "
           f"{'median_err':>10} {'p90_err':>8} {'mean_exposed':>12}")
     for row in rows:

@@ -381,14 +381,14 @@ def stage_partition(ws: Workspace) -> dict:
 _LEDGER_CTX: dict = {}
 
 
-def _init_ledger_worker(follow, assignment, include_unexposed) -> None:
-    _LEDGER_CTX["ctx"] = (follow, assignment, include_unexposed)
+def _init_ledger_worker(follow, assignment, user_groups, include_unexposed) -> None:
+    _LEDGER_CTX["ctx"] = (follow, assignment, user_groups, include_unexposed)
 
 
 def _ledger_task(cascade: Cascade) -> tuple[str, ExposureLedger | None]:
-    follow, assignment, include_unexposed = _LEDGER_CTX["ctx"]
+    follow, assignment, user_groups, include_unexposed = _LEDGER_CTX["ctx"]
     try:
-        scope = choose_scope(cascade, assignment)
+        scope = choose_scope(cascade, assignment, user_groups)
     except ValueError:
         return cascade.tweet_id, None
     return cascade.tweet_id, build_exposure_ledger(
@@ -409,14 +409,20 @@ def stage_virality(ws: Workspace) -> dict:
         cascades,
         config.workers,
         initializer=_init_ledger_worker,
-        initargs=(follow, ws.partition, config.include_unexposed_retweeters),
+        initargs=(
+            follow,
+            ws.partition,
+            ws.partition.group_ids(follow.users),
+            config.include_unexposed_retweeters,
+        ),
     )
     ledgers = [led for _, led in results if led is not None]
     unscorable = sum(1 for _, led in results if led is None)
     write_ledger_csv(ledgers, config.out / "ledgers.csv")
 
     act = activity_values(ws.activities, raw=config.raw_activities)
-    estimates, report = score_corpus(cascades, ledgers, act)
+    alpha = np.array([act.get(u, 0.0) for u in follow.users])
+    estimates, report = score_corpus(cascades, ledgers, alpha)
     write_virality_csv(estimates, config.out / "virality.csv")
     return {
         "dropped_edges": dropped_edges,

@@ -4,6 +4,14 @@ Rule 1: followers of the origin author see only the original tweet, never a
 retweet notification for it. Rule 2: everyone else sees at most the first
 retweeting followee's notification. Together they imply each exposed user
 gets exactly one timeline appearance, hence one Bernoulli trial.
+
+A ledger names users by their ids in the follow graph's sorted user table
+(see ``graph``): ``exposed``, ``successes``, ``failures`` and
+``unexposed_successes`` are sorted int64 id arrays, attribution is one
+source id per exposed user, and the ledger keeps the table for names. It
+is built by walking the followee-keyed CSR with a boolean ``seen`` and an
+integer ``first`` over the table, so its cost follows the exposed audience
+rather than string sets.
 """
 
 from __future__ import annotations
@@ -11,17 +19,25 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .graph import FollowerNetwork, PartitionAssignment
+import numpy as np
+
+from .graph import FollowerNetwork, PartitionAssignment, table_id
 from .ingest import Cascade
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupScope:
-    """The group a cascade mainly spreads in, with the assignment behind it."""
+    """The group a cascade mainly spreads in, with the assignment behind it.
+
+    ``user_groups`` is that assignment over the follow graph's user table,
+    ``assignment.group_ids(follow.users)``: it is looked up once where the
+    table and the assignment meet and shared by every cascade's scope.
+    """
 
     assignment: PartitionAssignment
+    user_groups: np.ndarray = field(repr=False)
     main_group: int
     tie_fallback: bool = False
 
@@ -30,33 +46,41 @@ class GroupScope:
             raise ValueError("main_group must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureLedger:
     """Who was exposed to one cascade, who retweeted, and who did not.
 
-    ``successes`` and ``failures`` partition ``exposed``; retweeters with no
-    modeled exposure pathway are reported in ``unexposed_successes`` and sit
-    outside the trial set unless they were explicitly included. Attribution
-    maps each exposed user to the user whose event exposed them first (the
-    origin author wins whenever followed, per Rule 1).
+    Users are ids into ``users``, the follow graph's table, held as sorted
+    int64 arrays. ``successes`` and ``failures`` partition ``exposed``;
+    retweeters with no modeled exposure pathway are reported in
+    ``unexposed_successes`` and sit outside the trial set unless they were
+    explicitly included. ``attribution[i]`` is the id of the user whose
+    event exposed ``exposed[i]`` first (the origin author wins whenever
+    followed, per Rule 1), or -1 for an included unexposed retweeter.
     """
 
     tweet_id: str
     origin_author: str
     group: int
-    exposed: frozenset[str]
-    successes: frozenset[str]
-    failures: frozenset[str]
-    unexposed_successes: frozenset[str]
-    attribution: Mapping[str, str] = field(default_factory=dict)
+    users: tuple[str, ...] = field(repr=False)
+    exposed: np.ndarray
+    successes: np.ndarray
+    failures: np.ndarray
+    unexposed_successes: np.ndarray
+    attribution: np.ndarray
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.successes & self.failures:
+        trials = np.sort(np.concatenate([self.successes, self.failures]))
+        if np.any(trials[1:] == trials[:-1]):
             raise ValueError("successes and failures overlap")
-        if self.successes | self.failures != self.exposed:
+        if not np.array_equal(trials, self.exposed):
             raise ValueError("exposed must equal successes plus failures")
-        if self.origin_author in self.exposed:
+        try:
+            author = table_id(self.users, self.origin_author)
+        except ValueError:
+            return
+        if author in self.exposed:
             raise ValueError("origin author cannot be a trial")
 
 
@@ -76,26 +100,34 @@ def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list
     return counts
 
 
-def main_group(cascade: Cascade, assignment: PartitionAssignment) -> int:
-    """The main group of ``choose_scope``."""
-    return choose_scope(cascade, assignment).main_group
-
-
-def choose_scope(cascade: Cascade, assignment: PartitionAssignment) -> GroupScope:
-    """Pick the group holding strictly more classified retweeters.
-
-    Ties go to the origin author's group; if the author is unclassified too,
-    group 0 is the deterministic fallback, recorded in ``tie_fallback``.
-    """
+def _pick_group(cascade: Cascade, assignment: PartitionAssignment) -> tuple[int, bool]:
     counts = classified_counts(cascade, assignment)
     if counts[0] == 0 and counts[1] == 0:
         raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
     if counts[0] != counts[1]:
-        return GroupScope(assignment, main_group=0 if counts[0] > counts[1] else 1)
+        return (0 if counts[0] > counts[1] else 1), False
     author_group = assignment.groups.get(cascade.origin.user_id)
     if author_group is None:
-        return GroupScope(assignment, main_group=0, tie_fallback=True)
-    return GroupScope(assignment, main_group=author_group)
+        return 0, True
+    return author_group, False
+
+
+def main_group(cascade: Cascade, assignment: PartitionAssignment) -> int:
+    """The main group of ``choose_scope``."""
+    return _pick_group(cascade, assignment)[0]
+
+
+def choose_scope(
+    cascade: Cascade, assignment: PartitionAssignment, user_groups: np.ndarray
+) -> GroupScope:
+    """Pick the group holding strictly more classified retweeters.
+
+    Ties go to the origin author's group; if the author is unclassified too,
+    group 0 is the deterministic fallback, recorded in ``tie_fallback``.
+    ``user_groups`` is ``assignment.group_ids`` over the follow table.
+    """
+    group, tie_fallback = _pick_group(cascade, assignment)
+    return GroupScope(assignment, user_groups, group, tie_fallback)
 
 
 def build_exposure_ledger(
@@ -107,56 +139,79 @@ def build_exposure_ledger(
     """Single-trial exposure bookkeeping for one cascade within its main group.
 
     Exposure travels from the origin author and from main-group retweeters to
-    their followers. ``first`` maps each main-group user to the position, in
-    ``sources = [author, *events]``, of the earliest event that reaches them;
-    the author comes first, so Rule 1 wins every tie. A retweeter counts as a
-    success only when that event precedes their own retweet; a failure counts
-    as exposed if any event in the whole cascade reaches them. Users outside
-    the main group and their follow edges are disregarded, as is the origin
-    author as a trial.
+    their followers. ``first`` holds, for each main-group user, the position
+    in ``sources = [author, *events]`` of the earliest event that reaches
+    them, or -1; the author comes first, so Rule 1 wins every tie. A
+    retweeter counts as a success only when that event precedes their own
+    retweet; a failure counts as exposed if any event in the whole cascade
+    reaches them. Users outside the main group and their follow edges are
+    disregarded, as is the origin author as a trial. An origin author
+    outside the follow graph's table (a stub origin's empty name, say) is an
+    author with no followers; a retweeter missing from it raises ValueError.
     """
-    author = cascade.origin.user_id
-    groups = scope.assignment.groups
-    g = scope.main_group
-
+    ptr, idx = follow.follower_ptr, follow.follower_idx
+    users = follow.users
+    n = len(users)
+    if len(scope.user_groups) != n:
+        raise ValueError("the scope's user groups do not match the follow table")
+    in_group = scope.user_groups == scope.main_group
+    try:
+        author = table_id(users, cascade.origin.user_id)
+    except ValueError:
+        author = -1
     events = list(
         dict.fromkeys(
-            rt.user_id
-            for rt in cascade.retweets
-            if rt.user_id != author and groups.get(rt.user_id) == g
+            u
+            for u in (table_id(users, rt.user_id) for rt in cascade.retweets)
+            if u != author and in_group[u]
         )
     )
-    sources = [author, *events]
+    sources = np.array([author, *events], dtype=np.int64)
 
-    first: dict[str, int] = {}
-    seen = {author}
-    for pos, source in enumerate(sources):
-        fresh = follow.followers_of(source) - seen
-        seen |= fresh
-        for w in fresh:
-            if groups.get(w) == g:
-                first[w] = pos
+    seen = np.zeros(n, dtype=bool)
+    n_seen = 0
+    if author >= 0:
+        seen[author] = True
+        n_seen = 1
+    first = np.full(n, -1, dtype=np.int64)
+    for pos, source in enumerate(sources.tolist()):
+        if n_seen == n:
+            break
+        if source < 0:
+            continue
+        reach = idx[ptr[source] : ptr[source + 1]]
+        fresh = reach[~seen[reach]]
+        seen[fresh] = True
+        n_seen += len(fresh)
+        first[fresh[in_group[fresh]]] = pos
 
-    retweeters = set(events)
-    successes = {u for k, u in enumerate(events) if first.get(u, k + 1) <= k}
-    unexposed = retweeters - successes
-    failures = first.keys() - retweeters
-    attribution = {w: sources[pos] for w, pos in first.items() if w not in unexposed}
+    retweeters = sources[1:]
+    hit = first[retweeters]
+    late = (hit < 0) | (hit > np.arange(len(retweeters)))
+    unexposed = np.sort(retweeters[late])
+    first[unexposed] = -1  # an unexposed retweeter has no attributed exposure
+    failed = first >= 0
+    failed[retweeters] = False
+    success = np.zeros(n, dtype=bool)
+    success[retweeters[~late]] = True
 
     flags: tuple[str, ...] = ()
-    if include_unexposed_retweeters and unexposed:
-        successes |= unexposed
+    if include_unexposed_retweeters and unexposed.size:
+        success[unexposed] = True
         flags = ("included_unexposed_retweeters",)
+    exposed = np.flatnonzero(success | failed)
+    at = first[exposed]
 
     return ExposureLedger(
         tweet_id=cascade.tweet_id,
-        origin_author=author,
-        group=g,
-        exposed=frozenset(successes | failures),
-        successes=frozenset(successes),
-        failures=frozenset(failures),
-        unexposed_successes=frozenset(unexposed),
-        attribution=attribution,
+        origin_author=cascade.origin.user_id,
+        group=scope.main_group,
+        users=users,
+        exposed=exposed,
+        successes=np.flatnonzero(success),
+        failures=np.flatnonzero(failed),
+        unexposed_successes=unexposed,
+        attribution=np.where(at >= 0, sources[at], -1),
         flags=flags,
     )
 

@@ -1,5 +1,14 @@
 """Retweet and follower networks, connected components, and two-way bisection.
 
+The follow graph is held once, over one user table: ``users`` is a sorted
+tuple of distinct names and user ``k`` is ``users[k]``, so ids ascend with
+the names they stand for. The graph is a compressed sparse row (CSR)
+layout keyed by followee: the followers of user ``j`` are the ascending,
+distinct ids ``follower_idx[follower_ptr[j]:follower_ptr[j + 1]]``. Exposure
+ledgers and the simulator work on these ids; a loop over ids in ascending
+order visits users in sorted-name order, which keeps output bytes equal to
+those of code that sorts names.
+
 The bisection is a self-contained multilevel partitioner: heavy-edge-matching
 coarsening, greedy initial growing, and Fiduccia-Mattheyses-style refinement
 with a balance constraint. It is deterministic for a fixed seed.
@@ -19,10 +28,13 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .ingest import Cascade
 
@@ -61,16 +73,45 @@ class RetweetNetwork:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+def table_id(users: Sequence[str], name: str) -> int:
+    """Id of ``name`` in a sorted user table; ValueError for any other name."""
+    k = bisect_left(users, name)
+    if k == len(users) or users[k] != name:
+        raise ValueError(f"user {name!r} is not in the user table")
+    return k
+
+
+@dataclass(frozen=True, eq=False)
 class FollowerNetwork:
-    """Directed follow graph, held as one view: each user's followers.
+    """Directed follow graph: a followee-keyed CSR over one sorted user table.
 
     An edge (follower, followee) means the follower subscribes to the
     followee; exposure travels followee -> follower, so the followers of a
-    user are exactly the audience their tweets and retweets reach.
+    user are exactly the audience their tweets and retweets reach. User
+    ``k`` is ``users[k]``; the followers of user ``j`` are the ids
+    ``follower_idx[follower_ptr[j]:follower_ptr[j + 1]]``, ascending and
+    distinct. Equality compares the table and both arrays by value.
     """
 
-    followers: Mapping[str, frozenset[str]]
+    users: tuple[str, ...]
+    follower_ptr: np.ndarray = field(repr=False)
+    follower_idx: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        users = self.users
+        if any(a >= b for a, b in zip(users, users[1:])):
+            raise ValueError("users must be sorted and distinct")
+        if len(self.follower_ptr) != len(users) + 1:
+            raise ValueError("follower_ptr needs one entry per user plus one")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FollowerNetwork):
+            return NotImplemented
+        return (
+            self.users == other.users
+            and np.array_equal(self.follower_ptr, other.follower_ptr)
+            and np.array_equal(self.follower_idx, other.follower_idx)
+        )
 
     @classmethod
     def from_edges(
@@ -80,29 +121,38 @@ class FollowerNetwork:
     ) -> tuple["FollowerNetwork", int]:
         """Build from (follower, followee) pairs; returns (net, dropped count).
 
-        Self-loops, duplicates, and edges leaving the universe are dropped;
-        only out-of-universe and self-loop edges are counted as dropped.
+        The table is the sorted universe, or the sorted edge endpoints when
+        there is none. Self-loops and edges leaving the universe are dropped
+        and counted; duplicate edges are merged without being counted.
         """
-        followers: dict[str, set[str]] = {}
-        dropped = 0
-        for follower, followee in edges:
-            if follower == followee:
-                dropped += 1
-                continue
-            if universe is not None and (
-                follower not in universe or followee not in universe
-            ):
-                dropped += 1
-                continue
-            followers.setdefault(followee, set()).add(follower)
-        return cls({u: frozenset(v) for u, v in followers.items()}), dropped
+        edges = list(edges)
+        users = tuple(sorted({u for e in edges for u in e} if universe is None else universe))
+        index = {u: k for k, u in enumerate(users)}
+        pairs = np.array(
+            [(index.get(a, -1), index.get(b, -1)) for a, b in edges], dtype=np.int64
+        ).reshape(-1, 2)
+        follower, followee = pairs[:, 0], pairs[:, 1]
+        keep = (follower >= 0) & (followee >= 0) & (follower != followee)
+        n = len(users)
+        # followee-major keys sort by followee, then follower; keys are >= 0
+        keys = np.sort(followee[keep] * n + follower[keep])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
+        return cls(users, ptr, keys % n), len(edges) - int(keep.sum())
 
-    def followers_of(self, user: str) -> frozenset[str]:
-        return self.followers.get(user, frozenset())
+    def followers_of(self, user: str) -> tuple[str, ...]:
+        """A user's followers by name, ascending; none for a user outside the table."""
+        try:
+            j = table_id(self.users, user)
+        except ValueError:
+            return ()
+        ids = self.follower_idx[self.follower_ptr[j] : self.follower_ptr[j + 1]]
+        return tuple(self.users[k] for k in ids.tolist())
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self.followers.values())
+        return len(self.follower_idx)
 
 
 @dataclass(frozen=True)
@@ -121,6 +171,11 @@ class PartitionAssignment:
         sizes = self.group_sizes()
         if sizes[0] == 0 or sizes[1] == 0:
             raise ValueError("both groups must be nonempty")
+
+    def group_ids(self, users: Sequence[str]) -> np.ndarray:
+        """The group of each user of a table, -1 for an unassigned user."""
+        groups = self.groups
+        return np.array([groups.get(u, -1) for u in users], dtype=np.int8)
 
     def group_sizes(self) -> tuple[int, int]:
         n1 = sum(self.groups.values())

@@ -5,14 +5,12 @@ assumes: synchronous rounds, one Bernoulli(alpha_u * r) draw per exposed
 user, round index as timestamp. The simulator therefore doubles as the
 ground-truth oracle for the estimation pipeline.
 
-A world holds its follow graph once, as interned integers: user ``k`` is
-``users[k]``, and ``users`` is sorted, so integer order is string order.
-The graph is a compressed sparse row (CSR) layout keyed by followee: the
-followers of ``users[j]`` are ``users[k]`` for ``k`` in
-``follower_idx[follower_ptr[j]:follower_ptr[j + 1]]``, ascending. The
-``FollowerNetwork`` the exposure ledger reads and the activity array
-aligned with ``users`` are derived from the CSR once, when the world is
-built.
+A world holds its follow graph once, as the ``FollowerNetwork`` that the
+exposure ledger reads: interned integers over a sorted user table, so
+integer order is string order, and a compressed sparse row (CSR) layout
+keyed by followee, built from the edge mask without a copy (see
+``graph``). The activity array aligned with the table is derived once,
+when the world is built.
 
 The output bytes rest on one stream invariant: a cascade draws exactly one
 uniform per exposed user, in ascending id order, and takes each round's
@@ -24,7 +22,6 @@ user names, and a batch of k uniforms equals k single draws.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exposure import GroupScope, build_exposure_ledger
-from .graph import FollowerNetwork, PartitionAssignment
+from .graph import FollowerNetwork, PartitionAssignment, table_id
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
@@ -97,37 +94,25 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    """A world whose follow graph is one followee-keyed CSR over ``users``.
+    """A world whose follow graph is one followee-keyed CSR, held in ``follow``.
 
-    ``follow`` and ``alpha`` (the activities aligned with ``users``) are
-    derived at construction; the arrays stay out of ``==``, which compares
-    the graph through ``follow``.
+    ``alpha``, the activities aligned with the user table, is derived at
+    construction and stays out of ``==``.
     """
 
     config: SimConfig
-    users: tuple[str, ...]
-    follower_ptr: np.ndarray = field(compare=False, repr=False)
-    follower_idx: np.ndarray = field(compare=False, repr=False)
+    follow: FollowerNetwork
     activities: Mapping[str, float]
     block_labels: Mapping[str, int] | None = None
-    follow: FollowerNetwork = field(init=False, repr=False)
     alpha: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        users = self.users
-        if any(a >= b for a, b in zip(users, users[1:])):
-            raise ValueError("world users must be sorted and distinct")
-        if len(self.follower_ptr) != len(users) + 1:
-            raise ValueError("follower_ptr needs one entry per user plus one")
-        ptr, idx = self.follower_ptr.tolist(), self.follower_idx
-        followers = {
-            users[j]: frozenset([users[k] for k in idx[ptr[j] : ptr[j + 1]].tolist()])
-            for j in range(len(users))
-            if ptr[j] < ptr[j + 1]
-        }
-        object.__setattr__(self, "follow", FollowerNetwork(followers))
-        alpha = np.array([self.activities[u] for u in users], dtype=float)
+        alpha = np.array([self.activities[u] for u in self.users], dtype=float)
         object.__setattr__(self, "alpha", alpha)
+
+    @property
+    def users(self) -> tuple[str, ...]:
+        return self.follow.users
 
 
 @dataclass(frozen=True)
@@ -214,9 +199,7 @@ def generate_world(config: SimConfig) -> SyntheticWorld:
     follower_ptr, follower_idx, labels = generate_network(config)
     return SyntheticWorld(
         config=config,
-        users=_user_ids(config.graph.n),
-        follower_ptr=follower_ptr,
-        follower_idx=follower_idx,
+        follow=FollowerNetwork(_user_ids(config.graph.n), follower_ptr, follower_idx),
         activities=generate_activities(config),
         block_labels=labels,
     )
@@ -227,7 +210,7 @@ def seed_pool(world: SyntheticWorld) -> tuple[str, ...]:
     if world.config.seed_pool == "uniform":
         return world.users
     # A stable sort of ascending ids ranks ties by name, as users are sorted.
-    ranked = np.argsort(-np.diff(world.follower_ptr), kind="stable")
+    ranked = np.argsort(-np.diff(world.follow.follower_ptr), kind="stable")
     k = max(1, len(world.users) // 10)
     return tuple(world.users[i] for i in ranked[:k].tolist())
 
@@ -243,10 +226,11 @@ def simulate_cascade(
     if r > 1.0 / float(world.alpha.max()) + 1e-12:
         raise ValueError("planted r exceeds 1/max activity")
     users = world.users
-    seed = bisect_left(users, seed_user)
-    if seed == len(users) or users[seed] != seed_user:
-        raise ValueError(f"unknown seed user {seed_user!r}")
-    ptr, idx = world.follower_ptr, world.follower_idx
+    try:
+        seed = table_id(users, seed_user)
+    except ValueError:
+        raise ValueError(f"unknown seed user {seed_user!r}") from None
+    ptr, idx = world.follow.follower_ptr, world.follow.follower_idx
     rng = np.random.default_rng([world.config.master_seed, 2, cascade_index])
     tweet_id = f"sim{cascade_index:05d}"
     seen = np.zeros(len(users), dtype=bool)
@@ -333,10 +317,10 @@ def write_world(
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["follower", "followee"])
-        users = world.users
-        followee = np.repeat(np.arange(len(users)), np.diff(world.follower_ptr))
-        order = np.lexsort((followee, world.follower_idx))
-        for i, j in zip(world.follower_idx[order].tolist(), followee[order].tolist()):
+        users, ptr, idx = world.users, world.follow.follower_ptr, world.follow.follower_idx
+        followee = np.repeat(np.arange(len(users)), np.diff(ptr))
+        order = np.lexsort((followee, idx))
+        for i, j in zip(idx[order].tolist(), followee[order].tolist()):
             writer.writerow([users[i], users[j]])
     truth_path = out / "truth.csv"
     with open(truth_path, "w", newline="", encoding="utf-8") as fh:
@@ -351,7 +335,8 @@ def world_scope(world: SyntheticWorld) -> GroupScope:
     """Every simulated user in one scoring group; sentinel keeps group 1 legal."""
     groups = {u: 0 for u in world.users}
     groups["__outside__"] = 1
-    return GroupScope(PartitionAssignment(groups=groups), main_group=0)
+    assignment = PartitionAssignment(groups=groups)
+    return GroupScope(assignment, assignment.group_ids(world.follow.users), main_group=0)
 
 
 def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], SyntheticWorld]:
@@ -375,7 +360,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
             cascades, _ = build_cascades(list(sim.records))
             ledger = build_exposure_ledger(cascades[0], world.follow, scope)
             exposures.append(len(ledger.exposed))
-            est = mle_virality(ledger, world.activities)
+            est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.ZERO_SUCCESSES:
                 unscorable += 1
             else:

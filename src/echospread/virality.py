@@ -10,6 +10,12 @@ with derivative l'(r) = |S|/r - sum_F alpha_w / (1 - alpha_w r), which is
 strictly decreasing on (0, r_max). The maximizer is therefore the unique
 root of l' when one exists inside the domain, else the upper boundary
 r_max = 1 / max activity over the exposed set.
+
+Activities reach the estimator as one float array aligned with the follow
+graph's user table. The output bytes rest on one invariant: table ids
+ascend with user names, so ``alpha[failures]`` holds the failures in
+sorted-name order and l'(r) sums its terms in that order, the order of an
+estimator that sorts names.
 """
 
 from __future__ import annotations
@@ -116,20 +122,26 @@ def _dlog_likelihood(r: float, n_success: int, alpha_f: np.ndarray) -> float:
 
 
 def mle_virality(
-    ledger: ExposureLedger, act: Mapping[str, float], max_iter: int = 200
+    ledger: ExposureLedger, alpha: np.ndarray, max_iter: int = 200
 ) -> ViralityEstimate:
     """Maximize the cascade likelihood by bisection on its derivative.
 
-    Trial users with zero activity cannot occur under the model and are
-    dropped (counted in dropped_zero_activity). The bracket [lo, r_max] is
-    narrowed until its relative width falls below 1e-14 or max_iter halves,
-    comfortably inside the 1e-10 contract.
+    ``alpha`` holds each activity of the ledger's user table, 0 for a user
+    with no activity; only its length is checked, so it must be built over
+    the ``users`` of the ``FollowerNetwork`` the ledger came from. Trial users with zero activity cannot occur under the
+    model and are dropped (counted in dropped_zero_activity). The bracket
+    [lo, r_max] is narrowed until its relative width falls below 1e-14 or
+    max_iter halves, comfortably inside the 1e-10 contract.
     """
-    successes = sorted(u for u in ledger.successes if act.get(u, 0.0) > 0.0)
-    failures = sorted(w for w in ledger.failures if act.get(w, 0.0) > 0.0)
-    dropped = len(ledger.successes) + len(ledger.failures) - len(successes) - len(failures)
-    n_s = len(successes)
-    n_f = len(failures)
+    if len(alpha) != len(ledger.users):
+        raise ValueError("alpha must hold one activity per user of the ledger's table")
+    alpha_s = alpha[ledger.successes]
+    alpha_s = alpha_s[alpha_s > 0.0]
+    alpha_f = alpha[ledger.failures]
+    alpha_f = alpha_f[alpha_f > 0.0]
+    dropped = len(ledger.successes) + len(ledger.failures) - len(alpha_s) - len(alpha_f)
+    n_s = len(alpha_s)
+    n_f = len(alpha_f)
 
     def estimate(r_hat: float | None, boundary: Boundary) -> ViralityEstimate:
         return ViralityEstimate(
@@ -147,12 +159,10 @@ def mle_virality(
     if n_s == 0:
         return estimate(None, Boundary.ZERO_SUCCESSES)
 
-    alpha_exposed = np.array([act[u] for u in successes + failures])
-    r_max = 1.0 / float(alpha_exposed.max())
+    r_max = 1.0 / float(max(alpha_s.max(), alpha_f.max(initial=0.0)))
     if n_f == 0:
         return estimate(r_max, Boundary.UPPER_BOUNDARY)
 
-    alpha_f = np.array([act[w] for w in failures])
     if _dlog_likelihood(r_max, n_s, alpha_f) >= 0.0:
         return estimate(r_max, Boundary.UPPER_BOUNDARY)
 
@@ -168,33 +178,29 @@ def mle_virality(
     return estimate(0.5 * (lo + hi), Boundary.INTERIOR)
 
 
-def log_likelihood(r: float, ledger: ExposureLedger, act: Mapping[str, float]) -> float:
+def log_likelihood(r: float, ledger: ExposureLedger, alpha: np.ndarray) -> float:
     """l(r) for a ledger; -inf outside the feasible domain."""
     if r <= 0.0:
         return -math.inf
-    total = 0.0
-    for u in ledger.successes:
-        alpha = act.get(u, 0.0)
-        if alpha <= 0.0:
-            continue
-        total += math.log(alpha * r)
-    for w in ledger.failures:
-        alpha = act.get(w, 0.0)
-        if alpha <= 0.0:
-            continue
-        p = 1.0 - alpha * r
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    alpha_s = alpha[ledger.successes]
+    alpha_f = alpha[ledger.failures]
+    p = 1.0 - alpha_f[alpha_f > 0.0] * r
+    if np.any(p <= 0.0):
+        return -math.inf
+    return float(np.sum(np.log(alpha_s[alpha_s > 0.0] * r)) + np.sum(np.log(p)))
 
 
 def score_corpus(
     cascades: Sequence[Cascade],
     ledgers: Iterable[ExposureLedger],
-    act: Mapping[str, float],
+    alpha: np.ndarray,
 ) -> tuple[list[ViralityEstimate], ScoreReport]:
-    """One estimate per cascade with a ledger, ordered by tweet id."""
+    """One estimate per cascade with a ledger, ordered by tweet id.
+
+    Every ledger must come from one ``FollowerNetwork``, and ``alpha`` is
+    aligned with its ``users``: a ledger over another table of the same
+    length would be scored against the wrong activities.
+    """
     by_id = {led.tweet_id: led for led in ledgers}
     estimates: list[ViralityEstimate] = []
     zero = 0
@@ -204,7 +210,7 @@ def score_corpus(
         if led is None:
             missing += 1
             continue
-        est = mle_virality(led, act)
+        est = mle_virality(led, alpha)
         if est.boundary is Boundary.ZERO_SUCCESSES:
             zero += 1
         estimates.append(est)

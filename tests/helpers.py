@@ -1,18 +1,285 @@
-"""Shared test utilities: random ledgers, a reference exposure ledger, an
-exhaustive likelihood oracle, per-group references for the group-lasso
-prox, KKT residual and penalty, the linear-scan bisection steps, and the
-string-set simulator."""
+"""Shared test utilities: id ledgers built from names and mapped back, the
+string-keyed follow graph, exposure ledger and MLE as reference copies,
+random ledgers, a reference exposure ledger, an exhaustive likelihood
+oracle, per-group references for the group-lasso prox, KKT residual and
+penalty, the linear-scan bisection steps, and the string-set simulator."""
 
-from dataclasses import dataclass
-from typing import Mapping
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from echospread.exposure import ExposureLedger
+from echospread.exposure import ExposureLedger, GroupScope
 from echospread.graph import FollowerNetwork, _cut_weight, _gains
-from echospread.ingest import TweetRecord
+from echospread.ingest import Cascade, TweetRecord
 from echospread.sim import SimCascade, SimConfig, _user_ids
-from echospread.virality import Boundary, mle_virality
+from echospread.virality import Boundary, ViralityEstimate, _dlog_likelihood, mle_virality
+
+
+# Id ledgers from names, and back.
+
+
+def id_ledger(
+    successes,
+    failures,
+    users=None,
+    unexposed=(),
+    tweet_id="t",
+    origin_author="auth",
+    group=0,
+):
+    """An id ledger with the given trials by name, over the sorted table of
+    ``users`` (default: the trial and unexposed users); no attribution."""
+    table = tuple(sorted(set(users if users is not None else [])
+                         | set(successes) | set(failures) | set(unexposed)))
+    index = {u: k for k, u in enumerate(table)}
+
+    def ids(names):
+        return np.array(sorted(index[u] for u in names), dtype=np.int64)
+
+    exposed = ids(set(successes) | set(failures))
+    return ExposureLedger(
+        tweet_id=tweet_id,
+        origin_author=origin_author,
+        group=group,
+        users=table,
+        exposed=exposed,
+        successes=ids(successes),
+        failures=ids(failures),
+        unexposed_successes=ids(unexposed),
+        attribution=np.full(len(exposed), -1, dtype=np.int64),
+    )
+
+
+def alpha_of(ledger, act):
+    """Activities by name as the array aligned with the ledger's table."""
+    return np.array([act.get(u, 0.0) for u in ledger.users], dtype=float)
+
+
+def named(ledger: ExposureLedger) -> "ReferenceLedger":
+    """An id ledger in names: every user set, the attribution map, the flags."""
+    users = ledger.users
+
+    def names(ids):
+        return frozenset(users[k] for k in ids.tolist())
+
+    return ReferenceLedger(
+        tweet_id=ledger.tweet_id,
+        origin_author=ledger.origin_author,
+        group=ledger.group,
+        exposed=names(ledger.exposed),
+        successes=names(ledger.successes),
+        failures=names(ledger.failures),
+        unexposed_successes=names(ledger.unexposed_successes),
+        attribution={
+            users[w]: users[s]
+            for w, s in zip(ledger.exposed.tolist(), ledger.attribution.tolist())
+            if s >= 0
+        },
+        flags=ledger.flags,
+    )
+
+
+def follower_sets(net: FollowerNetwork) -> dict[str, frozenset[str]]:
+    """Each user's followers by name, for users with any."""
+    ptr, idx, users = net.follower_ptr, net.follower_idx, net.users
+    return {
+        users[j]: frozenset(users[k] for k in idx[ptr[j] : ptr[j + 1]].tolist())
+        for j in range(len(users))
+        if ptr[j] < ptr[j + 1]
+    }
+
+
+# The string-keyed follow graph, exposure ledger and MLE, kept as they were
+# before users became ids into one table.
+
+
+@dataclass(frozen=True)
+class ReferenceLedger:
+    """Who was exposed to one cascade, who retweeted, and who did not.
+
+    ``successes`` and ``failures`` partition ``exposed``; retweeters with no
+    modeled exposure pathway are reported in ``unexposed_successes`` and sit
+    outside the trial set unless they were explicitly included. Attribution
+    maps each exposed user to the user whose event exposed them first (the
+    origin author wins whenever followed, per Rule 1).
+    """
+
+    tweet_id: str
+    origin_author: str
+    group: int
+    exposed: frozenset[str]
+    successes: frozenset[str]
+    failures: frozenset[str]
+    unexposed_successes: frozenset[str]
+    attribution: Mapping[str, str] = field(default_factory=dict)
+    flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.successes & self.failures:
+            raise ValueError("successes and failures overlap")
+        if self.successes | self.failures != self.exposed:
+            raise ValueError("exposed must equal successes plus failures")
+        if self.origin_author in self.exposed:
+            raise ValueError("origin author cannot be a trial")
+
+
+@dataclass(frozen=True)
+class ReferenceFollowerNetwork:
+    """Directed follow graph, held as one view: each user's followers."""
+
+    followers: Mapping[str, frozenset[str]]
+
+    def followers_of(self, user: str) -> frozenset[str]:
+        return self.followers.get(user, frozenset())
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(v) for v in self.followers.values())
+
+
+def reference_from_edges(
+    edges: Iterable[tuple[str, str]],
+    universe: set[str] | frozenset[str] | None = None,
+) -> tuple[ReferenceFollowerNetwork, int]:
+    """Build from (follower, followee) pairs; returns (net, dropped count).
+
+    Self-loops, duplicates, and edges leaving the universe are dropped;
+    only out-of-universe and self-loop edges are counted as dropped.
+    """
+    followers: dict[str, set[str]] = {}
+    dropped = 0
+    for follower, followee in edges:
+        if follower == followee:
+            dropped += 1
+            continue
+        if universe is not None and (
+            follower not in universe or followee not in universe
+        ):
+            dropped += 1
+            continue
+        followers.setdefault(followee, set()).add(follower)
+    return ReferenceFollowerNetwork({u: frozenset(v) for u, v in followers.items()}), dropped
+
+
+def reference_build_exposure_ledger(
+    cascade: Cascade,
+    follow: ReferenceFollowerNetwork,
+    scope: GroupScope,
+    include_unexposed_retweeters: bool = False,
+) -> ReferenceLedger:
+    """Single-trial exposure bookkeeping for one cascade within its main group.
+
+    Exposure travels from the origin author and from main-group retweeters to
+    their followers. ``first`` maps each main-group user to the position, in
+    ``sources = [author, *events]``, of the earliest event that reaches them;
+    the author comes first, so Rule 1 wins every tie. A retweeter counts as a
+    success only when that event precedes their own retweet; a failure counts
+    as exposed if any event in the whole cascade reaches them. Users outside
+    the main group and their follow edges are disregarded, as is the origin
+    author as a trial.
+    """
+    author = cascade.origin.user_id
+    groups = scope.assignment.groups
+    g = scope.main_group
+
+    events = list(
+        dict.fromkeys(
+            rt.user_id
+            for rt in cascade.retweets
+            if rt.user_id != author and groups.get(rt.user_id) == g
+        )
+    )
+    sources = [author, *events]
+
+    first: dict[str, int] = {}
+    seen = {author}
+    for pos, source in enumerate(sources):
+        fresh = follow.followers_of(source) - seen
+        seen |= fresh
+        for w in fresh:
+            if groups.get(w) == g:
+                first[w] = pos
+
+    retweeters = set(events)
+    successes = {u for k, u in enumerate(events) if first.get(u, k + 1) <= k}
+    unexposed = retweeters - successes
+    failures = first.keys() - retweeters
+    attribution = {w: sources[pos] for w, pos in first.items() if w not in unexposed}
+
+    flags: tuple[str, ...] = ()
+    if include_unexposed_retweeters and unexposed:
+        successes |= unexposed
+        flags = ("included_unexposed_retweeters",)
+
+    return ReferenceLedger(
+        tweet_id=cascade.tweet_id,
+        origin_author=author,
+        group=g,
+        exposed=frozenset(successes | failures),
+        successes=frozenset(successes),
+        failures=frozenset(failures),
+        unexposed_successes=frozenset(unexposed),
+        attribution=attribution,
+        flags=flags,
+    )
+
+
+def reference_mle_virality(
+    ledger: ReferenceLedger, act: Mapping[str, float], max_iter: int = 200
+) -> ViralityEstimate:
+    """Maximize the cascade likelihood by bisection on its derivative.
+
+    Trial users with zero activity cannot occur under the model and are
+    dropped (counted in dropped_zero_activity). The bracket [lo, r_max] is
+    narrowed until its relative width falls below 1e-14 or max_iter halves,
+    comfortably inside the 1e-10 contract.
+    """
+    successes = sorted(u for u in ledger.successes if act.get(u, 0.0) > 0.0)
+    failures = sorted(w for w in ledger.failures if act.get(w, 0.0) > 0.0)
+    dropped = len(ledger.successes) + len(ledger.failures) - len(successes) - len(failures)
+    n_s = len(successes)
+    n_f = len(failures)
+
+    def estimate(r_hat: float | None, boundary: Boundary) -> ViralityEstimate:
+        return ViralityEstimate(
+            tweet_id=ledger.tweet_id,
+            group=ledger.group,
+            successes=n_s,
+            failures=n_f,
+            exposed=n_s + n_f,
+            r_hat=r_hat,
+            ln_r=math.log(r_hat) if r_hat is not None else None,
+            boundary=boundary,
+            dropped_zero_activity=dropped,
+        )
+
+    if n_s == 0:
+        return estimate(None, Boundary.ZERO_SUCCESSES)
+
+    alpha_exposed = np.array([act[u] for u in successes + failures])
+    r_max = 1.0 / float(alpha_exposed.max())
+    if n_f == 0:
+        return estimate(r_max, Boundary.UPPER_BOUNDARY)
+
+    alpha_f = np.array([act[w] for w in failures])
+    if _dlog_likelihood(r_max, n_s, alpha_f) >= 0.0:
+        return estimate(r_max, Boundary.UPPER_BOUNDARY)
+
+    lo, hi = r_max * 1e-15, r_max
+    for _ in range(max_iter):
+        if hi - lo <= hi * 1e-14:
+            break
+        mid = 0.5 * (lo + hi)
+        if _dlog_likelihood(mid, n_s, alpha_f) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return estimate(0.5 * (lo + hi), Boundary.INTERIOR)
+
+
+# Random ledgers and the likelihood oracles.
 
 
 def random_ledger(
@@ -28,7 +295,8 @@ def random_ledger(
     Redraws until the largest trial activity is at least min_max_alpha,
     which caps r_max at 1/min_max_alpha and keeps the 1e-5 grid oracle
     tractable. A ledger has at least one success unless
-    allow_zero_successes is set.
+    allow_zero_successes is set. Returns the ledger and its activities as
+    the array aligned with its table.
     """
     while True:
         n_e = int(rng.integers(1, max_exposed + 1))
@@ -43,24 +311,16 @@ def random_ledger(
         successes = [f"s{i}" for i in range(n_s)]
         failures = [f"f{i}" for i in range(n_f)]
         act = dict(zip(successes + failures, alphas.tolist()))
-        ledger = ExposureLedger(
-            tweet_id="t",
-            origin_author="auth",
-            group=0,
-            exposed=frozenset(successes + failures),
-            successes=frozenset(successes),
-            failures=frozenset(failures),
-            unexposed_successes=frozenset(),
-        )
-        return ledger, act
+        ledger = id_ledger(successes, failures)
+        return ledger, alpha_of(ledger, act)
 
 
 def interior_random_ledger(rng, max_exposed=20):
     """Random ledger whose MLE is interior (resampled until it is)."""
     while True:
-        ledger, act = random_ledger(rng, max_exposed, require_failures=True)
-        if mle_virality(ledger, act).boundary is Boundary.INTERIOR:
-            return ledger, act
+        ledger, alpha = random_ledger(rng, max_exposed, require_failures=True)
+        if mle_virality(ledger, alpha).boundary is Boundary.INTERIOR:
+            return ledger, alpha
 
 
 def _loglik_on_grid(rs, n_success, alphas_f):
@@ -74,7 +334,7 @@ def _loglik_on_grid(rs, n_success, alphas_f):
     return vals
 
 
-def grid_oracle(ledger, act, step=1e-5, coarsen=100):
+def grid_oracle(ledger, alpha, step=1e-5, coarsen=100):
     """Argmax of the cascade log-likelihood over the grid {k*step}.
 
     The grid runs from r = 0 to r_max, so a ledger with no successes
@@ -84,8 +344,8 @@ def grid_oracle(ledger, act, step=1e-5, coarsen=100):
     naive full scan.
     """
     n_s = len(ledger.successes)
-    alphas_f = np.array(sorted(act[w] for w in ledger.failures))
-    r_max = 1.0 / max(act[u] for u in ledger.exposed)
+    alphas_f = np.sort(alpha[ledger.failures])
+    r_max = 1.0 / float(alpha[ledger.exposed].max())
     top = int(r_max / step) + 1
     while top * step > r_max:  # the last grid point inside [0, r_max]
         top -= 1
@@ -155,7 +415,7 @@ def reference_ledger(cascade, edges, scope, include_unexposed_retweeters=False):
     if include_unexposed_retweeters and unexposed:
         successes |= unexposed
         flags = ("included_unexposed_retweeters",)
-    return ExposureLedger(
+    return ReferenceLedger(
         tweet_id=cascade.tweet_id,
         origin_author=author,
         group=g,
@@ -319,7 +579,7 @@ def reference_fm_refine(
 
 
 # The simulator on string sets: edges as (follower, followee) tuples, the
-# follow graph as a FollowerNetwork built from them, one draw per user.
+# follow graph as the string-keyed reference network, one draw per user.
 
 
 @dataclass(frozen=True)
@@ -328,11 +588,11 @@ class ReferenceWorld:
     users: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     activities: Mapping[str, float]
-    follow: FollowerNetwork
+    follow: ReferenceFollowerNetwork
 
 
 def reference_world(config, users, edges, activities):
-    follow, dropped = FollowerNetwork.from_edges(edges, set(users))
+    follow, dropped = reference_from_edges(edges, set(users))
     assert dropped == 0
     return ReferenceWorld(config, tuple(users), tuple(edges), dict(activities), follow)
 

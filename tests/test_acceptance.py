@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 from conftest import record_acceptance
-from helpers import grid_oracle
+from helpers import alpha_of, grid_oracle, id_ledger, named
 
-from echospread.exposure import ExposureLedger, GroupScope, build_exposure_ledger
+from echospread.exposure import GroupScope, build_exposure_ledger
 from echospread.graph import (
     FollowerNetwork,
     PartitionAssignment,
@@ -78,15 +78,14 @@ def criterion(number: int, description: str):
 
 
 def make_ledger(users, n_successes, tweet_id="t"):
-    return ExposureLedger(
-        tweet_id=tweet_id,
-        origin_author="author",
-        group=0,
-        exposed=frozenset(users),
-        successes=frozenset(users[:n_successes]),
-        failures=frozenset(users[n_successes:]),
-        unexposed_successes=frozenset(),
+    return id_ledger(
+        users[:n_successes], users[n_successes:], tweet_id=tweet_id, origin_author="author"
     )
+
+
+def mle(ledger, act):
+    """The MLE with activities given by name."""
+    return mle_virality(ledger, alpha_of(ledger, act))
 
 
 def random_ledger(rng, max_exposed=20):
@@ -103,7 +102,7 @@ def interior_ledger(rng, lo=6, hi=24):
         users = [f"u{i}" for i in range(n)]
         act = {u: float(rng.uniform(0.1, 0.9)) for u in users}
         ledger = make_ledger(users, int(rng.integers(1, n)))
-        est = mle_virality(ledger, act)
+        est = mle(ledger, act)
         if est.boundary is Boundary.INTERIOR:
             return ledger, act, est
 
@@ -115,9 +114,9 @@ def test_criterion_01_mle_matches_grid_search():
     start = time.perf_counter()
     worst = 0.0
     for ledger, act in cases:
-        est = mle_virality(ledger, act)
+        est = mle(ledger, act)
         r_mle = 0.0 if est.r_hat is None else est.r_hat
-        worst = max(worst, abs(r_mle - grid_oracle(ledger, act)))
+        worst = max(worst, abs(r_mle - grid_oracle(ledger, alpha_of(ledger, act))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3, f"worst |mle - grid| = {worst:.2e}"
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s"
@@ -132,11 +131,11 @@ def test_criterion_02_analytic_mle_cases():
         n_f = int(rng.integers(1, 31))
         users = [f"u{i}" for i in range(n_s + n_f)]
         act = {u: alpha for u in users}
-        est = mle_virality(make_ledger(users, n_s), act)
+        est = mle(make_ledger(users, n_s), act)
         closed = n_s / (alpha * (n_s + n_f))
         assert abs(est.r_hat - closed) <= 1e-9
 
-    est = mle_virality(make_ledger(["u", "v", "w"], 2), {"u": 1.0, "v": 1.0, "w": 1.0})
+    est = mle(make_ledger(["u", "v", "w"], 2), {"u": 1.0, "v": 1.0, "w": 1.0})
     assert abs(est.r_hat - 2.0 / 3.0) <= 1e-6
 
 
@@ -146,28 +145,21 @@ def test_criterion_03_equivariance_and_monotonicity():
     for _ in range(100):
         ledger, act, est = interior_ledger(rng)
         for c in (0.5, 2.0, 10.0):
-            scaled = mle_virality(ledger, {u: c * a for u, a in act.items()})
+            scaled = mle(ledger, {u: c * a for u, a in act.items()})
             assert abs(scaled.r_hat - est.r_hat / c) <= 1e-9
 
     for _ in range(500):
         ledger, act, est = interior_ledger(rng)
         extra = f"w{len(ledger.exposed)}"
-        worse = ExposureLedger(
-            tweet_id=ledger.tweet_id,
-            origin_author=ledger.origin_author,
-            group=ledger.group,
-            exposed=ledger.exposed | {extra},
-            successes=ledger.successes,
-            failures=ledger.failures | {extra},
-            unexposed_successes=frozenset(),
-        )
-        worse_est = mle_virality(worse, {**act, extra: float(rng.uniform(0.1, 0.9))})
+        names = named(ledger)
+        worse = make_ledger([*names.successes, *names.failures, extra], len(names.successes))
+        worse_est = mle(worse, {**act, extra: float(rng.uniform(0.1, 0.9))})
         assert worse_est.r_hat < est.r_hat
 
     for _ in range(100):
         ledger, act, est = interior_ledger(rng)
-        low = min(ledger.successes, key=act.get)
-        perturbed = mle_virality(ledger, {**act, low: act[low] * 0.9})
+        low = min(named(ledger).successes, key=act.get)
+        perturbed = mle(ledger, {**act, low: act[low] * 0.9})
         assert abs(perturbed.r_hat - est.r_hat) <= 1e-12
 
 
@@ -210,8 +202,9 @@ def scenario_ledger(follow_edges, retweets):
     cascades, _ = build_cascades(records)
     groups = {u: 0 for u in users}
     groups["__other__"] = 1
-    scope = GroupScope(PartitionAssignment(groups=groups, cut_size=0, balance=0.0), 0)
-    return build_exposure_ledger(cascades[0], follow, scope)
+    assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.0)
+    scope = GroupScope(assignment, assignment.group_ids(follow.users), 0)
+    return named(build_exposure_ledger(cascades[0], follow, scope))
 
 
 @criterion(5, "display-rule fixtures reproduce exact exposure sets and attribution")
@@ -381,7 +374,7 @@ def test_criterion_08_planted_effect_recovery():
             sim = simulate_cascade(world, seed_user, r, i)
             cascades, _ = build_cascades(list(sim.records))
             ledger = build_exposure_ledger(cascades[0], world.follow, scope)
-            est = mle_virality(ledger, world.activities)
+            est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.INTERIOR:
                 y[i] = est.ln_r
             else:

@@ -24,7 +24,10 @@ from echospread.cli import (
     _exit_code_for,
     main,
 )
+from echospread.ingest import Cascade, TweetRecord
 from echospread.lasso import ConvergenceError
+from echospread.virality import score_corpus
+from helpers import id_ledger
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIG = FIXTURES / "config.json"
@@ -165,22 +168,36 @@ class TestStaleIntermediates:
 
 
 class TestBenchmarkSpanTargets:
-    """The benchmark's traced mode wraps ``echospread.cli`` names and the
+    """The benchmark's traced mode wraps ``echospread`` names and the
     two-parameter ``run_stage`` from outside the package."""
 
-    def test_wrapped_names_resolve_and_run_stage_takes_two_parameters(
-        self, monkeypatch
-    ):
+    @pytest.fixture
+    def spans(self, monkeypatch):
         path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, spans)
         spec.loader.exec_module(spans)
+        return spans
+
+    def test_wrapped_names_resolve_and_run_stage_takes_two_parameters(self, spans):
         for module, attr, _, _ in spans.WRAPPED:
             assert callable(getattr(importlib.import_module(module), attr, None)), (
                 f"{module}.{attr}"
             )
         assert len(inspect.signature(cli.run_stage).parameters) == 2
+
+    def test_score_corpus_calls_the_traced_mle_once_per_ledger(self, spans):
+        cascades = [
+            Cascade(TweetRecord(tid, "auth", 0, "climate"), ()) for tid in ("t1", "t2", "t3")
+        ]
+        ledgers = [
+            id_ledger(["s0"], ["f0", "f1"][:k], users=("f0", "f1", "s0"), tweet_id=c.tweet_id)
+            for k, c in enumerate(cascades)
+        ]
+        with spans.Tracer().installed() as tracer:
+            score_corpus(cascades, ledgers, np.full(3, 0.5))
+        assert tracer.metrics()["virality.mle_virality.calls"] == 3
 
 
 class TestInputValidation:
@@ -248,6 +265,81 @@ class TestInputValidation:
         config.write_text("{not json")
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
+
+
+class TestEdgesContract:
+    """``edges.csv`` as the virality stage reads it, on fixture outputs."""
+
+    def virality(self, baseline, tmp_path, name, text):
+        out = tmp_path / name
+        shutil.copytree(baseline, out)
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text, encoding="utf-8")
+        code = main(
+            ["virality", "--config", str(CONFIG), "--out", str(out), "--edges", str(edges)]
+        )
+        return code, out
+
+    @staticmethod
+    def manifest(out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_wrong_header_exits_one(self, baseline, tmp_path):
+        rows = (FIXTURES / "edges.csv").read_text().splitlines(keepends=True)
+        code, out = self.virality(baseline, tmp_path, "o", "src,dst\n" + "".join(rows[1:]))
+        assert code == EXIT_INPUT
+        assert self.manifest(out)["failure"]["stage"] == "virality"
+
+    def test_short_row_exits_one_and_is_recorded(self, baseline, tmp_path):
+        text = (FIXTURES / "edges.csv").read_text() + "a00\n"
+        code, out = self.virality(baseline, tmp_path, "o", text)
+        assert code == EXIT_INPUT
+        failure = self.manifest(out)["failure"]
+        assert failure["stage"] == "virality" and "short row" in failure["error"]
+
+    def test_self_loop_and_outside_rows_are_dropped_and_counted(self, baseline, tmp_path):
+        text = (FIXTURES / "edges.csv").read_text() + "a00,a00\na00,nobody\n"
+        code, out = self.virality(baseline, tmp_path, "o", text)
+        assert code == EXIT_OK
+        before = self.manifest(baseline)["stages"]["virality"]["dropped_edges"]
+        assert self.manifest(out)["stages"]["virality"]["dropped_edges"] == before + 2
+
+    def test_duplicated_row_changes_no_byte(self, baseline, tmp_path):
+        text = (FIXTURES / "edges.csv").read_text()
+        code, plain = self.virality(baseline, tmp_path, "plain", text)
+        assert code == EXIT_OK
+        first_row = text.splitlines(keepends=True)[1]
+        code, doubled = self.virality(baseline, tmp_path, "doubled", text + first_row)
+        assert code == EXIT_OK
+        assert tree_bytes(doubled) == tree_bytes(plain)
+        for name in ("ledgers.csv", "virality.csv"):
+            assert (plain / name).read_bytes() == (baseline / name).read_bytes()
+
+
+class TestStubOrigins:
+    def test_retweet_of_a_missing_origin_is_scored(self, baseline, tmp_path):
+        # the stub origin's author "" is in no follow table: no followers
+        out = tmp_path / "stub"
+        shutil.copytree(baseline, out)
+        record = {
+            "lang": "en",
+            "reply_to": None,
+            "retweet_of": "gone",
+            "text": "RT @zz: climate crisis demands action now #ClimateCrisis",
+            "timestamp": 50,
+            "tweet_id": "gone-r0",
+            "user_id": "a04",
+        }
+        with open(out / "filtered.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        code = main(["virality", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_OK
+        before = json.loads((baseline / "manifest.json").read_text())["stages"]["virality"]
+        after = json.loads((out / "manifest.json").read_text())["stages"]["virality"]
+        assert after["ledgers"] == before["ledgers"] + 1
+        assert after["zero_successes"] == before["zero_successes"] + 1
+        rows = (out / "ledgers.csv").read_text().splitlines()
+        assert "gone,9,0,9,1," in rows
 
 
 class TestExitCodes:

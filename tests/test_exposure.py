@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_ledger
+from helpers import (
+    named,
+    reference_build_exposure_ledger,
+    reference_from_edges,
+    reference_ledger,
+)
 from echospread.exposure import (
     GroupScope,
     build_exposure_ledger,
@@ -26,30 +31,34 @@ def make_cascade(author, events, tweet_id="T"):
     return Cascade(origin, rts)
 
 
-def scope_over(users, author, group=0):
+def scope_over(net, users, author, group=0):
+    """``users`` in ``group`` and the author in the other one, over ``net``'s table."""
     groups = {u: group for u in users}
     groups[author] = 1 - group
     assignment = PartitionAssignment(
         groups=groups, cut_size=0, balance=len(users) / (len(users) + 1)
     )
-    return GroupScope(assignment=assignment, main_group=group)
+    return scope_of(net, assignment, group)
 
 
-def follow_net(edges):
-    universe = {u for e in edges for u in e}
+def scope_of(net, assignment, group):
+    return GroupScope(assignment, assignment.group_ids(net.users), main_group=group)
+
+
+def follow_net(edges, cascade):
+    """The follow graph over the edge endpoints and the cascade's users."""
+    universe = {u for e in edges for u in e} | {cascade.origin.user_id}
+    universe |= {rt.user_id for rt in cascade.retweets}
     net, _ = FollowerNetwork.from_edges(edges, universe)
     return net
-
-
-EMPTY_NET, _ = FollowerNetwork.from_edges([], set())
 
 
 class TestDisplayRuleFixtures:
     def test_direct_pathway_only(self):
         # scenario 1: p follows the origin author; nobody retweets
         cascade = make_cascade("o", [])
-        net = follow_net([("p", "o")])
-        led = build_exposure_ledger(cascade, net, scope_over(["p"], "o"))
+        net = follow_net([("p", "o")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p"], "o")))
         assert led.exposed == frozenset({"p"})
         assert led.successes == frozenset()
         assert led.failures == frozenset({"p"})
@@ -60,10 +69,10 @@ class TestDisplayRuleFixtures:
         # the appearance is the original tweet alone
         cascade = make_cascade("o", [("i1", 1), ("i2", 2)])
         net = follow_net(
-            [("p", "o"), ("p", "i1"), ("p", "i2"), ("i1", "o"), ("i2", "o")]
+            [("p", "o"), ("p", "i1"), ("p", "i2"), ("i1", "o"), ("i2", "o")], cascade
         )
-        led = build_exposure_ledger(
-            cascade, net, scope_over(["p", "i1", "i2"], "o")
+        led = named(
+            build_exposure_ledger(cascade, net, scope_over(net, ["p", "i1", "i2"], "o"))
         )
         assert led.exposed == frozenset({"p", "i1", "i2"})
         assert led.successes == frozenset({"i1", "i2"})
@@ -75,8 +84,8 @@ class TestDisplayRuleFixtures:
     def test_indirect_pathway_via_single_retweeter(self):
         # scenario 3: p follows only retweeter i3
         cascade = make_cascade("o", [("i3", 1)])
-        net = follow_net([("i3", "o"), ("p", "i3")])
-        led = build_exposure_ledger(cascade, net, scope_over(["p", "i3"], "o"))
+        net = follow_net([("i3", "o"), ("p", "i3")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p", "i3"], "o")))
         assert led.exposed == frozenset({"p", "i3"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "i3"
@@ -84,8 +93,8 @@ class TestDisplayRuleFixtures:
     def test_first_retweeting_followee_wins(self):
         # scenario 4: p follows retweeters a (t=3) and d (t=7), not the origin
         cascade = make_cascade("o", [("a", 3), ("d", 7)])
-        net = follow_net([("a", "o"), ("d", "o"), ("p", "a"), ("p", "d")])
-        led = build_exposure_ledger(cascade, net, scope_over(["p", "a", "d"], "o"))
+        net = follow_net([("a", "o"), ("d", "o"), ("p", "a"), ("p", "d")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p", "a", "d"], "o")))
         assert led.exposed == frozenset({"p", "a", "d"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "a"
@@ -95,8 +104,8 @@ class TestSuccessPathways:
     def test_retweeter_needs_preceding_event(self):
         # u retweets before its only followee w does: no modeled pathway
         cascade = make_cascade("o", [("u", 1), ("w", 5)])
-        net = follow_net([("u", "w"), ("w", "o")])
-        led = build_exposure_ledger(cascade, net, scope_over(["u", "w"], "o"))
+        net = follow_net([("u", "w"), ("w", "o")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["u", "w"], "o")))
         assert led.successes == frozenset({"w"})
         assert led.unexposed_successes == frozenset({"u"})
         assert "u" not in led.exposed
@@ -104,28 +113,28 @@ class TestSuccessPathways:
     def test_equal_timestamp_breaks_by_tweet_id(self):
         # T-a sorts before T-b at the same timestamp, so b may cite a
         cascade = make_cascade("o", [("a", 1), ("b", 1)])
-        net = follow_net([("a", "o"), ("b", "a")])
-        led = build_exposure_ledger(cascade, net, scope_over(["a", "b"], "o"))
+        net = follow_net([("a", "o"), ("b", "a")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["a", "b"], "o")))
         assert led.successes == frozenset({"a", "b"})
         assert led.attribution["b"] == "a"
 
     def test_include_unexposed_retweeters_flag(self):
         cascade = make_cascade("o", [("u", 1)])
-        net = follow_net([("x", "o")])
-        scope = scope_over(["u", "x"], "o")
-        led = build_exposure_ledger(cascade, net, scope)
+        net = follow_net([("x", "o")], cascade)
+        scope = scope_over(net, ["u", "x"], "o")
+        led = named(build_exposure_ledger(cascade, net, scope))
         assert led.successes == frozenset()
         assert led.unexposed_successes == frozenset({"u"})
-        led_inc = build_exposure_ledger(
-            cascade, net, scope, include_unexposed_retweeters=True
+        led_inc = named(
+            build_exposure_ledger(cascade, net, scope, include_unexposed_retweeters=True)
         )
         assert led_inc.successes == frozenset({"u"})
         assert "included_unexposed_retweeters" in led_inc.flags
 
     def test_author_self_retweet_ignored(self):
         cascade = make_cascade("o", [("o", 1), ("u", 2)])
-        net = follow_net([("u", "o")])
-        led = build_exposure_ledger(cascade, net, scope_over(["u"], "o"))
+        net = follow_net([("u", "o")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["u"], "o")))
         assert led.successes == frozenset({"u"})
         assert "o" not in led.exposed
 
@@ -136,9 +145,8 @@ class TestGroupRestriction:
         cascade = make_cascade("o", [("x", 1), ("m", 2)])
         groups = {"p": 0, "m": 0, "x": 1, "o": 1}
         assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
-        scope = GroupScope(assignment=assignment, main_group=0)
-        net = follow_net([("x", "o"), ("p", "x"), ("m", "o")])
-        led = build_exposure_ledger(cascade, net, scope)
+        net = follow_net([("x", "o"), ("p", "x"), ("m", "o")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_of(net, assignment, 0)))
         assert "x" not in led.exposed
         assert "p" not in led.exposed
         assert led.successes == frozenset({"m"})
@@ -147,9 +155,8 @@ class TestGroupRestriction:
         cascade = make_cascade("o", [("m", 1)])
         groups = {"m": 0, "q": 0, "o": 1}
         assignment = PartitionAssignment(groups=groups, cut_size=0, balance=2 / 3)
-        scope = GroupScope(assignment=assignment, main_group=0)
-        net = follow_net([("m", "o"), ("ghost", "o"), ("q", "o")])
-        led = build_exposure_ledger(cascade, net, scope)
+        net = follow_net([("m", "o"), ("ghost", "o"), ("q", "o")], cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_of(net, assignment, 0)))
         assert led.exposed == frozenset({"m", "q"})
 
 
@@ -177,8 +184,9 @@ class TestMainGroup:
         cascade = make_cascade("o", [("a0", 1), ("s0", 2)])
         assignment = self.assignment(["a0"], ["s0"])
         assert main_group(cascade, assignment) == 0
-        scope = choose_scope(cascade, assignment)
-        assert scope.tie_fallback
+        net = follow_net([], cascade)
+        scope = choose_scope(cascade, assignment, assignment.group_ids(net.users))
+        assert scope.tie_fallback and scope.main_group == 0
 
     def test_no_classified_retweeters_is_unscorable(self):
         cascade = make_cascade("o", [("ghost", 1)])
@@ -213,8 +221,8 @@ class TestLedgerProperties:
     def test_partition_of_exposed(self, scenario):
         author, edges, events = scenario
         cascade = make_cascade(author, events)
-        net = follow_net(edges) if edges else EMPTY_NET
-        led = build_exposure_ledger(cascade, net, scope_over(USERS, author))
+        net = follow_net(edges, cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
         assert led.successes | led.failures == led.exposed
         assert not led.successes & led.failures
         assert len(led.exposed) == len(led.successes) + len(led.failures)
@@ -228,11 +236,12 @@ class TestLedgerProperties:
         if not edges:
             return
         cascade = make_cascade(author, events)
-        scope = scope_over(USERS, author)
-        full = build_exposure_ledger(cascade, follow_net(edges), scope)
-        smaller_edges = edges[1:]
-        smaller = follow_net(smaller_edges) if smaller_edges else EMPTY_NET
-        reduced = build_exposure_ledger(cascade, smaller, scope)
+        net = follow_net(edges, cascade)
+        full = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
+        smaller = follow_net(edges[1:], cascade)
+        reduced = named(
+            build_exposure_ledger(cascade, smaller, scope_over(smaller, USERS, author))
+        )
         assert reduced.exposed <= full.exposed
 
     @given(scenarios())
@@ -240,8 +249,8 @@ class TestLedgerProperties:
     def test_successes_have_a_pathway(self, scenario):
         author, edges, events = scenario
         cascade = make_cascade(author, events)
-        net = follow_net(edges) if edges else EMPTY_NET
-        led = build_exposure_ledger(cascade, net, scope_over(USERS, author))
+        net = follow_net(edges, cascade)
+        led = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
         order = [rt.user_id for rt in cascade.retweets]
         for s in led.successes:
             followees = {b for a, b in edges if a == s}
@@ -253,9 +262,9 @@ class TestLedgerProperties:
     def test_exposed_stay_in_main_group(self, scenario):
         author, edges, events = scenario
         cascade = make_cascade(author, events)
-        net = follow_net(edges) if edges else EMPTY_NET
-        scope = scope_over(USERS, author)
-        led = build_exposure_ledger(cascade, net, scope)
+        net = follow_net(edges, cascade)
+        scope = scope_over(net, USERS, author)
+        led = named(build_exposure_ledger(cascade, net, scope))
         for u in led.exposed:
             assert scope.assignment.groups[u] == scope.main_group
 
@@ -269,18 +278,19 @@ def mixed_scenarios(draw):
 
     The author may be unclassified or in either group and may retweet their
     own tweet; a user may retweet more than once. ``g0`` and ``g1`` keep
-    both groups nonempty.
+    both groups nonempty. Now and then the origin is a stub, whose author
+    ``""`` has no followers and, over the fixed universe, is outside the
+    follow table, as for a retweet of a missing origin in the pipeline.
     """
-    author = "auth"
-    everyone = MIXED + ["g0", "g1", author]
+    author = draw(st.sampled_from(["auth", "auth", "auth", ""]))
+    everyone = MIXED + ["g0", "g1", "auth"]
     main = draw(st.sampled_from([0, 1]))
     groups = {"g0": 0, "g1": 1}
-    for u in MIXED + [author]:
+    for u in MIXED + ["auth"]:
         g = draw(st.sampled_from([main, main, 1 - main, None]))
         if g is not None:
             groups[u] = g
     assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
-    scope = GroupScope(assignment=assignment, main_group=main)
     edges = [
         (a, b) for a in everyone for b in everyone if a != b and draw(st.booleans())
     ]
@@ -298,14 +308,61 @@ def mixed_scenarios(draw):
         ),
         key=lambda r: (r.timestamp, r.tweet_id),
     )
-    return Cascade(origin, tuple(rts)), edges, scope, draw(st.booleans())
+    cascade = Cascade(origin, tuple(rts), stub_origin=author == "")
+    return cascade, edges, assignment, main, draw(st.booleans())
 
 
 class TestReferenceLedger:
     @given(mixed_scenarios())
     @settings(max_examples=400)
     def test_equals_reference_on_every_field(self, scenario):
-        cascade, edges, scope, include = scenario
-        net = follow_net(edges) if edges else EMPTY_NET
-        led = build_exposure_ledger(cascade, net, scope, include)
+        cascade, edges, assignment, main, include = scenario
+        net = follow_net(edges, cascade)
+        scope = scope_of(net, assignment, main)
+        led = named(build_exposure_ledger(cascade, net, scope, include))
         assert led == reference_ledger(cascade, edges, scope, include)
+
+    @given(mixed_scenarios())
+    @settings(max_examples=400)
+    def test_equals_string_ledger_on_every_field(self, scenario):
+        cascade, edges, assignment, main, include = scenario
+        universe = {"auth", "g0", "g1", *MIXED}
+        net, _ = FollowerNetwork.from_edges(edges, universe)
+        ref_net, _ = reference_from_edges(edges, universe)
+        scope = scope_of(net, assignment, main)
+        led = named(build_exposure_ledger(cascade, net, scope, include))
+        assert led == reference_build_exposure_ledger(cascade, ref_net, scope, include)
+
+
+class TestUserTable:
+    def test_cascade_user_outside_the_table_is_rejected(self):
+        cascade = make_cascade("o", [("u", 1)])
+        net, _ = FollowerNetwork.from_edges([("x", "o")], {"x", "o"})
+        with pytest.raises(ValueError, match="'u' is not in the user table"):
+            build_exposure_ledger(cascade, net, scope_over(net, ["u", "x"], "o"))
+
+    def test_stub_origin_outside_the_table_has_no_followers(self):
+        # a retweet of a missing origin: the stub's author "" is in no table
+        stub = TweetRecord("T", "", 1, "rt", lang="en")
+        retweets = (
+            TweetRecord("T-a", "a", 1, "rt", retweet_of="T"),
+            TweetRecord("T-b", "b", 2, "rt", retweet_of="T"),
+        )
+        cascade = Cascade(stub, retweets, stub_origin=True)
+        edges = [("b", "a"), ("c", "a"), ("d", "c")]
+        net, _ = FollowerNetwork.from_edges(edges, {"a", "b", "c", "d"})
+        assignment = PartitionAssignment(groups={"a": 0, "b": 0, "c": 0, "d": 1})
+        scope = choose_scope(cascade, assignment, assignment.group_ids(net.users))
+        led = named(build_exposure_ledger(cascade, net, scope))
+        ref_net, _ = reference_from_edges(edges, {"a", "b", "c", "d"})
+        assert led == reference_build_exposure_ledger(cascade, ref_net, scope)
+        assert led.successes == frozenset({"b"})
+        assert led.failures == frozenset({"c"})
+        assert led.unexposed_successes == frozenset({"a"})
+
+    def test_scope_over_another_table_is_rejected(self):
+        cascade = make_cascade("o", [("i", 1)])
+        net = follow_net([("i", "o"), ("p", "i")], cascade)
+        other = follow_net([("i", "o")], cascade)
+        with pytest.raises(ValueError, match="do not match the follow table"):
+            build_exposure_ledger(cascade, net, scope_over(other, ["p", "i"], "o"))

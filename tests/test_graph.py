@@ -26,7 +26,9 @@ from echospread.graph import (
 )
 from echospread.ingest import Cascade, TweetRecord
 from helpers import (
+    follower_sets,
     reference_fm_refine,
+    reference_from_edges,
     reference_grow_partition,
     reference_rebalance,
 )
@@ -152,10 +154,43 @@ class TestFollowerNetwork:
         net, _ = FollowerNetwork.from_edges(
             [("a", "b"), ("c", "b"), ("b", "a")], {"a", "b", "c"}
         )
-        assert net.followers_of("b") == frozenset({"a", "c"})
-        assert net.followers_of("a") == frozenset({"b"})
-        assert net.followers_of("c") == frozenset()
+        assert net.followers_of("b") == ("a", "c")
+        assert net.followers_of("a") == ("b",)
+        assert net.followers_of("c") == ()
+        assert net.followers_of("ghost") == ()
         assert net.n_edges == 3
+
+    def test_equality_is_by_value(self):
+        edges = [("a", "b"), ("c", "b"), ("b", "a")]
+        net, _ = FollowerNetwork.from_edges(edges, {"a", "b", "c"})
+        again, _ = FollowerNetwork.from_edges(edges[::-1] + edges, {"a", "b", "c"})
+        assert net.follower_idx is not again.follower_idx
+        assert net == again
+        assert net != FollowerNetwork.from_edges(edges[1:], {"a", "b", "c"})[0]
+        assert net != FollowerNetwork.from_edges(edges, {"a", "b", "c", "d"})[0]
+
+
+ENDPOINTS = ["a", "b", "B", "u1", "u10", "u2", "x"]
+
+
+class TestFollowerNetworkReference:
+    @given(
+        edges=st.lists(
+            st.tuples(st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS)), max_size=40
+        ),
+        universe=st.one_of(st.none(), st.sets(st.sampled_from(ENDPOINTS + ["ghost"]))),
+    )
+    @settings(max_examples=300)
+    def test_equals_string_network(self, edges, universe):
+        net, dropped = FollowerNetwork.from_edges(edges, universe)
+        ref, ref_dropped = reference_from_edges(edges, universe)
+        assert dropped == ref_dropped
+        assert follower_sets(net) == ref.followers
+        assert net.n_edges == ref.n_edges
+        for u in ENDPOINTS + ["ghost"]:
+            assert frozenset(net.followers_of(u)) == ref.followers_of(u)
+        table = universe if universe is not None else {u for e in edges for u in e}
+        assert net.users == tuple(sorted(table))
 
 
 def two_triangles():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echospread import sim
-from echospread.graph import build_follower_network
+from echospread.graph import FollowerNetwork, build_follower_network
 from echospread.ingest import build_cascades, filter_corpus, parse_records
 from echospread.sim import (
     ActivitySpec,
@@ -34,6 +34,8 @@ from echospread.sim import (
 from echospread.exposure import build_exposure_ledger
 from echospread.virality import Boundary, mle_virality
 from helpers import (
+    follower_sets,
+    named,
     reference_generate_network,
     reference_seed_pool,
     reference_simulate_cascade,
@@ -49,15 +51,12 @@ def hand_world(edges, activities, seed=0):
     for follower, followee in edges:
         assert follower != followee
         mask[index[follower], index[followee]] = True
-    follower_ptr, follower_idx = follower_csr(mask)
     config = SimConfig(
         graph=GraphSpec(n=len(users)), r_values=(1.0,), master_seed=seed
     )
     return SyntheticWorld(
         config=config,
-        users=users,
-        follower_ptr=follower_ptr,
-        follower_idx=follower_idx,
+        follow=FollowerNetwork(users, *follower_csr(mask)),
         activities=dict(activities),
     )
 
@@ -73,7 +72,7 @@ def csr_edges(world):
     users = world.users
     return tuple(
         (users[i], users[j])
-        for i, j in edge_pairs(world.follower_ptr, world.follower_idx)
+        for i, j in edge_pairs(world.follow.follower_ptr, world.follow.follower_idx)
     )
 
 
@@ -149,19 +148,15 @@ class TestGenerateNetwork:
 
     def test_users_must_be_sorted(self):
         world = hand_world([("b", "a")], {"a": 1.0, "b": 1.0})
+        follow = world.follow
         with pytest.raises(ValueError, match="sorted"):
-            SyntheticWorld(
-                config=world.config,
-                users=("b", "a"),
-                follower_ptr=world.follower_ptr,
-                follower_idx=world.follower_idx,
-                activities=world.activities,
-            )
+            FollowerNetwork(("b", "a"), follow.follower_ptr, follow.follower_idx)
 
     def test_array_fields_stay_out_of_equality(self):
         config = SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=7)
         first, second = generate_world(config), generate_world(config)
-        assert first.follower_idx is not second.follower_idx
+        assert first.follow.follower_idx is not second.follow.follower_idx
+        assert first.alpha is not second.alpha
         assert first == second
         other = generate_world(SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=8))
         assert other.follow != first.follow and other != first
@@ -294,7 +289,7 @@ class TestRoundTrip:
         by_id = {c.tweet_id: c for c in cascades}
         assert set(by_id) == {s.tweet_id for s in sims}
         for sim in sims:
-            ledger = build_exposure_ledger(by_id[sim.tweet_id], follow, scope)
+            ledger = named(build_exposure_ledger(by_id[sim.tweet_id], follow, scope))
             assert ledger.exposed == sim.exposed
             assert ledger.successes == sim.successes
             assert ledger.failures == sim.failures
@@ -335,7 +330,7 @@ class TestRecovery:
         sim = simulate_cascade(world, "hub", 1.0, 0)
         cascades, _ = build_cascades(list(sim.records))
         ledger = build_exposure_ledger(cascades[0], world.follow, world_scope(world))
-        est = mle_virality(ledger, world.activities)
+        est = mle_virality(ledger, world.alpha)
         assert est.boundary is Boundary.UPPER_BOUNDARY
         assert est.r_hat == 1.0
 
@@ -382,7 +377,7 @@ class TestRecovery:
             cascades, _ = build_cascades(list(sim.records))
             ledger = build_exposure_ledger(cascades[0], world.follow, scope)
             assert len(ledger.exposed) == spokes
-            est = mle_virality(ledger, world.activities)
+            est = mle_virality(ledger, world.alpha)
             errors.append(abs(est.r_hat - r) / r)
         return float(np.median(errors))
 
@@ -463,7 +458,7 @@ class TestStringSetOracle:
         acts = {u: data.draw(unit_activity) for u in users}
         world = hand_world(edges, acts, seed=master_seed)
         ref = reference_world(world.config, world.users, edges, acts)
-        assert world.follow == ref.follow
+        assert follower_sets(world.follow) == ref.follow.followers
         for _ in range(3):
             seed_user = data.draw(st.sampled_from(users))
             r = data.draw(st.floats(0.0, 1.0 / max(acts.values())))
@@ -495,9 +490,9 @@ class TestStringSetOracle:
         world = generate_world(config)
         edges, labels = reference_generate_network(config)
         ref = reference_world(config, world.users, edges, world.activities)
-        assert world.follow == ref.follow
+        assert follower_sets(world.follow) == ref.follow.followers
         assert world.block_labels == labels
-        assert len(world.follower_idx) == len(edges)
+        assert world.follow.n_edges == len(edges)
         assert seed_pool(world) == reference_seed_pool(ref)
         assert written_edges_csv(world) == reference_edges_csv(edges)
         r_max = 1.0 / max(world.activities.values())

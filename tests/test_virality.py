@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from helpers import grid_oracle, interior_random_ledger, random_ledger
+from helpers import (
+    alpha_of,
+    grid_oracle,
+    id_ledger,
+    interior_random_ledger,
+    named,
+    random_ledger,
+    reference_mle_virality,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echospread.exposure import ExposureLedger
 from echospread.ingest import TweetRecord
 from echospread.virality import (
     Boundary,
@@ -25,16 +34,8 @@ def ledger_from_counts(n_s, n_f, alpha_s, alpha_f):
     successes = [f"s{i}" for i in range(n_s)]
     failures = [f"f{i}" for i in range(n_f)]
     act = {u: alpha_s for u in successes} | {w: alpha_f for w in failures}
-    led = ExposureLedger(
-        tweet_id="t",
-        origin_author="auth",
-        group=0,
-        exposed=frozenset(successes + failures),
-        successes=frozenset(successes),
-        failures=frozenset(failures),
-        unexposed_successes=frozenset(),
-    )
-    return led, act
+    led = id_ledger(successes, failures)
+    return led, alpha_of(led, act)
 
 
 class TestActivities:
@@ -128,10 +129,9 @@ class TestBoundaries:
         assert est.r_hat is None and est.ln_r is None
 
     def test_zero_activity_trials_dropped(self):
-        led, act = ledger_from_counts(2, 2, 0.8, 0.4)
-        act["s1"] = 0.0
-        act["f1"] = 0.0
-        est = mle_virality(led, act)
+        led = id_ledger(["s0", "s1"], ["f0", "f1"])
+        act = {"s0": 0.8, "s1": 0.0, "f0": 0.4, "f1": 0.0}
+        est = mle_virality(led, alpha_of(led, act))
         assert est.dropped_zero_activity == 2
         assert (est.successes, est.failures) == (1, 1)
 
@@ -197,8 +197,7 @@ class TestEquivariance:
         for c in (0.5, 2.0, 10.0):
             led, act = interior_random_ledger(rng)
             base = mle_virality(led, act).r_hat
-            scaled = {u: a * c for u, a in act.items()}
-            est = mle_virality(led, scaled)
+            est = mle_virality(led, act * c)
             np.testing.assert_allclose(est.r_hat, base / c, atol=1e-9, rtol=1e-9)
 
     def test_adding_failure_strictly_decreases(self):
@@ -206,18 +205,11 @@ class TestEquivariance:
         for _ in range(30):
             led, act = interior_random_ledger(rng)
             before = mle_virality(led, act).r_hat
+            names = named(led)
             extra = f"f{len(led.failures)}x"
-            act2 = dict(act) | {extra: float(1.0 - rng.random())}
-            led2 = ExposureLedger(
-                tweet_id=led.tweet_id,
-                origin_author=led.origin_author,
-                group=led.group,
-                exposed=led.exposed | {extra},
-                successes=led.successes,
-                failures=led.failures | {extra},
-                unexposed_successes=frozenset(),
-            )
-            after = mle_virality(led2, act2).r_hat
+            act2 = dict(zip(led.users, act.tolist())) | {extra: float(1.0 - rng.random())}
+            led2 = id_ledger(names.successes, names.failures | {extra})
+            after = mle_virality(led2, alpha_of(led2, act2)).r_hat
             assert after < before
 
     def test_success_activity_perturbation_is_irrelevant(self):
@@ -225,7 +217,7 @@ class TestEquivariance:
         for _ in range(30):
             led, act = interior_random_ledger(rng)
             base = mle_virality(led, act).r_hat
-            act2 = dict(act)
+            act2 = act.copy()
             for u in led.successes:
                 act2[u] = act[u] * float(rng.uniform(0.1, 1.0))
             est = mle_virality(led, act2)
@@ -239,24 +231,19 @@ class TestScoreCorpus:
         cascades = []
         ledgers = []
         specs = [("t1", 2, 1), ("t2", 1, 2), ("t3", 0, 3)]
-        act = {}
+        table = ("f0", "f1", "f2", "s0", "s1")
         for tid, n_s, n_f in specs:
             origin = TweetRecord(tid, f"auth-{tid}", 0, "climate")
             cascades.append(Cascade(origin, ()))
-            led, a = ledger_from_counts(n_s, n_f, 0.6, 0.6)
             ledgers.append(
-                ExposureLedger(
+                id_ledger(
+                    [f"s{i}" for i in range(n_s)],
+                    [f"f{i}" for i in range(n_f)],
+                    users=table,
                     tweet_id=tid,
-                    origin_author=led.origin_author,
-                    group=0,
-                    exposed=led.exposed,
-                    successes=led.successes,
-                    failures=led.failures,
-                    unexposed_successes=frozenset(),
                 )
             )
-            act |= a
-        return cascades, ledgers, act
+        return cascades, ledgers, np.full(len(table), 0.6)
 
     def test_mixed_corpus_counts(self):
         cascades, ledgers, act = self.make_cascades_and_ledgers()
@@ -280,3 +267,51 @@ class TestScoreCorpus:
         assert lines[0] == "tweet_id,group,successes,failures,exposed,r_hat,ln_r,boundary"
         assert len(lines) == 4
         assert lines[3].startswith("t3,0,0,3,3,,,zero_successes")
+
+
+# Names whose sorted order differs from their numeric order.
+NAMES = [f"u{i}" for i in range(60)] + ["A", "b", "Zed", "u010"]
+
+
+@st.composite
+def mle_cases(draw):
+    """A ledger by name and activities: normalized or raw counts, some zero,
+    some users without any activity; any mix of successes and failures."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=48, unique=True))
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    else:
+        value = st.integers(0, 400).map(float)
+    act = {u: draw(value) for u in names if draw(st.integers(0, 9))}
+    roles = [draw(st.sampled_from("ssff-")) for _ in names]
+    successes = [u for u, r in zip(names, roles) if r == "s"]
+    failures = [u for u, r in zip(names, roles) if r == "f"]
+    return id_ledger(successes, failures, users=names), act
+
+
+class TestStringReference:
+    @given(mle_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_estimate_is_bit_equal_to_string_mle(self, case):
+        led, act = case
+        est = mle_virality(led, alpha_of(led, act))
+        assert est == reference_mle_virality(named(led), act)
+
+    def test_many_interior_ledgers_are_bit_equal(self):
+        """About one interior estimate in a hundred moves by an ulp when the
+        failure terms are summed in another order, so 800 ledgers of 9-64
+        trials show a change of order that the drawn cases may miss."""
+        rng = np.random.default_rng(4)
+        for _ in range(800):
+            n = int(rng.integers(9, 65))
+            names = [f"u{i}" for i in range(n)]
+            n_s = int(rng.integers(1, n // 2 + 1))
+            act = dict(zip(names, (1.0 - rng.random(n)).tolist()))
+            led = id_ledger(names[:n_s], names[n_s:])
+            est = mle_virality(led, alpha_of(led, act))
+            assert est == reference_mle_virality(named(led), act)
+
+    def test_alpha_must_align_with_the_table(self):
+        led, alpha = ledger_from_counts(1, 1, 0.5, 0.5)
+        with pytest.raises(ValueError, match="one activity per user"):
+            mle_virality(led, alpha[:1])
