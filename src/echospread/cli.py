@@ -18,7 +18,8 @@ import json
 import multiprocessing
 import platform
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,6 +40,7 @@ from .graph import (
 from .ingest import (
     Cascade,
     CascadeReport,
+    CorpusFilter,
     TweetRecord,
     build_cascades,
     filter_corpus,
@@ -47,12 +49,12 @@ from .ingest import (
     write_records_jsonl,
 )
 from .labels import (
-    FEATURE_KEYS,
     CoderSheet,
     build_feature_matrix,
     extract_marks,
     krippendorff_alpha,
     majority_vote,
+    read_features_csv,
     write_features_csv,
 )
 from .lasso import (
@@ -76,11 +78,9 @@ from .textstats import cross_group_counts, word_diff_table, write_spread_csv, wr
 from .virality import (
     VIRALITY_COLUMNS,
     Boundary,
-    UserActivity,
     ViralityEstimate,
-    activity_values,
+    activity_array,
     compute_activities,
-    normalize_activities,
     score_corpus,
     write_virality_csv,
 )
@@ -88,6 +88,7 @@ from .virality import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
+EXIT_BUG = 3
 
 SKEPTIC_PAIR = ("climate", "hoax")
 
@@ -236,21 +237,22 @@ class Workspace:
         return records
 
     @cached_property
-    def topical(self) -> tuple[list[TweetRecord], set[str]]:
-        """Topical records and eligible users."""
-        return filter_corpus(self.filtered)
+    def pair_users(self) -> dict[tuple[str, str], set[str]]:
+        """The users of each seed hashtag pair. ``filtered.jsonl`` is already
+        topical (filtering is idempotent), so it is not filtered again."""
+        return seed_pair_users(self.filtered, CorpusFilter().seed_hashtag_pairs)
 
     @cached_property
     def cascades(self) -> tuple[list[Cascade], CascadeReport]:
-        return build_cascades(self.topical[0])
+        return build_cascades(self.filtered)
 
     @cached_property
-    def activities(self) -> dict[str, UserActivity]:
+    def activities(self) -> dict[str, int]:
+        """Raw activity counts per user."""
         path = _require(
             self.config.out / "activities.csv", "intermediate activities.csv (run ingest)"
         )
-        rows = _read_rows(path, ["user", "raw"])
-        return normalize_activities({user: int(raw) for user, raw in rows})
+        return {user: int(raw) for user, raw in _read_rows(path, ["user", "raw"])}
 
     @cached_property
     def network(self) -> RetweetNetwork:
@@ -272,7 +274,7 @@ class Workspace:
 
     @cached_property
     def hoax_users(self) -> set[str]:
-        return seed_pair_users(self.filtered, (SKEPTIC_PAIR,))[SKEPTIC_PAIR]
+        return self.pair_users[SKEPTIC_PAIR]
 
     @cached_property
     def names(self) -> dict[int, str]:
@@ -326,7 +328,7 @@ def stage_ingest(ws: Workspace) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["user", "raw"])
         for user in sorted(activities):
-            writer.writerow([user, activities[user].raw])
+            writer.writerow([user, activities[user]])
     return {
         "lines": parse_report.lines,
         "parsed": parse_report.parsed,
@@ -338,7 +340,7 @@ def stage_ingest(ws: Workspace) -> dict:
 
 
 def stage_network(ws: Workspace) -> dict:
-    _, eligible = ws.topical
+    eligible = set().union(*ws.pair_users.values())
     cascades, report = ws.cascades
     net = build_retweet_network(cascades, eligible)
     comp = largest_component(net)
@@ -385,13 +387,13 @@ def _init_ledger_worker(follow, assignment, user_groups, include_unexposed) -> N
     _LEDGER_CTX["ctx"] = (follow, assignment, user_groups, include_unexposed)
 
 
-def _ledger_task(cascade: Cascade) -> tuple[str, ExposureLedger | None]:
+def _ledger_task(cascade: Cascade) -> ExposureLedger | None:
     follow, assignment, user_groups, include_unexposed = _LEDGER_CTX["ctx"]
     try:
         scope = choose_scope(cascade, assignment, user_groups)
     except ValueError:
-        return cascade.tweet_id, None
-    return cascade.tweet_id, build_exposure_ledger(
+        return None
+    return build_exposure_ledger(
         cascade, follow, scope, include_unexposed_retweeters=include_unexposed
     )
 
@@ -416,18 +418,16 @@ def stage_virality(ws: Workspace) -> dict:
             config.include_unexposed_retweeters,
         ),
     )
-    ledgers = [led for _, led in results if led is not None]
-    unscorable = sum(1 for _, led in results if led is None)
+    ledgers = [led for led in results if led is not None]
     write_ledger_csv(ledgers, config.out / "ledgers.csv")
 
-    act = activity_values(ws.activities, raw=config.raw_activities)
-    alpha = np.array([act.get(u, 0.0) for u in follow.users])
+    alpha = activity_array(ws.activities, follow.users, raw=config.raw_activities)
     estimates, report = score_corpus(cascades, ledgers, alpha)
     write_virality_csv(estimates, config.out / "virality.csv")
     return {
         "dropped_edges": dropped_edges,
         "ledgers": len(ledgers),
-        "unscorable_cascades": unscorable,
+        "unscorable_cascades": report.missing_ledgers,
         "scored": report.scored,
         "zero_successes": report.zero_successes,
     }
@@ -509,33 +509,6 @@ def stage_labels(ws: Workspace) -> dict:
     return counts
 
 
-def _read_features(path: Path) -> tuple[np.ndarray, np.ndarray, tuple, list[str]]:
-    """Rebuild the design from features_<group>.csv: value columns plus
-    author one-hots recovered from the author_id column (sorted order)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        rows = list(reader)
-    value_cols = header[3:-1]
-    author_ids = [row[1] for row in rows]
-    authors = sorted(set(author_ids))
-    author_pos = {a: i for i, a in enumerate(authors)}
-    n, p = len(rows), len(value_cols) + len(authors)
-    X = np.zeros((n, p))
-    y = np.zeros(n)
-    for i, row in enumerate(rows):
-        X[i, : len(value_cols)] = [float(v) for v in row[3:-1]]
-        X[i, len(value_cols) + author_pos[row[1]]] = 1.0
-        y[i] = float(row[-1])
-    singles = tuple((j,) for j in range(len(value_cols)))
-    author_block = tuple(range(len(value_cols), p))
-    groups = singles + ((author_block,) if authors else ())
-    columns = value_cols + [f"author:{a}" for a in authors]
-    return X, y, groups, columns
-
-
 def stage_regress(ws: Workspace) -> dict:
     config = ws.config
     counts: dict = {}
@@ -544,7 +517,7 @@ def stage_regress(ws: Workspace) -> dict:
             config.out / f"features_{name}.csv",
             f"intermediate features_{name}.csv (run labels)",
         )
-        X, y, groups, columns = _read_features(path)
+        X, y, groups, columns = read_features_csv(path)
         if X.shape[0] < max(2, config.folds):
             counts[name] = {"skipped": f"only {X.shape[0]} rows"}
             continue
@@ -583,7 +556,7 @@ STAGES: tuple[tuple[str, object], ...] = (
 
 def _exit_code_for(error: Exception) -> int | None:
     """2 for a numerical failure, 1 for bad input, None for anything else:
-    an exception of another type is a bug and is not turned into a code."""
+    an exception of another type is a bug, which ``main`` exits 3 for."""
     if isinstance(error, (ConvergenceError, ArithmeticError)):
         return EXIT_NUMERICAL
     if isinstance(error, (OSError, ValueError, csv.Error)):
@@ -666,6 +639,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The scalar settings of PipelineConfig, each with the type a value is coerced to.
+_SCALARS = {
+    "seed": int, "workers": int, "balance_tol": float, "min_author_tweets": int,
+    "folds": int, "top_k": int, "threshold": int, "include_unexposed_retweeters": bool,
+    "raw_activities": bool, "stemmer": bool, "lambda_grid": int,
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     raw: dict = {}
     base = Path(".")
@@ -688,22 +669,13 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     edges = pick("edges", "edges.csv")
     labels = pick("labels", [])
     out = getattr(args, "out", None) or raw.get("out", "out")
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
     return PipelineConfig(
         tweets=as_path(tweets),
         edges=as_path(edges),
         labels=tuple(as_path(p) for p in labels),
         out=Path(out),
-        seed=int(pick("seed", 0)),
-        workers=int(pick("workers", 1)),
-        balance_tol=float(pick("balance_tol", 0.1)),
-        min_author_tweets=int(pick("min_author_tweets", 3)),
-        folds=int(pick("folds", 5)),
-        top_k=int(pick("top_k", 30)),
-        threshold=int(pick("threshold", 10)),
-        include_unexposed_retweeters=bool(pick("include_unexposed_retweeters", False)),
-        raw_activities=bool(pick("raw_activities", False)),
-        stemmer=bool(pick("stemmer", False)),
-        lambda_grid=int(raw.get("lambda_grid", 100)),
+        **{key: cast(pick(key, defaults[key])) for key, cast in _SCALARS.items()},
         group_only_features={
             k: tuple(v) for k, v in raw.get("group_only_features", {}).items()
         },
@@ -723,26 +695,27 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         ).get("sim", {})
     graph = raw.get("graph", {})
     activity = raw.get("activity", {})
-    seed = args.seed if args.seed is not None else int(raw.get("master_seed", 0))
+    base = SimConfig()
+    seed = args.seed if args.seed is not None else int(raw.get("master_seed", base.master_seed))
     return SimConfig(
         graph=GraphSpec(
-            kind=graph.get("kind", "directed-random"),
-            n=int(graph.get("n", 100)),
-            p=graph.get("p", 0.1),
-            p_in=graph.get("p_in"),
-            p_out=graph.get("p_out"),
+            kind=graph.get("kind", base.graph.kind),
+            n=int(graph.get("n", base.graph.n)),
+            p=graph.get("p", base.graph.p),
+            p_in=graph.get("p_in", base.graph.p_in),
+            p_out=graph.get("p_out", base.graph.p_out),
         ),
         activity=ActivitySpec(
-            kind=activity.get("kind", "uniform"),
-            lo=float(activity.get("lo", 0.2)),
-            hi=float(activity.get("hi", 1.0)),
-            mu=float(activity.get("mu", 0.0)),
-            sigma=float(activity.get("sigma", 1.0)),
+            kind=activity.get("kind", base.activity.kind),
+            lo=float(activity.get("lo", base.activity.lo)),
+            hi=float(activity.get("hi", base.activity.hi)),
+            mu=float(activity.get("mu", base.activity.mu)),
+            sigma=float(activity.get("sigma", base.activity.sigma)),
         ),
-        r_values=tuple(raw.get("r_values", [0.1])),
-        cascades_per_r=int(raw.get("cascades_per_r", 10)),
+        r_values=tuple(raw.get("r_values", base.r_values)),
+        cascades_per_r=int(raw.get("cascades_per_r", base.cascades_per_r)),
         master_seed=seed,
-        seed_pool=raw.get("seed_pool", "top-decile"),
+        seed_pool=raw.get("seed_pool", base.seed_pool),
     )
 
 
@@ -767,6 +740,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Exit 0 on success, 1 for bad input, 2 for a numerical failure and 3
+    for a bug: any other exception, whose traceback goes to stderr."""
+    try:
+        return _dispatch(argv)
+    except Exception:  # noqa: BLE001 - boundary: a bug gets its own exit code
+        traceback.print_exc()
+        return EXIT_BUG
+
+
+def _dispatch(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,10 +6,10 @@ retweeting followee's notification. Together they imply each exposed user
 gets exactly one timeline appearance, hence one Bernoulli trial.
 
 A ledger names users by their ids in the follow graph's sorted user table
-(see ``graph``): ``exposed``, ``successes``, ``failures`` and
-``unexposed_successes`` are sorted int64 id arrays, attribution is one
-source id per exposed user, and the ledger keeps the table for names. It
-is built by walking the followee-keyed CSR with a boolean ``seen`` and an
+(see ``graph``): ``successes``, ``failures`` and ``unexposed_successes``
+are sorted int64 id arrays, ``exposed`` is the first two merged, attribution
+is one source id per exposed user, and the ledger keeps the table for names.
+It is built by walking the followee-keyed CSR with a boolean ``seen`` and an
 integer ``first`` over the table, so its cost follows the exposed audience
 rather than string sets.
 """
@@ -29,14 +29,13 @@ from .ingest import Cascade
 
 @dataclass(frozen=True, eq=False)
 class GroupScope:
-    """The group a cascade mainly spreads in, with the assignment behind it.
+    """The group a cascade mainly spreads in, over the follow graph's users.
 
-    ``user_groups`` is that assignment over the follow graph's user table,
+    ``user_groups`` is the partition over the follow graph's user table,
     ``assignment.group_ids(follow.users)``: it is looked up once where the
     table and the assignment meet and shared by every cascade's scope.
     """
 
-    assignment: PartitionAssignment
     user_groups: np.ndarray = field(repr=False)
     main_group: int
     tie_fallback: bool = False
@@ -63,7 +62,6 @@ class ExposureLedger:
     origin_author: str
     group: int
     users: tuple[str, ...] = field(repr=False)
-    exposed: np.ndarray
     successes: np.ndarray
     failures: np.ndarray
     unexposed_successes: np.ndarray
@@ -71,17 +69,20 @@ class ExposureLedger:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        trials = np.sort(np.concatenate([self.successes, self.failures]))
+        trials = self.exposed
         if np.any(trials[1:] == trials[:-1]):
             raise ValueError("successes and failures overlap")
-        if not np.array_equal(trials, self.exposed):
-            raise ValueError("exposed must equal successes plus failures")
         try:
             author = table_id(self.users, self.origin_author)
         except ValueError:
             return
-        if author in self.exposed:
+        if author in trials:
             raise ValueError("origin author cannot be a trial")
+
+    @property
+    def exposed(self) -> np.ndarray:
+        """Every trial user, ascending: ``successes`` and ``failures`` merged."""
+        return np.sort(np.concatenate([self.successes, self.failures]))
 
 
 def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list[int]:
@@ -100,23 +101,6 @@ def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list
     return counts
 
 
-def _pick_group(cascade: Cascade, assignment: PartitionAssignment) -> tuple[int, bool]:
-    counts = classified_counts(cascade, assignment)
-    if counts[0] == 0 and counts[1] == 0:
-        raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
-    if counts[0] != counts[1]:
-        return (0 if counts[0] > counts[1] else 1), False
-    author_group = assignment.groups.get(cascade.origin.user_id)
-    if author_group is None:
-        return 0, True
-    return author_group, False
-
-
-def main_group(cascade: Cascade, assignment: PartitionAssignment) -> int:
-    """The main group of ``choose_scope``."""
-    return _pick_group(cascade, assignment)[0]
-
-
 def choose_scope(
     cascade: Cascade, assignment: PartitionAssignment, user_groups: np.ndarray
 ) -> GroupScope:
@@ -126,8 +110,15 @@ def choose_scope(
     group 0 is the deterministic fallback, recorded in ``tie_fallback``.
     ``user_groups`` is ``assignment.group_ids`` over the follow table.
     """
-    group, tie_fallback = _pick_group(cascade, assignment)
-    return GroupScope(assignment, user_groups, group, tie_fallback)
+    counts = classified_counts(cascade, assignment)
+    if counts[0] == 0 and counts[1] == 0:
+        raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
+    if counts[0] != counts[1]:
+        return GroupScope(user_groups, 0 if counts[0] > counts[1] else 1)
+    author_group = assignment.groups.get(cascade.origin.user_id)
+    if author_group is None:
+        return GroupScope(user_groups, 0, tie_fallback=True)
+    return GroupScope(user_groups, author_group)
 
 
 def build_exposure_ledger(
@@ -199,15 +190,13 @@ def build_exposure_ledger(
     if include_unexposed_retweeters and unexposed.size:
         success[unexposed] = True
         flags = ("included_unexposed_retweeters",)
-    exposed = np.flatnonzero(success | failed)
-    at = first[exposed]
+    at = first[success | failed]
 
     return ExposureLedger(
         tweet_id=cascade.tweet_id,
         origin_author=cascade.origin.user_id,
         group=scope.main_group,
         users=users,
-        exposed=exposed,
         successes=np.flatnonzero(success),
         failures=np.flatnonzero(failed),
         unexposed_successes=unexposed,

@@ -159,8 +159,8 @@ class FollowerNetwork:
 class PartitionAssignment:
     """A two-way node assignment with its recounted cut size and balance.
 
-    An assignment read back from ``partition.csv`` or built for a synthetic
-    world has no network to count a cut on; both figures are then None.
+    An assignment read back from ``partition.csv`` has no network to count a
+    cut on; both figures are then None.
     """
 
     groups: Mapping[str, int]
@@ -491,23 +491,14 @@ def bisect_partition(
     n = len(nodes)
     if n < 2:
         raise ValueError("not bisectable")
+    if len(connected_components(net)) != 1:
+        raise ValueError("network must be connected; take largest_component first")
     index = {u: i for i, u in enumerate(nodes)}
     adj: list[dict[int, int]] = [{} for _ in range(n)]
     for a, b in net.edges:
         ia, ib = index[a], index[b]
         adj[ia][ib] = 1
         adj[ib][ia] = 1
-
-    comp = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in comp:
-                comp.add(u)
-                frontier.append(u)
-    if len(comp) != n:
-        raise ValueError("network must be connected; take largest_component first")
 
     rng = random.Random(seed)
     levels: list[tuple[list[dict[int, int]], list[int]]] = [(adj, [1] * n)]

@@ -234,49 +234,48 @@ def build_feature_matrix(
     counts: dict[str, int] = {}
     for tweet_id, _ in scorable:
         counts[authors[tweet_id]] = counts.get(authors[tweet_id], 0) + 1
-    kept_authors = tuple(sorted(a for a, c in counts.items() if c >= min_author_tweets))
-    author_pos = {a: i for i, a in enumerate(kept_authors)}
-    rows = [(t, e) for t, e in scorable if authors[t] in author_pos]
-    excluded_thin = len(scorable) - len(rows)
-
-    n = len(rows)
-    p_feat = len(feature_names)
-    p = p_feat + 2 + len(kept_authors)
-    X = np.zeros((n, p))
-    y = np.zeros(n)
-    tweet_ids = []
-    author_ids = []
-    for i, (tweet_id, est) in enumerate(rows):
+    rows = [(t, e) for t, e in scorable if counts[authors[t]] >= min_author_tweets]
+    values = []
+    for tweet_id, _ in rows:
         labels = vote.rows[tweet_id]
-        X[i, :p_feat] = [labels[j] for j in kept_idx]
-        h, m = marks.get(tweet_id, (0, 0))
-        X[i, p_feat] = h
-        X[i, p_feat + 1] = m
-        X[i, p_feat + 2 + author_pos[authors[tweet_id]]] = 1.0
-        y[i] = est.ln_r
-        tweet_ids.append(tweet_id)
-        author_ids.append(authors[tweet_id])
-
-    singles = [(j,) for j in range(p_feat + 2)]
-    author_block = tuple(range(p_feat + 2, p))
-    group_spec = tuple(singles) + ((author_block,) if kept_authors else ())
-    column_names = (
-        tuple(feature_names)
-        + ("hashtags", "mentions")
-        + tuple(f"author:{a}" for a in kept_authors)
+        values.append([labels[j] for j in kept_idx] + list(marks.get(tweet_id, (0, 0))))
+    author_ids = tuple(authors[t] for t, _ in rows)
+    X, group_spec, column_names, kept_authors = _design(
+        feature_names + ["hashtags", "mentions"], values, author_ids
     )
     return FeatureMatrix(
         group=group,
-        tweet_ids=tuple(tweet_ids),
-        author_ids=tuple(author_ids),
+        tweet_ids=tuple(t for t, _ in rows),
+        author_ids=author_ids,
         column_names=column_names,
         X=X,
-        y=y,
+        y=np.array([e.ln_r for _, e in rows], dtype=float),
         group_spec=group_spec,
         authors=kept_authors,
         excluded_zero_successes=excluded_zero,
-        excluded_thin_authors=excluded_thin,
+        excluded_thin_authors=len(scorable) - len(rows),
     )
+
+
+def _design(
+    value_columns: Sequence[str], values, author_ids: Sequence[str]
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...], tuple[str, ...]]:
+    """X, penalty groups, column names and sorted authors of one design.
+
+    Columns: the value columns, then one indicator per distinct author in
+    sorted order. Each value column is a penalty group of its own and the
+    author columns form one.
+    """
+    authors = tuple(sorted(set(author_ids)))
+    n, p_val = len(author_ids), len(value_columns)
+    author_col = {a: p_val + i for i, a in enumerate(authors)}
+    X = np.zeros((n, p_val + len(authors)))
+    X[:, :p_val] = np.array(values, dtype=float).reshape(n, p_val)
+    X[np.arange(n), [author_col[a] for a in author_ids]] = 1.0
+    groups = tuple((j,) for j in range(p_val))
+    if authors:
+        groups += (tuple(author_col.values()),)
+    return X, groups, tuple(value_columns) + tuple(f"author:{a}" for a in authors), authors
 
 
 # The leading columns of features_<group>.csv; the value columns and ln_r follow.
@@ -285,12 +284,7 @@ FEATURE_KEYS = ["tweet_id", "author_id", "group"]
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Mirror of the matrix rows for inspection."""
-    n_auth = len(matrix.authors)
-    value_cols = (
-        list(matrix.column_names[: len(matrix.column_names) - n_auth])
-        if n_auth
-        else list(matrix.column_names)
-    )
+    value_cols = list(matrix.column_names[: len(matrix.column_names) - len(matrix.authors)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_KEYS + value_cols + ["ln_r"])
@@ -303,3 +297,20 @@ def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
                 + values
                 + [f"{matrix.y[i]:.12g}"]
             )
+
+
+def read_features_csv(
+    path: str | Path,
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """X, y, penalty groups and column names of a features CSV: the value
+    columns plus author indicators rebuilt from the author_id column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
+            raise ValueError(f"unexpected header in {path}: {header}")
+        rows = list(reader)
+    X, groups, columns, _ = _design(
+        header[3:-1], [[float(v) for v in row[3:-1]] for row in rows], [row[1] for row in rows]
+    )
+    return X, np.array([float(row[-1]) for row in rows]), groups, columns

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exposure import GroupScope, build_exposure_ledger
-from .graph import FollowerNetwork, PartitionAssignment, table_id
+from .graph import FollowerNetwork, table_id
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
@@ -332,11 +332,8 @@ def write_world(
 
 
 def world_scope(world: SyntheticWorld) -> GroupScope:
-    """Every simulated user in one scoring group; sentinel keeps group 1 legal."""
-    groups = {u: 0 for u in world.users}
-    groups["__outside__"] = 1
-    assignment = PartitionAssignment(groups=groups)
-    return GroupScope(assignment, assignment.group_ids(world.follow.users), main_group=0)
+    """Every simulated user in one scoring group, group 0."""
+    return GroupScope(np.zeros(len(world.users), dtype=np.int8), main_group=0)
 
 
 def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], SyntheticWorld]:

@@ -39,22 +39,6 @@ class Boundary(enum.Enum):
     ZERO_SUCCESSES = "zero_successes"
 
 
-@dataclass(frozen=True)
-class UserActivity:
-    """Tweets plus retweets in the collection window, raw and normalized."""
-
-    raw: int
-    normalized: float
-
-    def __post_init__(self) -> None:
-        if self.raw < 0:
-            raise ValueError("raw activity must be nonnegative")
-        if not 0.0 <= self.normalized <= 1.0:
-            raise ValueError("normalized activity must lie in [0, 1]")
-        if self.normalized == 0.0 and self.raw > 0:
-            raise ValueError("normalized can be zero only for raw zero")
-
-
 VIRALITY_COLUMNS = [
     "tweet_id", "group", "successes", "failures", "exposed", "r_hat", "ln_r", "boundary"
 ]
@@ -82,35 +66,34 @@ class ScoreReport:
     missing_ledgers: int
 
 
-def compute_activities(records: Sequence[TweetRecord]) -> dict[str, UserActivity]:
-    """Per-user activity over the full record set, normalized by the max.
+def compute_activities(records: Sequence[TweetRecord]) -> dict[str, int]:
+    """Per-user activity counts over the full record set.
 
     Activities come from the pre-filter corpus: every original and retweet a
     user produced counts once. Users absent from the records simply have no
     entry and must be treated as activity zero (never a valid trial).
     """
-    raw: dict[str, int] = {}
+    counts: dict[str, int] = {}
     for rec in records:
-        raw[rec.user_id] = raw.get(rec.user_id, 0) + 1
-    return normalize_activities(raw)
+        counts[rec.user_id] = counts.get(rec.user_id, 0) + 1
+    return counts
 
 
-def normalize_activities(raw: Mapping[str, int]) -> dict[str, UserActivity]:
-    """Activities from raw per-user counts, normalized by the largest count."""
-    max_raw = max(raw.values(), default=0)
-    return {
-        u: UserActivity(raw=c, normalized=(c / max_raw if max_raw else 0.0))
-        for u, c in raw.items()
-    }
+def activity_array(
+    counts: Mapping[str, int], users: Sequence[str], raw: bool = False
+) -> np.ndarray:
+    """Alpha over a user table: each user's count, 0 for a user without one.
 
-
-def activity_values(
-    activities: Mapping[str, UserActivity], raw: bool = False
-) -> dict[str, float]:
-    """Alpha per user: normalized (default) or raw counts as floats."""
-    if raw:
-        return {u: float(a.raw) for u, a in activities.items()}
-    return {u: a.normalized for u, a in activities.items()}
+    Unless ``raw``, the counts are divided by the largest count in the whole
+    of ``counts``; float64 division is correctly rounded, as Python's is.
+    """
+    if any(c < 0 for c in counts.values()):
+        raise ValueError("raw activity must be nonnegative")
+    alpha = np.array([counts.get(u, 0) for u in users], dtype=np.float64)
+    max_raw = max(counts.values(), default=0)
+    if not raw and max_raw:
+        alpha /= max_raw
+    return alpha
 
 
 def _dlog_likelihood(r: float, n_success: int, alpha_f: np.ndarray) -> float:
@@ -128,10 +111,11 @@ def mle_virality(
 
     ``alpha`` holds each activity of the ledger's user table, 0 for a user
     with no activity; only its length is checked, so it must be built over
-    the ``users`` of the ``FollowerNetwork`` the ledger came from. Trial users with zero activity cannot occur under the
-    model and are dropped (counted in dropped_zero_activity). The bracket
-    [lo, r_max] is narrowed until its relative width falls below 1e-14 or
-    max_iter halves, comfortably inside the 1e-10 contract.
+    the ``users`` of the ``FollowerNetwork`` the ledger came from. Trial
+    users with zero activity cannot occur under the model and are dropped
+    (counted in dropped_zero_activity). The bracket [lo, r_max] is narrowed
+    until its relative width falls below 1e-14 or max_iter halves,
+    comfortably inside the 1e-10 contract.
     """
     if len(alpha) != len(ledger.users):
         raise ValueError("alpha must hold one activity per user of the ledger's table")

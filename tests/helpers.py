@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from echospread.exposure import ExposureLedger, GroupScope
+from echospread.exposure import ExposureLedger
 from echospread.graph import FollowerNetwork, _cut_weight, _gains
 from echospread.ingest import Cascade, TweetRecord
 from echospread.sim import SimCascade, SimConfig, _user_ids
@@ -38,23 +38,32 @@ def id_ledger(
     def ids(names):
         return np.array(sorted(index[u] for u in names), dtype=np.int64)
 
-    exposed = ids(set(successes) | set(failures))
     return ExposureLedger(
         tweet_id=tweet_id,
         origin_author=origin_author,
         group=group,
         users=table,
-        exposed=exposed,
         successes=ids(successes),
         failures=ids(failures),
         unexposed_successes=ids(unexposed),
-        attribution=np.full(len(exposed), -1, dtype=np.int64),
+        attribution=np.full(len(set(successes) | set(failures)), -1, dtype=np.int64),
     )
 
 
 def alpha_of(ledger, act):
     """Activities by name as the array aligned with the ledger's table."""
     return np.array([act.get(u, 0.0) for u in ledger.users], dtype=float)
+
+
+def reference_activity_values(counts: Mapping[str, int], raw: bool = False) -> dict[str, float]:
+    """Alpha per user as the pipeline once derived it from activity counts,
+    through ``normalize_activities`` and ``activity_values``: each count over
+    the largest count (default), or the raw count as a float."""
+    max_raw = max(counts.values(), default=0)
+    normalized = {u: (c / max_raw if max_raw else 0.0) for u, c in counts.items()}
+    if raw:
+        return {u: float(c) for u, c in counts.items()}
+    return normalized
 
 
 def named(ledger: ExposureLedger) -> "ReferenceLedger":
@@ -166,7 +175,8 @@ def reference_from_edges(
 def reference_build_exposure_ledger(
     cascade: Cascade,
     follow: ReferenceFollowerNetwork,
-    scope: GroupScope,
+    groups: Mapping[str, int],
+    g: int,
     include_unexposed_retweeters: bool = False,
 ) -> ReferenceLedger:
     """Single-trial exposure bookkeeping for one cascade within its main group.
@@ -178,11 +188,9 @@ def reference_build_exposure_ledger(
     success only when that event precedes their own retweet; a failure counts
     as exposed if any event in the whole cascade reaches them. Users outside
     the main group and their follow edges are disregarded, as is the origin
-    author as a trial.
+    author as a trial. ``groups`` maps users to groups; ``g`` is the main one.
     """
     author = cascade.origin.user_id
-    groups = scope.assignment.groups
-    g = scope.main_group
 
     events = list(
         dict.fromkeys(
@@ -363,18 +371,17 @@ def grid_oracle(ledger, alpha, step=1e-5, coarsen=100):
     return window[int(np.argmax(vals))] * step
 
 
-def reference_ledger(cascade, edges, scope, include_unexposed_retweeters=False):
+def reference_ledger(cascade, edges, groups, g, include_unexposed_retweeters=False):
     """The exposure ledger straight from raw (follower, followee) edges.
 
     Three loops, each following the display rules literally: the earliest
     exposing source of every main-group user (the origin author's audience
     claimed first, Rule 1), each retweeter's own followees scanned for the
     author or an earlier main-group retweeter, and the exposed users who
-    did not retweet. A self-loop carries no exposure.
+    did not retweet. A self-loop carries no exposure. ``groups`` maps users
+    to groups; ``g`` is the main one.
     """
     author = cascade.origin.user_id
-    groups = scope.assignment.groups
-    g = scope.main_group
     followees, followers = {}, {}
     for follower, followee in edges:
         if follower != followee:

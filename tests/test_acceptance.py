@@ -203,7 +203,7 @@ def scenario_ledger(follow_edges, retweets):
     groups = {u: 0 for u in users}
     groups["__other__"] = 1
     assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.0)
-    scope = GroupScope(assignment, assignment.group_ids(follow.users), 0)
+    scope = GroupScope(assignment.group_ids(follow.users), 0)
     return named(build_exposure_ledger(cascades[0], follow, scope))
 
 

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,21 @@ import pytest
 
 from echospread import cli
 from echospread.cli import (
+    EXIT_BUG,
     EXIT_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
     STAGES,
+    PipelineConfig,
+    _config_from_args,
     _exit_code_for,
+    _sim_config,
+    build_parser,
     main,
 )
 from echospread.ingest import Cascade, TweetRecord
 from echospread.lasso import ConvergenceError
+from echospread.sim import SimConfig
 from echospread.virality import score_corpus
 from helpers import id_ledger
 
@@ -55,6 +62,28 @@ ARTIFACTS = frozenset(
 )
 
 STAGE_NAMES = tuple(name for name, _ in STAGES)
+
+# sha256 of each artifact of `run` on the fixture config, manifest.json
+# without its library versions; computed before activities became one array.
+FIXTURE_DIGESTS = {
+    "activities.csv": "14cdd249ec59d7f0ecb932d7bf006395f56504e9e725bba1655452e43b178a34",
+    "cv_curve_activist.csv": "25cdf27578acea7ac61eece0fb8ccbe8b07e762ddf49b7454a87e08cb83a2a34",
+    "cv_curve_skeptic.csv": "39bd58c44080de12b4ca2b9d5f3e591381942a3d6390ec1ff7e88d14e62fd9f7",
+    "features_activist.csv": "35b5394f3478d78e801a183d7a0e3fa32cadb2599e04336b89a4b8e596994a2d",
+    "features_skeptic.csv": "38a86c58e0dbce175eed5901727933e195dc7463f02ea4481bda3c1a4141e59c",
+    "filtered.jsonl": "77deafc6732f42384bb9535cb744aa721ebf7cae73e2d2ccb61d0bba104970cc",
+    "ledgers.csv": "2073a19cde812d9b89d0667e87bb6c506bcf51e4cd5bfbf3f4ca6ac2a6293263",
+    "manifest.json": "c9bb6c6b80b8420d3a32f061758efee9385833da20327ec21c833440e3649e1c",
+    "network.dot": "0ca5952b892e3f980ff3c0e7f552b56c58879d682f1a4c68465e0f7eb30f2296",
+    "partition.csv": "bc856b0727fa0d31b06e639aa59914ca28f00b4d7124c739f9e21c12f15d8199",
+    "regress_activist.csv": "9929977072412bbab04757ac05f98927a3249dece3c13e96441085dd75a95ae6",
+    "regress_skeptic.csv": "3798827025ba98227197f0afd289804a240fc417a754d57b4ebc722f144a637c",
+    "retweet_edges.csv": "74e7158548530bc2c856b62c321ba33b1c0efc6c0ee20f91cdfb214817f7538f",
+    "spread.csv": "59c968b83f049d740663d337d1df83ea5f0be2f5aeda9dcce0a34fdea28fd5e3",
+    "virality.csv": "1c882ea3eae397f2d203058914b542082a0377ddd05558547da3e65519220d22",
+    "words_activist.csv": "517f06ae1d42b4041ef2b1fb27366d36206848e0892dc8a156223bfdad77167e",
+    "words_skeptic.csv": "f7870ecc8c14d4671fa606d14f0f5c929bddb7f75f8fbaa1abdcbdd99312acd9",
+}
 
 
 def run_cli(argv, hash_seed="1"):
@@ -112,6 +141,16 @@ class TestPipelineArtifacts:
         manifest = json.loads((baseline / "manifest.json").read_text())
         names = manifest["stages"]["partition"]["group_names"]
         assert names == {"0": "activist", "1": "skeptic"}
+
+    def test_artifacts_match_pinned_digests(self, baseline):
+        digests = {}
+        for name, data in tree_bytes(baseline).items():
+            if name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["versions"]
+                data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == FIXTURE_DIGESTS
 
 
 class TestByteDeterminism:
@@ -260,6 +299,16 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert "unexpected header" in capsys.readouterr().err
 
+    def test_negative_activity_count_exits_one(self, baseline, tmp_path, capsys):
+        out = tmp_path / "negative"
+        shutil.copytree(baseline, out)
+        rows = (out / "activities.csv").read_text().splitlines()
+        user = rows[1].split(",")[0]
+        (out / "activities.csv").write_text("\n".join(rows[:1] + [f"{user},-1"] + rows[2:]) + "\n")
+        code = main(["virality", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -366,7 +415,9 @@ class TestExitCodes:
         assert _exit_code_for(KeyError("u1")) is None
         assert _exit_code_for(IndexError("out of range")) is None
 
-    def test_stage_bug_surfaces_and_is_recorded(self, baseline, tmp_path, monkeypatch):
+    def test_stage_bug_surfaces_and_is_recorded(
+        self, baseline, tmp_path, monkeypatch, capsys
+    ):
         out = tmp_path / "bug"
         shutil.copytree(baseline, out)
 
@@ -375,18 +426,20 @@ class TestExitCodes:
 
         stages = tuple((n, broken if n == "words" else fn) for n, fn in STAGES)
         monkeypatch.setattr(cli, "STAGES", stages)
-        with pytest.raises(KeyError, match="u0042"):
-            main(["words", "--config", str(CONFIG), "--out", str(out)])
+        assert main(["words", "--config", str(CONFIG), "--out", str(out)]) == EXIT_BUG
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError: 'u0042'" in err
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert failure == {"stage": "words", "error": "'u0042'"}
 
-    def test_simulate_bug_surfaces(self, tmp_path, monkeypatch):
+    def test_simulate_bug_surfaces(self, tmp_path, monkeypatch, capsys):
         def broken(config):
             raise IndexError("index 800 is out of bounds")
 
         monkeypatch.setattr(cli, "generate_world", broken)
-        with pytest.raises(IndexError):
-            main(["simulate", "--out", str(tmp_path / "w")])
+        assert main(["simulate", "--out", str(tmp_path / "w")]) == EXIT_BUG
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "IndexError: index 800 is out of bounds" in err
 
     def test_simulate_bad_config_exits_one(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -496,3 +549,25 @@ class TestOverrides:
         assert len(rows) == 1 + 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["top_k"] == 3
+
+
+class TestDefaults:
+    """Keys a config leaves out take the dataclasses' own defaults."""
+
+    def test_run_config_without_optional_keys(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        got = _config_from_args(build_parser().parse_args(["run", "--config", str(config)]))
+        for f in fields(PipelineConfig):
+            if f.name == "declared_inputs":  # the input paths as given, not a setting
+                continue
+            if f.default_factory is not MISSING:
+                assert getattr(got, f.name) == f.default_factory(), f.name
+            elif f.default is not MISSING:
+                assert getattr(got, f.name) == f.default, f.name
+
+    def test_simulate_config_without_optional_keys(self, tmp_path):
+        config = tmp_path / "sim.json"
+        config.write_text("{}")
+        args = build_parser().parse_args(["simulate", "--config", str(config)])
+        assert _sim_config(args) == SimConfig()

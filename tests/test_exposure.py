@@ -10,12 +10,7 @@ from helpers import (
     reference_from_edges,
     reference_ledger,
 )
-from echospread.exposure import (
-    GroupScope,
-    build_exposure_ledger,
-    choose_scope,
-    main_group,
-)
+from echospread.exposure import GroupScope, build_exposure_ledger, choose_scope
 from echospread.graph import FollowerNetwork, PartitionAssignment
 from echospread.ingest import Cascade, TweetRecord
 
@@ -42,7 +37,7 @@ def scope_over(net, users, author, group=0):
 
 
 def scope_of(net, assignment, group):
-    return GroupScope(assignment, assignment.group_ids(net.users), main_group=group)
+    return GroupScope(assignment.group_ids(net.users), main_group=group)
 
 
 def follow_net(edges, cascade):
@@ -165,6 +160,13 @@ class TestMainGroup:
         groups = {u: 0 for u in zeros} | {u: 1 for u in ones}
         return PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
 
+    def scope(self, cascade, assignment):
+        net = follow_net([], cascade)
+        return choose_scope(cascade, assignment, assignment.group_ids(net.users))
+
+    def main_group(self, cascade, assignment):
+        return self.scope(cascade, assignment).main_group
+
     def test_majority_wins(self):
         retweeters = [(f"a{i}", i + 1) for i in range(12)] + [
             (f"s{i}", 20 + i) for i in range(3)
@@ -173,26 +175,24 @@ class TestMainGroup:
         assignment = self.assignment(
             [f"a{i}" for i in range(12)], [f"s{i}" for i in range(3)]
         )
-        assert main_group(cascade, assignment) == 0
+        assert self.main_group(cascade, assignment) == 0
 
     def test_tie_uses_author_group(self):
         cascade = make_cascade("o", [("a0", 1), ("a1", 2), ("s0", 3), ("s1", 4)])
         assignment = self.assignment(["a0", "a1"], ["s0", "s1", "o"])
-        assert main_group(cascade, assignment) == 1
+        assert self.main_group(cascade, assignment) == 1
 
     def test_tie_with_unclassified_author_falls_back(self):
         cascade = make_cascade("o", [("a0", 1), ("s0", 2)])
         assignment = self.assignment(["a0"], ["s0"])
-        assert main_group(cascade, assignment) == 0
-        net = follow_net([], cascade)
-        scope = choose_scope(cascade, assignment, assignment.group_ids(net.users))
+        scope = self.scope(cascade, assignment)
         assert scope.tie_fallback and scope.main_group == 0
 
     def test_no_classified_retweeters_is_unscorable(self):
         cascade = make_cascade("o", [("ghost", 1)])
         assignment = self.assignment(["a0"], ["s0"])
         with pytest.raises(ValueError, match="unscorable"):
-            main_group(cascade, assignment)
+            self.main_group(cascade, assignment)
 
 
 USERS = [f"u{i}" for i in range(7)]
@@ -266,7 +266,7 @@ class TestLedgerProperties:
         scope = scope_over(net, USERS, author)
         led = named(build_exposure_ledger(cascade, net, scope))
         for u in led.exposed:
-            assert scope.assignment.groups[u] == scope.main_group
+            assert scope.user_groups[net.users.index(u)] == scope.main_group
 
 
 MIXED = [f"m{i}" for i in range(6)]
@@ -320,7 +320,7 @@ class TestReferenceLedger:
         net = follow_net(edges, cascade)
         scope = scope_of(net, assignment, main)
         led = named(build_exposure_ledger(cascade, net, scope, include))
-        assert led == reference_ledger(cascade, edges, scope, include)
+        assert led == reference_ledger(cascade, edges, assignment.groups, main, include)
 
     @given(mixed_scenarios())
     @settings(max_examples=400)
@@ -331,7 +331,9 @@ class TestReferenceLedger:
         ref_net, _ = reference_from_edges(edges, universe)
         scope = scope_of(net, assignment, main)
         led = named(build_exposure_ledger(cascade, net, scope, include))
-        assert led == reference_build_exposure_ledger(cascade, ref_net, scope, include)
+        assert led == reference_build_exposure_ledger(
+            cascade, ref_net, assignment.groups, main, include
+        )
 
 
 class TestUserTable:
@@ -355,7 +357,9 @@ class TestUserTable:
         scope = choose_scope(cascade, assignment, assignment.group_ids(net.users))
         led = named(build_exposure_ledger(cascade, net, scope))
         ref_net, _ = reference_from_edges(edges, {"a", "b", "c", "d"})
-        assert led == reference_build_exposure_ledger(cascade, ref_net, scope)
+        assert led == reference_build_exposure_ledger(
+            cascade, ref_net, assignment.groups, scope.main_group
+        )
         assert led.successes == frozenset({"b"})
         assert led.failures == frozenset({"c"})
         assert led.unexposed_successes == frozenset({"a"})

@@ -282,7 +282,10 @@ TEXTS = [
 
 
 @st.composite
-def corpora(draw):
+def corpora(draw, wide=False):
+    """Originals and retweets of them. With ``wide``, a retweet may also be a
+    reply, carry its own text, or target a missing origin or another retweet
+    (chains, and cycles when two retweets target each other)."""
     n_orig = draw(st.integers(min_value=1, max_value=5))
     records = []
     for i in range(n_orig):
@@ -298,14 +301,17 @@ def corpora(draw):
         )
     n_rt = draw(st.integers(min_value=0, max_value=10))
     for j in range(n_rt):
-        target = draw(st.integers(min_value=0, max_value=n_orig - 1))
+        targets = [f"o{i}" for i in range(n_orig)]
+        if wide:
+            targets += ["gone"] + [f"r{k}" for k in range(n_rt) if k != j]
         records.append(
             TweetRecord(
                 tweet_id=f"r{j}",
                 user_id=draw(st.sampled_from(USERS)),
                 timestamp=draw(st.integers(min_value=0, max_value=40)),
-                text="RT: see original",
-                retweet_of=f"o{target}",
+                text=draw(st.sampled_from(TEXTS)) if wide else "RT: see original",
+                retweet_of=draw(st.sampled_from(targets)),
+                reply_to=draw(st.sampled_from([None, None, "z"])) if wide else None,
                 lang=draw(st.sampled_from(["en", "en", None])),
             )
         )
@@ -313,12 +319,12 @@ def corpora(draw):
 
 
 class TestCorpusProperties:
-    @given(corpora())
-    @settings(max_examples=150)
+    @given(corpora(wide=True))
+    @settings(max_examples=300)
     def test_filter_is_idempotent(self, records):
         topical, eligible = filter_corpus(records)
         again, eligible_again = filter_corpus(topical)
-        assert [r.tweet_id for r in again] == [r.tweet_id for r in topical]
+        assert again == topical
         assert eligible_again == eligible
 
     @given(corpora())

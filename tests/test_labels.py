@@ -13,6 +13,7 @@ from echospread.labels import (
     extract_marks,
     krippendorff_alpha,
     majority_vote,
+    read_features_csv,
     write_features_csv,
 )
 from echospread.virality import Boundary, ViralityEstimate, mle_virality
@@ -287,3 +288,18 @@ class TestFeatureMatrix:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tweet_id,author_id,group,humor,links,hashtags,mentions,ln_r"
         assert len(lines) == matrix.n + 1
+
+    @pytest.mark.parametrize("min_author_tweets", [1, 2, 3, 9])
+    def test_csv_round_trip_rebuilds_the_design(self, tmp_path, min_author_tweets):
+        vote, marks, estimates, authors, _ = self.build()
+        matrix = build_feature_matrix(
+            vote, marks, estimates, authors, group=0,
+            min_author_tweets=min_author_tweets, group_only_features={1: ("links",)},
+        )
+        out = tmp_path / "features.csv"
+        write_features_csv(matrix, out)
+        X, y, groups, columns = read_features_csv(out)
+        assert X.tobytes() == matrix.X.tobytes() and X.shape == matrix.X.shape
+        assert groups == matrix.group_spec
+        assert columns == matrix.column_names
+        np.testing.assert_array_equal(y, [float(f"{v:.12g}") for v in matrix.y])

@@ -11,6 +11,7 @@ from helpers import (
     interior_random_ledger,
     named,
     random_ledger,
+    reference_activity_values,
     reference_mle_virality,
 )
 from hypothesis import given, settings
@@ -20,8 +21,7 @@ from echospread.ingest import TweetRecord
 from echospread.virality import (
     Boundary,
     ScoreReport,
-    UserActivity,
-    activity_values,
+    activity_array,
     compute_activities,
     log_likelihood,
     mle_virality,
@@ -46,29 +46,42 @@ class TestActivities:
             TweetRecord(f"r{i}", "u", i, "rt", retweet_of="x") for i in range(3)
         ]
         acts = compute_activities(records)
-        assert acts["u"].raw == 8
+        assert acts["u"] == 8
 
     def test_normalized_by_global_max(self):
         records = [TweetRecord(f"a{i}", "heavy", i, "x") for i in range(40)]
         records += [TweetRecord(f"b{i}", "light", i, "x") for i in range(8)]
-        acts = compute_activities(records)
-        assert acts["heavy"].normalized == 1.0
-        np.testing.assert_allclose(acts["light"].normalized, 0.2)
+        alpha = activity_array(compute_activities(records), ("heavy", "light"))
+        assert alpha[0] == 1.0
+        np.testing.assert_allclose(alpha[1], 0.2)
 
     def test_absent_user_has_no_entry(self):
         acts = compute_activities([TweetRecord("t", "u", 0, "x")])
         assert "ghost" not in acts
 
     def test_raw_mode_values(self):
-        acts = {"u": UserActivity(raw=8, normalized=0.2)}
-        assert activity_values(acts)["u"] == 0.2
-        assert activity_values(acts, raw=True)["u"] == 8.0
+        acts = {"u": 8, "top": 40}
+        assert activity_array(acts, ("u",))[0] == 0.2
+        assert activity_array(acts, ("u",), raw=True)[0] == 8.0
 
     def test_activity_validation(self):
         with pytest.raises(ValueError):
-            UserActivity(raw=-1, normalized=0.0)
-        with pytest.raises(ValueError):
-            UserActivity(raw=3, normalized=0.0)
+            activity_array({"u": -1}, ("u",))
+
+    @given(
+        st.dictionaries(
+            st.sampled_from([f"u{i}" for i in range(12)]),
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=10**6)),
+        ),
+        st.lists(st.sampled_from([f"u{i}" for i in range(14)]), unique=True).map(sorted),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_array_is_bit_equal_to_reference(self, counts, users, raw):
+        """Zero counts, all-zero dicts, table users absent from the counts."""
+        ref = reference_activity_values(counts, raw=raw)
+        expected = np.array([ref.get(u, 0.0) for u in users], dtype=float)
+        assert activity_array(counts, users, raw=raw).tobytes() == expected.tobytes()
 
 
 class TestFrozenCases:
