@@ -218,9 +218,10 @@ class Workspace:
 
     Each intermediate is read from its artifact on first use and kept for
     the rest of the process, so ``run`` reads each one once and a stage
-    subcommand reads only what it needs. A stage never touches a property
-    backed by an artifact that it or a later stage writes: that file may be
-    stale until its producing stage has run.
+    subcommand reads only what it needs; ``ingest`` hands its filtered
+    records over directly, so ``run`` never parses ``filtered.jsonl``. A
+    stage never touches a property backed by an artifact that it or a later
+    stage writes: that file may be stale until its producing stage has run.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -324,6 +325,7 @@ def stage_ingest(ws: Workspace) -> dict:
     activities = compute_activities(records)
 
     write_records_jsonl(topical, config.out / "filtered.jsonl")
+    ws.filtered = topical  # what parsing the file just written returns
     with open(config.out / "activities.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "raw"])

@@ -146,17 +146,13 @@ def build_exposure_ledger(
     if len(scope.user_groups) != n:
         raise ValueError("the scope's user groups do not match the follow table")
     in_group = scope.user_groups == scope.main_group
+    index = follow.index
+    author = index.get(cascade.origin.user_id, -1)
     try:
-        author = table_id(users, cascade.origin.user_id)
-    except ValueError:
-        author = -1
-    events = list(
-        dict.fromkeys(
-            u
-            for u in (table_id(users, rt.user_id) for rt in cascade.retweets)
-            if u != author and in_group[u]
-        )
-    )
+        ids = np.array([index[rt.user_id] for rt in cascade.retweets], dtype=np.int64)
+    except KeyError as missing:
+        raise ValueError(f"user {missing.args[0]!r} is not in the user table") from None
+    events = list(dict.fromkeys(ids[(ids != author) & in_group[ids]].tolist()))
     sources = np.array([author, *events], dtype=np.int64)
 
     seen = np.zeros(n, dtype=bool)

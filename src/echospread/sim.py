@@ -10,7 +10,8 @@ exposure ledger reads: interned integers over a sorted user table, so
 integer order is string order, and a compressed sparse row (CSR) layout
 keyed by followee, built from the edge mask without a copy (see
 ``graph``). The activity array aligned with the table is derived once,
-when the world is built.
+when the world is built. A simulated cascade keeps its outcome as ids into
+the same table, and its tweet records are built only when they are read.
 
 The output bytes rest on one stream invariant: a cascade draws exactly one
 uniform per exposed user, in ascending id order, and takes each round's
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exposure import GroupScope, build_exposure_ledger
-from .graph import FollowerNetwork, table_id
+from .graph import FollowerNetwork
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
@@ -115,15 +116,71 @@ class SyntheticWorld:
         return self.follow.users
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimCascade:
+    """One simulated cascade, its users held as ids into the world's table.
+
+    ``retweeters`` are the activated users in activation order and
+    ``rounds`` the round stamp of each; ``failures`` are the exposed users
+    who did not retweet, ascending. ``successes`` and ``exposed`` are sorted
+    id arrays derived from them, and ``records``, the cascade's tweet log, is
+    built on each access, so it exists only while one use of it lasts.
+    Equality compares the arrays by value.
+    """
+
     tweet_id: str
     seed_user: str
     planted_r: float
-    records: tuple[TweetRecord, ...]
-    exposed: frozenset[str]
-    successes: frozenset[str]
-    failures: frozenset[str]
+    users: tuple[str, ...] = field(repr=False)
+    retweeters: np.ndarray
+    rounds: np.ndarray
+    failures: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimCascade):
+            return NotImplemented
+        return (
+            (self.tweet_id, self.seed_user, self.planted_r, self.users)
+            == (other.tweet_id, other.seed_user, other.planted_r, other.users)
+            and np.array_equal(self.retweeters, other.retweeters)
+            and np.array_equal(self.rounds, other.rounds)
+            and np.array_equal(self.failures, other.failures)
+        )
+
+    @property
+    def successes(self) -> np.ndarray:
+        return np.sort(self.retweeters)
+
+    @property
+    def exposed(self) -> np.ndarray:
+        """Every trial user, ascending: ``successes`` and ``failures`` merged."""
+        return np.sort(np.concatenate([self.retweeters, self.failures]))
+
+    @property
+    def records(self) -> tuple[TweetRecord, ...]:
+        """The seed's tweet, then one retweet per activation in activation
+        order, stamped with its round."""
+        tweet_id = self.tweet_id
+        text = f"RT @{self.seed_user}: climate cascade {tweet_id}"
+        origin = TweetRecord(
+            tweet_id=tweet_id,
+            user_id=self.seed_user,
+            timestamp=0,
+            text=f"climate cascade {tweet_id} #ClimateCrisis",
+            lang="en",
+        )
+        retweets = (
+            TweetRecord(
+                tweet_id=f"{tweet_id}-r{k:05d}",
+                user_id=self.users[u],
+                timestamp=t,
+                text=text,
+                retweet_of=tweet_id,
+                lang="en",
+            )
+            for k, (u, t) in enumerate(zip(self.retweeters.tolist(), self.rounds.tolist()))
+        )
+        return (origin, *retweets)
 
 
 @dataclass(frozen=True)
@@ -222,32 +279,21 @@ def simulate_cascade(
 
     Round 0 exposes the seed's followers; an activation in exposure round t
     is stamped t+1 and exposes its not-yet-exposed followers next round.
+    When no one is left to expose, the users seen less the seed and the
+    retweeters are the failures, ascending.
     """
     if r > 1.0 / float(world.alpha.max()) + 1e-12:
         raise ValueError("planted r exceeds 1/max activity")
     users = world.users
-    try:
-        seed = table_id(users, seed_user)
-    except ValueError:
-        raise ValueError(f"unknown seed user {seed_user!r}") from None
+    seed = world.follow.index.get(seed_user)
+    if seed is None:
+        raise ValueError(f"unknown seed user {seed_user!r}")
     ptr, idx = world.follow.follower_ptr, world.follow.follower_idx
     rng = np.random.default_rng([world.config.master_seed, 2, cascade_index])
-    tweet_id = f"sim{cascade_index:05d}"
     seen = np.zeros(len(users), dtype=bool)
     seen[seed] = True
-    exposed: list[int] = []
-    successes: list[int] = []
-    records = [
-        TweetRecord(
-            tweet_id=tweet_id,
-            user_id=seed_user,
-            timestamp=0,
-            text=f"climate cascade {tweet_id} #ClimateCrisis",
-            lang="en",
-        )
-    ]
+    activated: list[np.ndarray] = []
     frontier = [seed]
-    t = 0
     while frontier:
         reach = np.zeros(len(users), dtype=bool)
         reach[np.concatenate([idx[ptr[u] : ptr[u + 1]] for u in frontier])] = True
@@ -255,31 +301,19 @@ def simulate_cascade(
         newly = np.flatnonzero(reach)
         seen[newly] = True
         hits = newly[rng.random(len(newly)) < world.alpha[newly] * r]
+        activated.append(hits)
         frontier = hits.tolist()
-        for u in frontier:
-            records.append(
-                TweetRecord(
-                    tweet_id=f"{tweet_id}-r{len(successes):05d}",
-                    user_id=users[u],
-                    timestamp=t + 1,
-                    text=f"RT @{seed_user}: climate cascade {tweet_id}",
-                    retweet_of=tweet_id,
-                    lang="en",
-                )
-            )
-            successes.append(u)
-        exposed.extend(newly.tolist())
-        t += 1
-    exposed_names = frozenset(users[u] for u in exposed)
-    success_names = frozenset(users[u] for u in successes)
+    retweeters = np.concatenate(activated)
+    seen[seed] = False
+    seen[retweeters] = False
     return SimCascade(
-        tweet_id=tweet_id,
+        tweet_id=f"sim{cascade_index:05d}",
         seed_user=seed_user,
         planted_r=r,
-        records=tuple(records),
-        exposed=exposed_names,
-        successes=success_names,
-        failures=exposed_names - success_names,
+        users=users,
+        retweeters=retweeters,
+        rounds=np.repeat(np.arange(1, len(activated) + 1), [len(h) for h in activated]),
+        failures=np.flatnonzero(seen),
     )
 
 
@@ -354,7 +388,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
         exposures: list[int] = []
         unscorable = 0
         for sim in by_r[r]:
-            cascades, _ = build_cascades(list(sim.records))
+            cascades, _ = build_cascades(sim.records)
             ledger = build_exposure_ledger(cascades[0], world.follow, scope)
             exposures.append(len(ledger.exposed))
             est = mle_virality(ledger, world.alpha)

@@ -1,11 +1,13 @@
-"""Shared test utilities: id ledgers built from names and mapped back, the
-string-keyed follow graph, exposure ledger and MLE as reference copies,
-random ledgers, a reference exposure ledger, an exhaustive likelihood
-oracle, per-group references for the group-lasso prox, KKT residual and
-penalty, the linear-scan bisection steps, and the string-set simulator."""
+"""Shared test utilities: id ledgers built from names, id ledgers and
+simulated cascades mapped back to names, the string-keyed follow graph,
+exposure ledger and MLE as reference copies, random ledgers, a reference
+exposure ledger, an exhaustive likelihood oracle, per-group references for
+the group-lasso prox, KKT residual and penalty, the linear-scan bisection
+steps, and the string-set simulator."""
 
 import math
 from dataclasses import dataclass, field
+from functools import singledispatch
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,6 +68,7 @@ def reference_activity_values(counts: Mapping[str, int], raw: bool = False) -> d
     return normalized
 
 
+@singledispatch
 def named(ledger: ExposureLedger) -> "ReferenceLedger":
     """An id ledger in names: every user set, the attribution map, the flags."""
     users = ledger.users
@@ -87,6 +90,25 @@ def named(ledger: ExposureLedger) -> "ReferenceLedger":
             if s >= 0
         },
         flags=ledger.flags,
+    )
+
+
+@named.register(SimCascade)
+def _(sim: SimCascade) -> "ReferenceSimCascade":
+    """A simulated cascade in names: its derived records and its user sets."""
+    users = sim.users
+
+    def names(ids):
+        return frozenset(users[k] for k in ids.tolist())
+
+    return ReferenceSimCascade(
+        tweet_id=sim.tweet_id,
+        seed_user=sim.seed_user,
+        planted_r=sim.planted_r,
+        records=sim.records,
+        exposed=names(sim.exposed),
+        successes=names(sim.successes),
+        failures=names(sim.failures),
     )
 
 
@@ -590,6 +612,20 @@ def reference_fm_refine(
 
 
 @dataclass(frozen=True)
+class ReferenceSimCascade:
+    """A cascade as the simulator kept it before ids: records built eagerly,
+    outcomes as name sets."""
+
+    tweet_id: str
+    seed_user: str
+    planted_r: float
+    records: tuple[TweetRecord, ...]
+    exposed: frozenset[str]
+    successes: frozenset[str]
+    failures: frozenset[str]
+
+
+@dataclass(frozen=True)
 class ReferenceWorld:
     config: SimConfig
     users: tuple[str, ...]
@@ -640,7 +676,7 @@ def reference_seed_pool(world: ReferenceWorld) -> tuple[str, ...]:
 
 def reference_simulate_cascade(
     world: ReferenceWorld, seed_user: str, r: float, cascade_index: int
-) -> SimCascade:
+) -> ReferenceSimCascade:
     """One synchronous-round cascade; each exposed user draws exactly once.
 
     Round 0 exposes the seed's followers; an activation in exposure round t
@@ -692,7 +728,7 @@ def reference_simulate_cascade(
             else:
                 failures.add(u)
         t += 1
-    return SimCascade(
+    return ReferenceSimCascade(
         tweet_id=tweet_id,
         seed_user=seed_user,
         planted_r=r,

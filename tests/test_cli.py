@@ -32,7 +32,13 @@ from echospread.cli import (
 )
 from echospread.ingest import Cascade, TweetRecord
 from echospread.lasso import ConvergenceError
-from echospread.sim import SimConfig
+from echospread.sim import (
+    GraphSpec,
+    SimConfig,
+    generate_world,
+    recovery_experiment,
+    simulate_corpus,
+)
 from echospread.virality import score_corpus
 from helpers import id_ledger
 
@@ -206,6 +212,20 @@ class TestStaleIntermediates:
         assert tree_bytes(out) == tree_bytes(baseline)
 
 
+class TestParseOnce:
+    def test_run_parses_only_the_tweets_file(self, monkeypatch, tmp_path):
+        parsed = []
+        real = cli.parse_records
+
+        def counting(path):
+            parsed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(cli, "parse_records", counting)
+        assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        assert parsed == ["tweets.jsonl"]
+
+
 class TestBenchmarkSpanTargets:
     """The benchmark's traced mode wraps ``echospread`` names and the
     two-parameter ``run_stage`` from outside the package."""
@@ -237,6 +257,22 @@ class TestBenchmarkSpanTargets:
         with spans.Tracer().installed() as tracer:
             score_corpus(cascades, ledgers, np.full(3, 0.5))
         assert tracer.metrics()["virality.mle_virality.calls"] == 3
+
+    def test_recovery_hooks_read_the_simulated_cascades(self, spans):
+        """The counter hooks on the ``sim`` path read ``records`` and
+        ``exposed`` from what the wrapped functions return."""
+        config = SimConfig(
+            graph=GraphSpec(n=60, p=0.2), r_values=(0.2, 0.4), cascades_per_r=3, master_seed=1
+        )
+        sims, _ = simulate_corpus(generate_world(config))
+        with spans.Tracer().installed() as tracer:
+            recovery_experiment(config)
+        metrics = tracer.metrics()
+        for name in ("sim.simulate_cascade", "ingest.build_cascades",
+                     "exposure.build_exposure_ledger", "virality.mle_virality"):
+            assert metrics[f"{name}.calls"] == len(sims), name
+        assert metrics["sim.records"] == sum(len(sim.records) for sim in sims)
+        assert metrics["exposure.trials"] == sum(len(sim.exposed) for sim in sims)
 
 
 class TestInputValidation:
@@ -514,11 +550,22 @@ class TestSimulate:
                 },
                 "9e6357063e17377286b2dd1f26b5eae5391a01317cd2a362d4b64d146b37e254",
             ),
+            (
+                {
+                    "graph": {"kind": "directed-random", "n": 40, "p": 0.2},
+                    "r_values": [0.1, 0.3],
+                    "cascades_per_r": 3,
+                    "master_seed": 7,
+                },
+                "1128c34b3fa3e4b1b8473b80e9fb9cd8bac8c1b67a49df11fc1c171099ad8660",
+            ),
         ],
-        ids=["directed-random", "planted-two-block"],
+        ids=["directed-random", "planted-two-block", "small"],
     )
     def test_simulate_output_is_pinned(self, tmp_path, sim, digest):
-        """Digests of the string-set simulator's output, before the CSR."""
+        """Digests of the simulator's output while cascades held name sets
+        and eager records (the first two from the string-set simulator,
+        before the CSR)."""
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"sim": sim}))
         out = tmp_path / "world"

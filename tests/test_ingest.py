@@ -13,6 +13,7 @@ from echospread.ingest import (
     filter_corpus,
     parse_records,
     seed_pair_users,
+    write_records_jsonl,
 )
 
 
@@ -353,3 +354,29 @@ class TestCorpusProperties:
         for cascade in cascades:
             names = cascade.retweeters()
             assert len(names) == len(set(names))
+
+
+# Ids are prefixed so that no record can retweet itself.
+any_record = st.builds(
+    TweetRecord,
+    tweet_id=st.text().map(lambda s: "t" + s),
+    user_id=st.text(),
+    timestamp=st.integers(min_value=0, max_value=2**70),
+    text=st.text(),
+    retweet_of=st.none() | st.text().map(lambda s: "o" + s),
+    reply_to=st.none() | st.text(),
+    lang=st.none() | st.text(),
+)
+
+
+class TestRecordsRoundTrip:
+    @given(st.lists(any_record, unique_by=lambda r: r.tweet_id))
+    @settings(max_examples=150, deadline=None)
+    def test_written_records_parse_back_equal(self, tmp_path_factory, records):
+        """Writing then parsing is the identity, so ``ingest`` may hand its
+        filtered records on instead of parsing ``filtered.jsonl`` again."""
+        path = tmp_path_factory.mktemp("roundtrip") / "records.jsonl"
+        write_records_jsonl(records, path)
+        parsed, report = parse_records(path)
+        assert parsed == records
+        assert report.parsed == report.lines == len(records)

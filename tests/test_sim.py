@@ -2,6 +2,7 @@
 and bit equality with the string-set simulator in tests/helpers.py."""
 
 import csv
+import dataclasses
 import io
 import tempfile
 
@@ -186,7 +187,7 @@ class TestSimulateCascade:
     def test_zero_r_means_zero_retweets(self):
         world = generate_world(SimConfig(graph=GraphSpec(n=40, p=0.3)))
         for idx in range(5):
-            sim = simulate_cascade(world, world.users[0], 0.0, idx)
+            sim = named(simulate_cascade(world, world.users[0], 0.0, idx))
             assert sim.successes == frozenset()
             assert len(sim.records) == 1
             assert sim.failures == sim.exposed
@@ -196,7 +197,7 @@ class TestSimulateCascade:
         edges = [(f"f{i}", "hub") for i in range(k)]
         acts = {f"f{i}": 1.0 for i in range(k)} | {"hub": 1.0}
         world = hand_world(edges, acts)
-        sim = simulate_cascade(world, "hub", 1.0, 0)
+        sim = named(simulate_cascade(world, "hub", 1.0, 0))
         assert len(sim.successes) == k
         assert sim.failures == frozenset()
         assert all(r.timestamp == 1 for r in sim.records[1:])
@@ -211,13 +212,13 @@ class TestSimulateCascade:
     def test_seed_never_exposed(self):
         edges = [("b", "a"), ("a", "b")]
         world = hand_world(edges, {"a": 1.0, "b": 1.0})
-        sim = simulate_cascade(world, "a", 1.0, 0)
+        sim = named(simulate_cascade(world, "a", 1.0, 0))
         assert "a" not in sim.exposed
 
     def test_each_user_at_most_one_trial(self):
         world = generate_world(SimConfig(graph=GraphSpec(n=60, p=0.25)))
         for idx in range(8):
-            sim = simulate_cascade(world, seed_pool(world)[0], 0.6, idx)
+            sim = named(simulate_cascade(world, seed_pool(world)[0], 0.6, idx))
             assert sim.successes & sim.failures == frozenset()
             assert sim.successes | sim.failures == sim.exposed
             users = [r.user_id for r in sim.records[1:]]
@@ -240,7 +241,19 @@ class TestSimulateCascade:
         b = simulate_cascade(world, world.users[1], 0.4, 9)
         assert a == b
         c = simulate_cascade(world, world.users[1], 0.4, 10)
-        assert c.records != a.records or c.exposed != a.exposed
+        assert c.records != a.records or named(c).exposed != named(a).exposed
+
+    def test_equality_compares_arrays_by_value(self):
+        world = generate_world(SimConfig(graph=GraphSpec(n=50, p=0.2)))
+        a = simulate_cascade(world, world.users[1], 0.6, 3)
+        copy = dataclasses.replace(
+            a, retweeters=a.retweeters.copy(), rounds=a.rounds.copy(), failures=a.failures.copy()
+        )
+        assert copy.retweeters is not a.retweeters and copy == a
+        assert len(a.retweeters) > 1
+        assert dataclasses.replace(a, retweeters=a.retweeters[::-1].copy()) != a
+        assert dataclasses.replace(a, rounds=a.rounds + 1) != a
+        assert dataclasses.replace(a, failures=a.failures[:-1]) != a
 
 
 class TestSeedPool:
@@ -288,7 +301,7 @@ class TestRoundTrip:
         scope = world_scope(world)
         by_id = {c.tweet_id: c for c in cascades}
         assert set(by_id) == {s.tweet_id for s in sims}
-        for sim in sims:
+        for sim in map(named, sims):
             ledger = named(build_exposure_ledger(by_id[sim.tweet_id], follow, scope))
             assert ledger.exposed == sim.exposed
             assert ledger.successes == sim.successes
@@ -444,9 +457,27 @@ class TestStringSetOracle:
             for i, (name, u) in enumerate(zip(names, draws))
         }
         world = hand_world([(f, "hub") for f in names], acts | {"hub": 1.0}, seed=3)
-        sim = simulate_cascade(world, "hub", 1.0, 0)
+        sim = named(simulate_cascade(world, "hub", 1.0, 0))
         assert sim.successes == {name for i, name in enumerate(names) if i % 2}
         assert sim.exposed == set(names)
+
+    @pytest.mark.parametrize("master_seed", [0, 5])
+    def test_derived_records_equal_the_reference_records(self, master_seed):
+        """Multi-round cascades: the records built from ids and round stamps
+        are the records the string-set simulator builds as it goes."""
+        config = SimConfig(
+            graph=GraphSpec(n=120, p=0.05), r_values=(0.9,), master_seed=master_seed
+        )
+        world = generate_world(config)
+        edges, _ = reference_generate_network(config)
+        ref = reference_world(config, world.users, edges, world.activities)
+        rounds = set()
+        for index, seed_user in enumerate(seed_pool(world)):
+            sim = simulate_cascade(world, seed_user, 0.9, index)
+            expected = reference_simulate_cascade(ref, seed_user, 0.9, index).records
+            assert sim.records == expected
+            rounds.update(rec.timestamp for rec in expected)
+        assert len(rounds) > 2
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), users=user_names, master_seed=st.integers(0, 2**32 - 1))
@@ -463,7 +494,7 @@ class TestStringSetOracle:
             seed_user = data.draw(st.sampled_from(users))
             r = data.draw(st.floats(0.0, 1.0 / max(acts.values())))
             index = data.draw(st.integers(0, 99_999))
-            assert simulate_cascade(world, seed_user, r, index) == (
+            assert named(simulate_cascade(world, seed_user, r, index)) == (
                 reference_simulate_cascade(ref, seed_user, r, index)
             )
 
@@ -499,6 +530,6 @@ class TestStringSetOracle:
         for index in range(3):
             seed_user = data.draw(st.sampled_from(seed_pool(world)))
             r = data.draw(st.floats(0.0, r_max))
-            assert simulate_cascade(world, seed_user, r, index) == (
+            assert named(simulate_cascade(world, seed_user, r, index)) == (
                 reference_simulate_cascade(ref, seed_user, r, index)
             )
