@@ -2,8 +2,8 @@
 simulated cascades mapped back to names, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
-the group-lasso prox, KKT residual and penalty, the linear-scan bisection
-steps, and the string-set simulator."""
+the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
+solver, the linear-scan bisection steps, and the string-set simulator."""
 
 import math
 from dataclasses import dataclass, field
@@ -15,6 +15,7 @@ import numpy as np
 from echospread.exposure import ExposureLedger
 from echospread.graph import FollowerNetwork, _cut_weight, _gains
 from echospread.ingest import Cascade, TweetRecord
+from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
 from echospread.sim import SimCascade, SimConfig, _user_ids
 from echospread.virality import Boundary, ViralityEstimate, _dlog_likelihood, mle_virality
 
@@ -491,6 +492,49 @@ def reference_penalty(b, lam, garr, weights):
     """lam * sum_g w_g ||b_g||, summed group by group."""
     return lam * sum(
         w * float(np.linalg.norm(b[idx])) for idx, w in zip(garr, weights)
+    )
+
+
+def reference_solve_std(G, c, lam, layout, beta0, tol, max_iter, kkt_tol):
+    """The group-lasso solver before the Newton finish: monotone ISTA alone,
+    stopping once the objective settles and the best iterate is certified."""
+    beta = beta0.copy()
+    Gb = G @ beta
+    smooth = 0.5 * float(beta @ Gb) - float(c @ beta)
+    obj = smooth + _penalty(beta, lam, layout)
+    best_res = _kkt_residual(Gb, c, beta, lam, layout)
+    best_beta, best_obj, best_it = beta.copy(), obj, 0
+    step = 1.0
+    for it in range(1, max_iter + 1):
+        grad = Gb - c
+        while True:
+            z = _prox(beta - step * grad, layout, step * lam)
+            dz = z - beta
+            Gz = G @ z
+            smooth_z = 0.5 * float(z @ Gz) - float(c @ z)
+            quad = smooth + float(grad @ dz) + float(dz @ dz) / (2.0 * step)
+            if smooth_z <= quad + 1e-12:
+                break
+            step *= 0.5
+        new_obj = smooth_z + _penalty(z, lam, layout)
+        if new_obj > obj + 1e-9:
+            raise ConvergenceError(
+                f"objective increased at iteration {it}", z, math.inf
+            )
+        rel = (obj - new_obj) / max(1.0, abs(new_obj))
+        beta, Gb, smooth, obj = z, Gz, smooth_z, new_obj
+        step *= 1.25
+        residual = _kkt_residual(Gb, c, beta, lam, layout)
+        if residual < best_res:
+            best_res, best_beta, best_obj, best_it = residual, beta.copy(), obj, it
+        if rel < tol and best_res <= kkt_tol:
+            return best_beta, best_obj, best_it
+    if best_res <= kkt_tol:
+        return best_beta, best_obj, best_it
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations (KKT residual {best_res:.3g})",
+        best_beta,
+        best_res,
     )
 
 

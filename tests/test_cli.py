@@ -70,11 +70,13 @@ ARTIFACTS = frozenset(
 STAGE_NAMES = tuple(name for name, _ in STAGES)
 
 # sha256 of each artifact of `run` on the fixture config, manifest.json
-# without its library versions; computed before activities became one array.
+# without its library versions; computed before activities became one array,
+# except the CV curves, which moved by at most 4.8e-6 relative when the lasso
+# path solves gained the Newton finish.
 FIXTURE_DIGESTS = {
     "activities.csv": "14cdd249ec59d7f0ecb932d7bf006395f56504e9e725bba1655452e43b178a34",
-    "cv_curve_activist.csv": "25cdf27578acea7ac61eece0fb8ccbe8b07e762ddf49b7454a87e08cb83a2a34",
-    "cv_curve_skeptic.csv": "39bd58c44080de12b4ca2b9d5f3e591381942a3d6390ec1ff7e88d14e62fd9f7",
+    "cv_curve_activist.csv": "d232c4b96b6984b0f00a6fbb4672c0fdece15b77dbf54ea8f0ac85ddf9438332",
+    "cv_curve_skeptic.csv": "b726dc9e64347da9926fcb75db26602742305546f256199de892e89842f309f8",
     "features_activist.csv": "35b5394f3478d78e801a183d7a0e3fa32cadb2599e04336b89a4b8e596994a2d",
     "features_skeptic.csv": "38a86c58e0dbce175eed5901727933e195dc7463f02ea4481bda3c1a4141e59c",
     "filtered.jsonl": "77deafc6732f42384bb9535cb744aa721ebf7cae73e2d2ccb61d0bba104970cc",
@@ -90,6 +92,10 @@ FIXTURE_DIGESTS = {
     "words_activist.csv": "517f06ae1d42b4041ef2b1fb27366d36206848e0892dc8a156223bfdad77167e",
     "words_skeptic.csv": "f7870ecc8c14d4671fa606d14f0f5c929bddb7f75f8fbaa1abdcbdd99312acd9",
 }
+
+# The CV-selected penalty of each group on the fixture config; the lasso's
+# Newton finish left both as the ISTA-only path solves chose them.
+FIXTURE_LAMBDAS = {"activist": "0x1.e456a87767303p-4", "skeptic": "0x1.6aac720124ce5p-4"}
 
 
 def run_cli(argv, hash_seed="1"):
@@ -157,6 +163,10 @@ class TestPipelineArtifacts:
                 data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
             digests[name] = hashlib.sha256(data).hexdigest()
         assert digests == FIXTURE_DIGESTS
+
+    def test_selected_lambdas_pinned(self, baseline):
+        regress = json.loads((baseline / "manifest.json").read_text())["stages"]["regress"]
+        assert {g: regress[g]["lambda"].hex() for g in FIXTURE_LAMBDAS} == FIXTURE_LAMBDAS
 
 
 class TestByteDeterminism:

@@ -1,14 +1,17 @@
-"""Group-lasso solver tests against closed-form and least-squares oracles,
-and the vectorized group operations against their per-group references."""
+"""Group-lasso solver tests against closed-form and least-squares oracles and
+the ISTA-only reference solver, and the vectorized group operations against
+their per-group references."""
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echospread import lasso
 from echospread.lasso import (
     ConvergenceError,
     LassoConfig,
@@ -24,8 +27,13 @@ from echospread.lasso import (
     write_cv_curve_csv,
     write_regress_csv,
 )
-from echospread.lasso import _check_groups, _kkt_residual, _penalty, _prox
-from helpers import reference_kkt_residual, reference_penalty, reference_prox
+from echospread.lasso import _check_groups, _kkt_residual, _penalty, _prox, _solve_std
+from helpers import (
+    reference_kkt_residual,
+    reference_penalty,
+    reference_prox,
+    reference_solve_std,
+)
 
 
 def random_problem(seed, n=60, p=8, noise=0.5):
@@ -172,6 +180,138 @@ class TestKktCertificates:
             for f in (0.01, 0.1, 0.3, 0.6, 1.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(objs, objs[1:]))
+
+
+@st.composite
+def small_problems(draw):
+    """A small regression with singletons and blocks, full rank or with a
+    null direction: a duplicated column, an anti-collinear pair, or a full
+    block of indicators, which sum to the intercept."""
+    kind = draw(st.sampled_from(("full", "duplicate", "anticollinear", "indicators")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(15, 40))
+    p = draw(st.integers(2, 5))
+    X = rng.normal(size=(n, p))
+    groups = [(0, 1)] if draw(st.booleans()) else [(0,), (1,)]
+    groups += [(j,) for j in range(2, p)]
+    if kind == "duplicate":
+        X = np.column_stack([X, X[:, 0]])
+        groups.append((p,))
+    elif kind == "anticollinear":
+        X = np.column_stack([X, -X[:, p - 1]])
+        groups.append((p,))
+    elif kind == "indicators":
+        k = draw(st.integers(2, 4))
+        X = np.column_stack([X, np.eye(k)[np.arange(n) % k]])
+        groups.append(tuple(range(p, p + k)))
+    beta = rng.normal(size=X.shape[1]) * (rng.random(X.shape[1]) < 0.6)
+    y = 1.0 + X @ beta + 0.5 * rng.normal(size=n)
+    return X, y, tuple(groups), draw(st.booleans())
+
+
+def with_reference_solver():
+    return mock.patch.object(lasso, "_solve_std", reference_solve_std)
+
+
+class TestAgainstIstaReference:
+    """The Newton finish must land where ISTA alone did: the same fitted
+    values (the coefficients need not be unique on a rank-deficient design),
+    no worse an objective, a certified residual and the same CV choice.
+    Where ISTA alone runs out of iterations there is nothing to compare, and
+    the finished solve must still certify."""
+
+    @given(small_problems(), st.sampled_from((0.6, 0.2, 0.03, 0.002)))
+    @settings(max_examples=80, deadline=None)
+    def test_fit_matches_reference(self, problem, lam_frac):
+        X, y, groups, standardize = problem
+        cfg = LassoConfig(standardize=standardize)
+        lam = lam_frac * lambda_max(X, y, groups, standardize)
+        fit = fit_group_lasso(X, y, groups, lam, cfg)
+        assert kkt_residual_from_fit(X, y, groups, fit) <= cfg.kkt_tol
+        try:
+            with with_reference_solver():
+                ref = fit_group_lasso(X, y, groups, lam, cfg)
+        except ConvergenceError:
+            return
+        np.testing.assert_allclose(
+            fit.intercept + X @ fit.beta, ref.intercept + X @ ref.beta, rtol=0, atol=1e-6
+        )
+        assert fit.objective <= ref.objective + 1e-9
+
+    @given(small_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_cv_selects_reference_lambda(self, problem):
+        """The same lambda, unless two grid points tie on the reference's own
+        curve closer than its path solves (KKT 1e-6) can tell apart: one of
+        500 drawn problems had such a tie, 6.3e-8 relative."""
+        X, y, groups, standardize = problem
+        cfg = LassoConfig(lambda_grid=12, folds=3, standardize=standardize)
+        lam, _ = cv_select_lambda(X, y, groups, cfg)
+        try:
+            with with_reference_solver():
+                ref_lam, ref_curve = cv_select_lambda(X, y, groups, cfg)
+        except ConvergenceError:
+            return
+        ref_err = dict(ref_curve)
+        assert lam == ref_lam or ref_err[lam] <= ref_err[ref_lam] * (1 + 1e-5)
+
+
+class TestNewtonFallback:
+    """A rejected Newton candidate leaves ISTA running to a certified answer.
+
+    With G = [[1, .9], [.9, 1]], c = (1, .5) and lam = .1 the optimum has
+    both coefficients active with signs (+, -). From (1, 1) the first iterate
+    has signs (+, +), on which Newton flips the second sign; from (0, 1) it
+    has support {1} only, whose stationary point (0, .4) violates the first
+    coordinate's optimality condition."""
+
+    G = np.array([[1.0, 0.9], [0.9, 1.0]])
+    c = np.array([1.0, 0.5])
+    lam = 0.1
+
+    @pytest.mark.parametrize("beta0, first", [((1.0, 1.0), None), ((0.0, 1.0), (0.0, 0.4))])
+    def test_rejected_candidate_falls_back_to_ista(self, beta0, first):
+        layout = _check_groups(((0,), (1,)), 2)
+        newton_finish = lasso._newton_finish
+        seen = []
+
+        def spy(*args):
+            seen.append(newton_finish(*args))
+            return seen[-1]
+
+        # tol=1 lets every new support reach the Newton finish.
+        with mock.patch.object(lasso, "_newton_finish", spy):
+            beta, _, n_iter = _solve_std(
+                self.G, self.c, self.lam, layout, np.array(beta0), 1.0, 100, 1e-10
+            )
+        if first is None:
+            assert seen[0] is None
+        else:
+            np.testing.assert_allclose(seen[0], first, atol=1e-9)
+        assert len(seen) >= 2 and n_iter >= 2
+        exact = np.linalg.solve(self.G, self.c - self.lam * np.array([1.0, -1.0]))
+        np.testing.assert_allclose(beta, exact, rtol=1e-9)
+        assert _kkt_residual(self.G @ beta, self.c, beta, self.lam, layout) <= 1e-10
+
+    def test_certified_candidate_above_the_iterate_is_rejected(self):
+        """A candidate within kkt_tol whose objective is above the current
+        iterate's is refused, so the objective stays non-increasing: on
+        G = diag(3, 3e-4) with optimum (1, 1), the first iterate is off by
+        2.5e-3 along the steep axis (residual 7.5e-3, objective 9.4e-6 above
+        the optimum), and (1, 4) is off by 3 along the flat one (residual
+        9e-4, objective 1.35e-3 above)."""
+        G = np.diag([3.0, 3e-4])
+        c = G @ np.ones(2) + self.lam
+        layout = _check_groups(((0,), (1,)), 2)
+        bad = np.array([1.0, 4.0])
+        bad_obj = 0.5 * bad @ G @ bad - c @ bad + _penalty(bad, self.lam, layout)
+        assert _kkt_residual(G @ bad, c, bad, self.lam, layout) <= 1e-3
+        with mock.patch.object(lasso, "_newton_finish", lambda *args: bad.copy()):
+            beta, obj, n_iter = _solve_std(
+                G, c, self.lam, layout, np.array([1.01, 1.0]), 1.0, 100, 1e-3
+            )
+        assert n_iter >= 2 and obj < bad_obj
+        assert _kkt_residual(G @ beta, c, beta, self.lam, layout) <= 1e-3
 
 
 class TestInvariances:
@@ -431,21 +571,21 @@ def fit_fingerprint(seed, n, groups, standardize, binary):
             kkt_residual_from_fit(X, y, groups, fit).hex(), digest)
 
 
-# Computed by the per-group loop solver that the layout replaced, with
-# numpy 2.4 on x86-64; another BLAS may round the Gram products differently.
+# Computed by the solver with its Newton finish, with numpy 2.4 on x86-64;
+# another BLAS may round the Gram products differently.
 PINNED_FITS = (
     ((31, 40, ((0, 1, 2), (3,), (4,), (5, 6)), True, False),
-     ('0x1.4f1ea9a22437cp-4', '0x1.15da1a51f9987p-5', '0x1.dd3e45edc65f0p-2', 17,
-      '0x1.94b4764400000p-24', 'eec16c33b6fd24d1')),
+     ('0x1.4f1ea9a22437cp-4', '0x1.15da29001d992p-5', '0x1.dd3e45edc64e0p-2', 8,
+      '0x1.c000000000000p-52', '5210d60f5faceb91')),
     ((32, 60, ((0,), (1, 2), (3,), (4, 5, 6), (7,)), True, True),
-     ('0x1.98e051757a1cap-8', '-0x1.0c9108472d560p-3', '0x1.622e9a7c455f8p-4', 41,
-      '0x1.266b950e88764p-24', 'd6ae480567ad76bb')),
+     ('0x1.98e051757a1cap-8', '-0x1.0c911332c6400p-3', '0x1.622e9a7c45560p-4', 9,
+      '0x1.4334f6818ea9fp-51', '09fbeee5a7f0e077')),
     ((33, 30, ((1, 3), (0,), (2,), (4,)), False, False),
-     ('0x1.07db5c8af5500p-4', '0x1.66690de7aeb76p-7', '0x1.5f1e696960aa8p-2', 19,
-      '0x1.6f12e13ed7e34p-24', '376724a0f018dcab')),
+     ('0x1.07db5c8af5500p-4', '0x1.666906e4edf06p-7', '0x1.5f1e696960990p-2', 9,
+      '0x1.799d123530b59p-53', '23ab6dc6cb53e5ea')),
     ((34, 50, ((0,), (1,), (2,), (3, 4, 5, 6, 7, 8)), True, True),
-     ('0x1.e2194e0294be3p-14', '-0x1.ca0c24bf1a09ap-3', '0x1.d0542904df2f0p-4', 27,
-      '0x1.3c210f8d8aa32p-24', 'a88636bf6ad98a75')),
+     ('0x1.e2194e0294be3p-14', '-0x1.ca0c29ad72518p-3', '0x1.d0542904df240p-4', 8,
+      '0x1.d074000000000p-52', 'aad0bfbcbd3e8e9d')),
 )
 
 
