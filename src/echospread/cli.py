@@ -167,7 +167,6 @@ def load_manifest(out: Path) -> dict:
 
 
 def write_manifest(out: Path, manifest: dict) -> None:
-    manifest.setdefault("versions", {})
     manifest["versions"] = {
         "echospread": __version__,
         "numpy": np.__version__,
@@ -261,7 +260,7 @@ class Workspace:
             self.config.out / "retweet_edges.csv",
             "intermediate retweet_edges.csv (run network)",
         )
-        edges = tuple((a, b) for a, b in _read_rows(path, ["a", "b"]))
+        edges = frozenset((a, b) for a, b in _read_rows(path, ["a", "b"]))
         return RetweetNetwork(nodes=frozenset(u for e in edges for u in e), edges=edges)
 
     @cached_property
@@ -270,8 +269,11 @@ class Workspace:
         path = _require(
             self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
         )
-        groups = {user: int(g) for user, g in _read_rows(path, ["user", "group"])}
-        return PartitionAssignment(groups=groups)
+        rows = _read_rows(path, ["user", "group"])
+        try:
+            return PartitionAssignment(groups={user: int(g) for user, g in rows})
+        except ValueError as error:
+            raise ValueError(f"bad partition in {path}: {error}") from error
 
     @cached_property
     def hoax_users(self) -> set[str]:
@@ -321,7 +323,7 @@ def name_groups(hoax_users: set[str], assignment: PartitionAssignment) -> dict[i
 def stage_ingest(ws: Workspace) -> dict:
     config = ws.config
     records, parse_report = parse_records(_require(config.tweets, "tweets file"))
-    topical, eligible = filter_corpus(records)
+    topical = filter_corpus(records)
     activities = compute_activities(records)
 
     write_records_jsonl(topical, config.out / "filtered.jsonl")
@@ -337,7 +339,7 @@ def stage_ingest(ws: Workspace) -> dict:
         "malformed": parse_report.malformed,
         "duplicates": parse_report.duplicates,
         "topical": len(topical),
-        "eligible_users": len(eligible),
+        "eligible_users": len(set().union(*ws.pair_users.values())),
     }
 
 

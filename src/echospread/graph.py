@@ -173,6 +173,9 @@ class PartitionAssignment:
     balance: float | None = None
 
     def __post_init__(self) -> None:
+        for user, g in self.groups.items():
+            if g not in (0, 1):
+                raise ValueError(f"group of {user} is {g}, not 0 or 1")
         sizes = self.group_sizes()
         if sizes[0] == 0 or sizes[1] == 0:
             raise ValueError("both groups must be nonempty")

@@ -7,6 +7,13 @@ Input is a JSONL file with one record per (re)tweet:
 
 A cascade is one original tweet plus the time-ordered retweet events that
 reference it.
+
+One chain rule serves filtering, the seed hashtag pairs and cascades: the
+root of a record is the last record on its ``retweet_of`` chain that is in
+the corpus (the record itself for an original or for a retweet of an absent
+tweet), and a record whose chain runs into a cycle has no root. A retweet
+carries its root's content, so it is topical, matches a seed pair and joins
+a cascade through its root; a record without a root does none of these.
 """
 
 from __future__ import annotations
@@ -33,6 +40,14 @@ class TweetRecord:
     lang: str | None = None
 
     def __post_init__(self) -> None:
+        for value in (self.tweet_id, self.user_id, self.text):
+            if not isinstance(value, str):
+                raise ValueError("tweet_id, user_id and text must be strings")
+        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
+            raise ValueError("timestamp must be an integer")
+        for value in (self.retweet_of, self.reply_to, self.lang):
+            if value is not None and not isinstance(value, str):
+                raise ValueError("retweet_of, reply_to and lang must be strings or null")
         if not self.tweet_id:
             raise ValueError("tweet_id must be nonempty")
         if self.retweet_of is not None and self.retweet_of == self.tweet_id:
@@ -111,30 +126,20 @@ _OPTIONAL = ("retweet_of", "reply_to", "lang")
 
 
 def _record_from_obj(obj: object) -> TweetRecord:
+    """A record from a JSON object; ``TweetRecord`` checks the field types."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     for key in _REQUIRED:
         if key not in obj:
             raise ValueError(f"missing field {key}")
-    if not isinstance(obj["tweet_id"], str) or not isinstance(obj["user_id"], str):
-        raise ValueError("ids must be strings")
-    ts = obj["timestamp"]
-    if isinstance(ts, bool) or not isinstance(ts, int):
-        raise ValueError("timestamp must be an integer")
-    if not isinstance(obj["text"], str):
-        raise ValueError("text must be a string")
-    extras = {}
-    for key in _OPTIONAL:
-        val = obj.get(key)
-        if val is not None and not isinstance(val, str):
-            raise ValueError(f"{key} must be a string or null")
-        extras[key] = val
     return TweetRecord(
         tweet_id=obj["tweet_id"],
         user_id=obj["user_id"],
-        timestamp=ts,
+        timestamp=obj["timestamp"],
         text=obj["text"],
-        **extras,
+        retweet_of=obj.get("retweet_of"),
+        reply_to=obj.get("reply_to"),
+        lang=obj.get("lang"),
     )
 
 
@@ -182,108 +187,94 @@ def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
     return by_id
 
 
+def _chain_roots(
+    by_id: Mapping[str, TweetRecord], exclude_replies: bool = False
+) -> dict[str, TweetRecord | None]:
+    """The root of every record in ``by_id``, keyed by tweet id: the last
+    record on its ``retweet_of`` chain that is in ``by_id``. None when the
+    chain runs into a cycle or, with ``exclude_replies``, holds a reply.
+
+    Each walk stops at the first record already resolved and then resolves
+    every record it passed, so the cost is linear in the corpus even on long
+    retweet-of-retweet chains.
+    """
+    roots: dict[str, TweetRecord | None] = {}
+    for rec in by_id.values():
+        chain: list[str] = []
+        cur = rec
+        root = None
+        # A record on the current walk maps to None until the walk ends, so
+        # meeting it again reads as the cycle it is.
+        while cur.tweet_id not in roots:
+            roots[cur.tweet_id] = None
+            chain.append(cur.tweet_id)
+            if exclude_replies and cur.reply_to is not None:
+                break
+            parent = by_id.get(cur.retweet_of) if cur.retweet_of is not None else None
+            if parent is None:
+                root = cur
+                break
+            cur = parent
+        else:
+            root = roots[cur.tweet_id]
+        for tweet_id in chain:
+            roots[tweet_id] = root
+    return roots
+
+
 def seed_pair_users(
     records: Iterable[TweetRecord], pairs: Sequence[tuple[str, str]]
 ) -> dict[tuple[str, str], set[str]]:
     """Users who posted or retweeted a record matching each seed pair.
 
-    For retweets the origin's text is checked when the origin record is in
-    the corpus, since the retweet shares the origin's content.
+    A record matches through its chain root's text, since a retweet shares
+    its origin's content; a record without a root matches nothing.
     """
     by_id = _first_by_id(records)
     matches: dict[tuple[str, str], set[str]] = {
         (a.lower(), b.lower()): set() for a, b in pairs
     }
+    roots = _chain_roots(by_id)
+    matched: dict[str, list[set[str]]] = {}
     for rec in by_id.values():
-        cur = rec
-        hops: set[str] = set()
-        while (
-            cur.retweet_of is not None
-            and cur.retweet_of in by_id
-            and cur.tweet_id not in hops
-        ):
-            hops.add(cur.tweet_id)
-            cur = by_id[cur.retweet_of]
-        lowered = cur.text.lower()
-        for tag in HASHTAG_RE.findall(lowered):
-            for base, qualifier in matches:
-                if base in tag and qualifier in tag:
-                    matches[(base, qualifier)].add(rec.user_id)
+        root = roots[rec.tweet_id]
+        if root is None:
+            continue
+        hits = matched.get(root.tweet_id)
+        if hits is None:
+            tags = HASHTAG_RE.findall(root.text.lower())
+            hits = matched[root.tweet_id] = [
+                users
+                for (base, qualifier), users in matches.items()
+                if any(base in tag and qualifier in tag for tag in tags)
+            ]
+        for users in hits:
+            users.add(rec.user_id)
     return matches
 
 
 def filter_corpus(
     records: Sequence[TweetRecord], corpus_filter: CorpusFilter | None = None
-) -> tuple[list[TweetRecord], set[str]]:
-    """Keep topical records and collect the eligible user set.
+) -> list[TweetRecord]:
+    """The topical records, first occurrence of each tweet id, in input order.
 
-    A record is topical when it is not a reply (if replies are excluded),
-    its language is allowed, and its content text contains the filter
-    substring case-insensitively. A retweet whose origin record is present
-    in the input is retained exactly when the origin is retained, since it
-    carries the origin's content; with the origin absent the retweet's own
-    fields are tested. Eligible users are collected from the topical
-    records. Both rules make filtering idempotent.
+    A record is topical when its chain has a root and, if replies are
+    excluded, no reply, and the root's language is allowed and its text
+    contains the filter substring case-insensitively. So a retweet whose
+    origin is present is kept exactly when the origin is, and one whose
+    origin is absent is tested on its own fields. Filtering is idempotent.
     """
     f = corpus_filter if corpus_filter is not None else CorpusFilter()
     by_id = _first_by_id(records)
     needle = f.substring.lower()
-
-    def own_pass(rec: TweetRecord) -> bool:
-        if f.lang_allow and (rec.lang is None or rec.lang not in f.lang_allow):
-            return False
-        return needle in rec.text.lower()
-
-    status: dict[str, bool] = {}
-
-    def retained(rec: TweetRecord) -> bool:
-        chain: list[TweetRecord] = []
-        on_chain: set[str] = set()
-        cur = rec
-        while True:
-            if cur.tweet_id in status:
-                verdict = status[cur.tweet_id]
-                break
-            if cur.tweet_id in on_chain:
-                verdict = False
-                break
-            chain.append(cur)
-            on_chain.add(cur.tweet_id)
-            if f.exclude_replies and cur.reply_to is not None:
-                verdict = False
-                break
-            parent = by_id.get(cur.retweet_of) if cur.retweet_of is not None else None
-            if parent is None:
-                verdict = own_pass(cur)
-                break
-            cur = parent
-        for link in chain:
-            status[link.tweet_id] = verdict
-        return verdict
-
-    topical = [rec for rec in by_id.values() if retained(rec)]
-
-    pair_users = seed_pair_users(topical, f.seed_hashtag_pairs)
-    eligible: set[str] = set()
-    for users in pair_users.values():
-        eligible |= users
-    return topical, eligible
-
-
-def _resolve_origin(
-    record: TweetRecord, by_id: Mapping[str, TweetRecord]
-) -> str | None:
-    """Follow a retweet_of chain to the ultimate origin id; None on a cycle."""
-    seen = {record.tweet_id}
-    target = record.retweet_of
-    while target in by_id and by_id[target].retweet_of is not None:
-        if target in seen:
-            return None
-        seen.add(target)
-        target = by_id[target].retweet_of
-    if target in seen:
-        return None
-    return target
+    roots = _chain_roots(by_id, f.exclude_replies)
+    return [
+        rec
+        for rec in by_id.values()
+        if (root := roots[rec.tweet_id]) is not None
+        and (not f.lang_allow or root.lang in f.lang_allow)
+        and needle in root.text.lower()
+    ]
 
 
 def build_cascades(
@@ -291,21 +282,24 @@ def build_cascades(
 ) -> tuple[list[Cascade], CascadeReport]:
     """Assemble one cascade per origin tweet from filtered records.
 
-    Retweet chains are resolved to their ultimate origin; unresolvable
-    cycles are dropped and counted. Repeated retweets by one user collapse
-    to the earliest event. Retweets whose origin record is absent get a
-    synthesized stub origin and the cascade is flagged.
+    A retweet joins the cascade of its chain root, or of the absent tweet
+    that root retweets; a retweet without a root (a cycle) is dropped and
+    counted. Repeated retweets by one user collapse to the earliest event.
+    Retweets whose origin record is absent get a synthesized stub origin and
+    the cascade is flagged.
     """
     report = CascadeReport()
     by_id = _first_by_id(records)
+    roots = _chain_roots(by_id)
     grouped: dict[str, list[TweetRecord]] = {}
     for rec in by_id.values():
         if rec.retweet_of is None:
             continue
-        origin_id = _resolve_origin(rec, by_id)
-        if origin_id is None:
+        root = roots[rec.tweet_id]
+        if root is None:
             report.dropped_cycles += 1
             continue
+        origin_id = root.tweet_id if root.retweet_of is None else root.retweet_of
         grouped.setdefault(origin_id, []).append(rec)
 
     def collapse(events: list[TweetRecord]) -> tuple[TweetRecord, ...]:
@@ -315,7 +309,7 @@ def build_cascades(
                 best[ev.user_id] = ev
             else:
                 report.collapsed_duplicates += 1
-        return tuple(sorted(best.values(), key=lambda r: (r.timestamp, r.tweet_id)))
+        return tuple(best.values())
 
     cascades: list[Cascade] = []
     for rec in by_id.values():

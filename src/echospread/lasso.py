@@ -379,7 +379,6 @@ def fit_group_lasso(
     groups: Groups,
     lam: float,
     config: LassoConfig | None = None,
-    warm_start: np.ndarray | None = None,
 ) -> LassoFit:
     """Fit at one penalty level; coefficients returned on the original scale.
 
@@ -408,13 +407,8 @@ def fit_group_lasso(
         objective = 0.0
         n_iter = 0
     else:
-        beta0 = (
-            np.asarray(warm_start, dtype=float).copy()
-            if warm_start is not None
-            else np.zeros(p)
-        )
         beta_std, objective, n_iter = _solve_std(
-            cen.G, cen.c, lam, layout, beta0, cfg.tol, cfg.max_iter, cfg.kkt_tol
+            cen.G, cen.c, lam, layout, np.zeros(p), cfg.tol, cfg.max_iter, cfg.kkt_tol
         )
 
     beta = beta_std / cen.sd

@@ -3,18 +3,29 @@ simulated cascades mapped back to names, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
 the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
-solver, the linear-scan bisection steps, and the string-set simulator."""
+solver, the linear-scan bisection steps, the string-set simulator, and
+ingest's record builder, filter, seed-pair scan and cascade builder as they
+were before they shared one chain walk."""
 
 import math
 from dataclasses import dataclass, field
 from functools import singledispatch
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from echospread.exposure import ExposureLedger
 from echospread.graph import FollowerNetwork, _cut_weight, _gains
-from echospread.ingest import Cascade, TweetRecord
+from echospread.ingest import (
+    _OPTIONAL,
+    _REQUIRED,
+    HASHTAG_RE,
+    Cascade,
+    CascadeReport,
+    CorpusFilter,
+    TweetRecord,
+    _first_by_id,
+)
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
 from echospread.sim import SimCascade, SimConfig, _user_ids
 from echospread.virality import Boundary, ViralityEstimate, _dlog_likelihood, mle_virality
@@ -781,3 +792,200 @@ def reference_simulate_cascade(
         successes=frozenset(successes),
         failures=frozenset(failures),
     )
+
+
+# Ingest as it was before one memoized chain walk served filtering, seed
+# pairs and cascades: three walks, of which the seed-pair hop loop matched a
+# record on a cycle against the cycle member it revisited first; and the
+# record builder that checked every field itself.
+
+
+def reference_record_from_obj(obj: object) -> TweetRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    for key in _REQUIRED:
+        if key not in obj:
+            raise ValueError(f"missing field {key}")
+    if not isinstance(obj["tweet_id"], str) or not isinstance(obj["user_id"], str):
+        raise ValueError("ids must be strings")
+    ts = obj["timestamp"]
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise ValueError("timestamp must be an integer")
+    if not isinstance(obj["text"], str):
+        raise ValueError("text must be a string")
+    extras = {}
+    for key in _OPTIONAL:
+        val = obj.get(key)
+        if val is not None and not isinstance(val, str):
+            raise ValueError(f"{key} must be a string or null")
+        extras[key] = val
+    return TweetRecord(
+        tweet_id=obj["tweet_id"],
+        user_id=obj["user_id"],
+        timestamp=ts,
+        text=obj["text"],
+        **extras,
+    )
+
+
+def reference_seed_pair_users(
+    records: Iterable[TweetRecord], pairs: Sequence[tuple[str, str]]
+) -> dict[tuple[str, str], set[str]]:
+    """Users who posted or retweeted a record matching each seed pair.
+
+    For retweets the origin's text is checked when the origin record is in
+    the corpus, since the retweet shares the origin's content.
+    """
+    by_id = _first_by_id(records)
+    matches: dict[tuple[str, str], set[str]] = {
+        (a.lower(), b.lower()): set() for a, b in pairs
+    }
+    for rec in by_id.values():
+        cur = rec
+        hops: set[str] = set()
+        while (
+            cur.retweet_of is not None
+            and cur.retweet_of in by_id
+            and cur.tweet_id not in hops
+        ):
+            hops.add(cur.tweet_id)
+            cur = by_id[cur.retweet_of]
+        lowered = cur.text.lower()
+        for tag in HASHTAG_RE.findall(lowered):
+            for base, qualifier in matches:
+                if base in tag and qualifier in tag:
+                    matches[(base, qualifier)].add(rec.user_id)
+    return matches
+
+
+def reference_filter_corpus(
+    records: Sequence[TweetRecord], corpus_filter: CorpusFilter | None = None
+) -> tuple[list[TweetRecord], set[str]]:
+    """Keep topical records and collect the eligible user set.
+
+    A record is topical when it is not a reply (if replies are excluded),
+    its language is allowed, and its content text contains the filter
+    substring case-insensitively. A retweet whose origin record is present
+    in the input is retained exactly when the origin is retained, since it
+    carries the origin's content; with the origin absent the retweet's own
+    fields are tested. Eligible users are collected from the topical
+    records. Both rules make filtering idempotent.
+    """
+    f = corpus_filter if corpus_filter is not None else CorpusFilter()
+    by_id = _first_by_id(records)
+    needle = f.substring.lower()
+
+    def own_pass(rec: TweetRecord) -> bool:
+        if f.lang_allow and (rec.lang is None or rec.lang not in f.lang_allow):
+            return False
+        return needle in rec.text.lower()
+
+    status: dict[str, bool] = {}
+
+    def retained(rec: TweetRecord) -> bool:
+        chain: list[TweetRecord] = []
+        on_chain: set[str] = set()
+        cur = rec
+        while True:
+            if cur.tweet_id in status:
+                verdict = status[cur.tweet_id]
+                break
+            if cur.tweet_id in on_chain:
+                verdict = False
+                break
+            chain.append(cur)
+            on_chain.add(cur.tweet_id)
+            if f.exclude_replies and cur.reply_to is not None:
+                verdict = False
+                break
+            parent = by_id.get(cur.retweet_of) if cur.retweet_of is not None else None
+            if parent is None:
+                verdict = own_pass(cur)
+                break
+            cur = parent
+        for link in chain:
+            status[link.tweet_id] = verdict
+        return verdict
+
+    topical = [rec for rec in by_id.values() if retained(rec)]
+
+    pair_users = reference_seed_pair_users(topical, f.seed_hashtag_pairs)
+    eligible: set[str] = set()
+    for users in pair_users.values():
+        eligible |= users
+    return topical, eligible
+
+
+def reference_resolve_origin(
+    record: TweetRecord, by_id: Mapping[str, TweetRecord]
+) -> str | None:
+    """Follow a retweet_of chain to the ultimate origin id; None on a cycle."""
+    seen = {record.tweet_id}
+    target = record.retweet_of
+    while target in by_id and by_id[target].retweet_of is not None:
+        if target in seen:
+            return None
+        seen.add(target)
+        target = by_id[target].retweet_of
+    if target in seen:
+        return None
+    return target
+
+
+def reference_build_cascades(
+    records: Sequence[TweetRecord],
+) -> tuple[list[Cascade], CascadeReport]:
+    """Assemble one cascade per origin tweet from filtered records.
+
+    Retweet chains are resolved to their ultimate origin; unresolvable
+    cycles are dropped and counted. Repeated retweets by one user collapse
+    to the earliest event. Retweets whose origin record is absent get a
+    synthesized stub origin and the cascade is flagged.
+    """
+    report = CascadeReport()
+    by_id = _first_by_id(records)
+    grouped: dict[str, list[TweetRecord]] = {}
+    for rec in by_id.values():
+        if rec.retweet_of is None:
+            continue
+        origin_id = reference_resolve_origin(rec, by_id)
+        if origin_id is None:
+            report.dropped_cycles += 1
+            continue
+        grouped.setdefault(origin_id, []).append(rec)
+
+    def collapse(events: list[TweetRecord]) -> tuple[TweetRecord, ...]:
+        best: dict[str, TweetRecord] = {}
+        for ev in sorted(events, key=lambda r: (r.timestamp, r.tweet_id)):
+            if ev.user_id not in best:
+                best[ev.user_id] = ev
+            else:
+                report.collapsed_duplicates += 1
+        return tuple(sorted(best.values(), key=lambda r: (r.timestamp, r.tweet_id)))
+
+    cascades: list[Cascade] = []
+    for rec in by_id.values():
+        if rec.retweet_of is not None:
+            continue
+        retweets = collapse(grouped.pop(rec.tweet_id, []))
+        inverted = any(r.timestamp < rec.timestamp for r in retweets)
+        cascades.append(
+            Cascade(rec, retweets, timestamp_inversion=inverted)
+        )
+        report.inversions += int(inverted)
+
+    for origin_id in sorted(grouped):
+        retweets = collapse(grouped[origin_id])
+        first = retweets[0]
+        stub = TweetRecord(
+            tweet_id=origin_id,
+            user_id="",
+            timestamp=first.timestamp,
+            text=first.text,
+            lang=first.lang,
+        )
+        cascades.append(Cascade(stub, retweets, stub_origin=True))
+        report.stub_origins += 1
+
+    report.cascades = len(cascades)
+    return cascades, report

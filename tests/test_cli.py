@@ -324,6 +324,44 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert "both groups must be nonempty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", ["2", "-1"])
+    @pytest.mark.parametrize("stage", ["virality", "spread", "words"])
+    def test_read_back_partition_with_a_group_other_than_0_or_1_exits_one(
+        self, baseline, tmp_path, capsys, stage, group
+    ):
+        """One author and one retweeter get the group: the author reaches
+        ``words``, the retweeter the exposure ledgers of ``virality`` and
+        ``spread``."""
+        out = tmp_path / "bad_group"
+        shutil.copytree(baseline, out)
+        records = [json.loads(line) for line in (out / "filtered.jsonl").read_text().splitlines()]
+        author = next(r["user_id"] for r in records if r["retweet_of"] is None)
+        retweeter = next(r["user_id"] for r in records if r["retweet_of"] is not None)
+        rows = (out / "partition.csv").read_text().splitlines()
+        changed = [
+            f"{line.split(',')[0]},{group}" if line.split(",")[0] in (author, retweeter) else line
+            for line in rows[1:]
+        ]
+        assert changed != rows[1:]
+        (out / "partition.csv").write_text("\n".join(rows[:1] + changed) + "\n")
+        code = main([stage, "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "partition.csv" in capsys.readouterr().err
+
+    def test_duplicated_retweet_edges_change_no_output(self, baseline, tmp_path):
+        out = tmp_path / "doubled_edges"
+        shutil.copytree(baseline, out)
+        rows = (out / "retweet_edges.csv").read_text().splitlines(keepends=True)
+        (out / "retweet_edges.csv").write_text(
+            rows[0] + "".join(row for row in rows[1:] for _ in range(2))
+        )
+        assert main(["partition", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+        doubled = tree_bytes(out)
+        assert doubled.pop("retweet_edges.csv") != baseline.joinpath("retweet_edges.csv").read_bytes()
+        expected = tree_bytes(baseline)
+        del expected["retweet_edges.csv"]
+        assert doubled == expected
+
     def test_virality_csv_with_wrong_header_exits_one(self, baseline, tmp_path, capsys):
         out = tmp_path / "bad_header"
         shutil.copytree(baseline, out)

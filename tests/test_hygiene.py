@@ -1,4 +1,6 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+every module-level private function or class is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,51 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names a statement reads, attributes it takes and names it imports."""
+    used: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (``_name``, not dunder)
+    that no other top-level statement of any module names."""
+    defs: list[tuple[str, str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            statements.append(stmt)
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defs.append((module, stmt.name, stmt))
+    uses = [(stmt, _used_names(stmt)) for stmt in statements]
+    return [
+        f"{module}:{name}"
+        for module, name, own in defs
+        if not any(name in used for stmt, used in uses if stmt is not own)
+    ]
+
+
+def test_scanner_flags_an_unreferenced_private_def():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive():\n    _recursive()\n",
+        "b.py": "from .a import _used\n\nclass _Left:\n    pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:_recursive", "b.py:_Left"]
+
+
+def test_no_unreferenced_private_defs():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

@@ -1,11 +1,15 @@
 """Parsing, corpus filtering, and cascade assembly."""
 
 import json
+import time
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echospread import ingest
 from echospread.ingest import (
     CorpusFilter,
     TweetRecord,
@@ -14,6 +18,12 @@ from echospread.ingest import (
     parse_records,
     seed_pair_users,
     write_records_jsonl,
+)
+from helpers import (
+    reference_build_cascades,
+    reference_filter_corpus,
+    reference_record_from_obj,
+    reference_seed_pair_users,
 )
 
 
@@ -36,6 +46,15 @@ def obj(tweet_id, user_id="u", timestamp=0, text="climate talk", **kw):
     return base
 
 
+PAIRS = CorpusFilter().seed_hashtag_pairs
+
+
+def eligible_users(records):
+    """The eligible users as ``ingest`` counts them: the seed-pair users of
+    the topical records."""
+    return set().union(*seed_pair_users(filter_corpus(records), PAIRS).values())
+
+
 def write_jsonl(path, objs):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8")
     return path
@@ -53,6 +72,15 @@ class TestTweetRecord:
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
             rec("t1", timestamp=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tweet_id", 1), ("user_id", None), ("timestamp", True), ("timestamp", 1.5),
+         ("text", 0), ("retweet_of", 4), ("reply_to", False), ("lang", ["en"])],
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError):
+            replace(rec("t1"), **{field: value})
 
 
 class TestParseRecords:
@@ -118,33 +146,33 @@ class TestParseRecords:
 
 class TestFilterCorpus:
     def test_case_insensitive_substring(self):
-        topical, _ = filter_corpus([rec("t1", text="The CLIMATE emergency")])
+        topical = filter_corpus([rec("t1", text="The CLIMATE emergency")])
         assert [r.tweet_id for r in topical] == ["t1"]
 
     def test_off_topic_dropped(self):
-        topical, _ = filter_corpus([rec("t1", text="kittens are soft")])
+        topical = filter_corpus([rec("t1", text="kittens are soft")])
         assert topical == []
 
     def test_reply_excluded(self):
-        topical, _ = filter_corpus([rec("t1", reply_to="t0", lang="en")])
+        topical = filter_corpus([rec("t1", reply_to="t0", lang="en")])
         assert topical == []
 
     def test_reply_kept_when_allowed(self):
         f = CorpusFilter(exclude_replies=False)
-        topical, _ = filter_corpus([rec("t1", reply_to="t0", lang="en")], f)
+        topical = filter_corpus([rec("t1", reply_to="t0", lang="en")], f)
         assert len(topical) == 1
 
     def test_disallowed_lang_dropped(self):
-        topical, _ = filter_corpus([rec("t1", lang="de"), rec("t2", lang="en")])
+        topical = filter_corpus([rec("t1", lang="de"), rec("t2", lang="en")])
         assert [r.tweet_id for r in topical] == ["t2"]
 
     def test_missing_lang_dropped_under_allow_list(self):
-        topical, _ = filter_corpus([rec("t1", lang=None)])
+        topical = filter_corpus([rec("t1", lang=None)])
         assert topical == []
 
     def test_empty_allow_list_admits_any_lang(self):
         f = CorpusFilter(lang_allow=frozenset())
-        topical, _ = filter_corpus([rec("t1", lang=None), rec("t2", lang="fr")], f)
+        topical = filter_corpus([rec("t1", lang=None), rec("t2", lang="fr")], f)
         assert len(topical) == 2
 
     def test_retweet_follows_origin_retention(self):
@@ -152,7 +180,7 @@ class TestFilterCorpus:
             rec("o1", user_id="a", text="climate update", lang="en"),
             rec("r1", user_id="b", text="RT @a: climate up...", retweet_of="o1", lang="en"),
         ]
-        topical, _ = filter_corpus(records)
+        topical = filter_corpus(records)
         assert {r.tweet_id for r in topical} == {"o1", "r1"}
 
     def test_retweet_of_reply_dropped(self):
@@ -160,11 +188,11 @@ class TestFilterCorpus:
             rec("o1", user_id="a", text="climate update", reply_to="x", lang="en"),
             rec("r1", user_id="b", text="RT @a: climate update", retweet_of="o1", lang="en"),
         ]
-        topical, _ = filter_corpus(records)
+        topical = filter_corpus(records)
         assert topical == []
 
     def test_orphan_retweet_tested_on_own_fields(self):
-        topical, _ = filter_corpus(
+        topical = filter_corpus(
             [rec("r1", text="RT @a: climate update", retweet_of="gone", lang="en")]
         )
         assert [r.tweet_id for r in topical] == ["r1"]
@@ -174,24 +202,21 @@ class TestFilterCorpus:
             rec("t1", user_id="skeptic1", text="all lies #ClimateHoax"),
             rec("t2", user_id="bystander", text="climate news"),
         ]
-        _, eligible = filter_corpus(records)
-        assert eligible == {"skeptic1"}
+        assert eligible_users(records) == {"skeptic1"}
 
     def test_stems_must_share_one_hashtag_token(self):
         records = [
             rec("t1", user_id="a", text="climate stuff #hoax"),
             rec("t2", user_id="b", text="climate #climatecrisis"),
         ]
-        _, eligible = filter_corpus(records)
-        assert eligible == {"b"}
+        assert eligible_users(records) == {"b"}
 
     def test_retweeter_of_tagged_origin_is_eligible(self):
         records = [
             rec("o1", user_id="a", text="#ClimateCrisis is here"),
             rec("r1", user_id="b", text="RT @a: #ClimateCr...", retweet_of="o1"),
         ]
-        _, eligible = filter_corpus(records)
-        assert eligible == {"a", "b"}
+        assert eligible_users(records) == {"a", "b"}
 
 
 class TestSeedPairUsers:
@@ -286,7 +311,8 @@ TEXTS = [
 def corpora(draw, wide=False):
     """Originals and retweets of them. With ``wide``, a retweet may also be a
     reply, carry its own text, or target a missing origin or another retweet
-    (chains, and cycles when two retweets target each other)."""
+    (chains, and cycles when two retweets target each other), and a tweet id
+    may appear again with another user and text."""
     n_orig = draw(st.integers(min_value=1, max_value=5))
     records = []
     for i in range(n_orig):
@@ -316,6 +342,13 @@ def corpora(draw, wide=False):
                 lang=draw(st.sampled_from(["en", "en", None])),
             )
         )
+    if wide:
+        for again in draw(st.lists(st.sampled_from(records), max_size=3)):
+            records.insert(
+                draw(st.integers(min_value=0, max_value=len(records))),
+                replace(again, user_id=draw(st.sampled_from(USERS)),
+                        text=draw(st.sampled_from(TEXTS))),
+            )
     return records
 
 
@@ -323,10 +356,10 @@ class TestCorpusProperties:
     @given(corpora(wide=True))
     @settings(max_examples=300)
     def test_filter_is_idempotent(self, records):
-        topical, eligible = filter_corpus(records)
-        again, eligible_again = filter_corpus(topical)
+        topical = filter_corpus(records)
+        again = filter_corpus(topical)
         assert again == topical
-        assert eligible_again == eligible
+        assert eligible_users(topical) == eligible_users(records)
 
     @given(corpora())
     @settings(max_examples=150)
@@ -342,7 +375,7 @@ class TestCorpusProperties:
     @settings(max_examples=150)
     def test_event_count_bounded_by_topical_records(self, records):
         # all retweet targets exist in the corpus, so no stub inflation
-        topical, _ = filter_corpus(records)
+        topical = filter_corpus(records)
         cascades, _ = build_cascades(topical)
         total = sum(1 + len(c.retweets) for c in cascades)
         assert total <= len(topical)
@@ -380,3 +413,121 @@ class TestRecordsRoundTrip:
         parsed, report = parse_records(path)
         assert parsed == records
         assert report.parsed == report.lines == len(records)
+
+
+def has_cycle(records):
+    """Whether some ``retweet_of`` chain among the first occurrences of each
+    tweet id runs into a cycle."""
+    by_id = {}
+    for r in records:
+        by_id.setdefault(r.tweet_id, r)
+    for rec in by_id.values():
+        seen = set()
+        cur = rec
+        while cur is not None and cur.tweet_id not in seen:
+            seen.add(cur.tweet_id)
+            cur = by_id.get(cur.retweet_of)
+        if cur is not None:
+            return True
+    return False
+
+
+class TestChainReference:
+    """Filtering, seed pairs and cascades on one chain walk against their
+    separate walks in ``tests/helpers.py``."""
+
+    @given(corpora(wide=True))
+    @settings(max_examples=400)
+    def test_topical_records_and_cascades_equal_reference(self, records):
+        topical = filter_corpus(records)
+        ref_topical, ref_eligible = reference_filter_corpus(records)
+        assert topical == ref_topical
+        assert set().union(*seed_pair_users(topical, PAIRS).values()) == ref_eligible
+        assert build_cascades(records) == reference_build_cascades(records)
+        assert build_cascades(topical) == reference_build_cascades(topical)
+
+    @given(corpora(wide=True))
+    @settings(max_examples=400)
+    def test_seed_pairs_equal_reference_without_a_cycle(self, records):
+        topical = filter_corpus(records)
+        assert seed_pair_users(topical, PAIRS) == reference_seed_pair_users(topical, PAIRS)
+        if not has_cycle(records):
+            assert seed_pair_users(records, PAIRS) == reference_seed_pair_users(records, PAIRS)
+
+    def test_record_on_or_into_a_cycle_matches_no_seed_pair(self):
+        records = [
+            rec("o", user_id="a", text="#ClimateHoax"),
+            rec("x", user_id="b", text="#ClimateHoax", retweet_of="y"),
+            rec("y", user_id="c", text="#ClimateHoax", retweet_of="x"),
+            rec("z", user_id="d", text="#ClimateHoax", retweet_of="x"),
+        ]
+        assert seed_pair_users(records, PAIRS)[("climate", "hoax")] == {"a"}
+        assert [r.tweet_id for r in filter_corpus(records)] == ["o"]
+        cascades, report = build_cascades(records)
+        assert [c.tweet_id for c in cascades] == ["o"]
+        assert report.dropped_cycles == 3
+
+    def test_long_chain_is_linear(self):
+        """A retweet-of-retweet chain of 4,000 records, deepest first: each
+        function walks it once (a walk per record took seconds)."""
+        n = 4000
+        records = [
+            rec(f"t{k}", user_id=f"u{k}", timestamp=k, text="#ClimateCrisis",
+                retweet_of=f"t{k - 1}" if k else None)
+            for k in reversed(range(n))
+        ]
+        start = time.perf_counter()
+        topical = filter_corpus(records)
+        users = seed_pair_users(records, PAIRS)
+        cascades, report = build_cascades(records)
+        assert time.perf_counter() - start < 1.0
+        assert len(topical) == n
+        assert len(users[("climate", "crisis")]) == n
+        assert [len(c.retweets) for c in cascades] == [n - 1]
+        assert report.dropped_cycles == 0
+
+
+def field_values():
+    return st.one_of(
+        st.text(max_size=3), st.integers(min_value=-2, max_value=2), st.booleans(),
+        st.none(), st.floats(allow_nan=False, width=16), st.lists(st.integers(), max_size=1),
+    )
+
+
+@st.composite
+def json_lines(draw):
+    """One JSONL line: mostly objects with right or wrong field types, some
+    with keys missing, some not objects at all."""
+    kind = draw(st.sampled_from(["object", "object", "object", "other"]))
+    if kind == "other":
+        return json.dumps(draw(field_values()))
+    base = obj(
+        draw(st.sampled_from(["t1", "t2", "", 7])),
+        user_id=draw(st.sampled_from(["u", 3, None])),
+        timestamp=draw(st.sampled_from([0, 5, -1, True, 1.5, "9"])),
+        text=draw(st.sampled_from(["climate", 0, None])),
+        retweet_of=draw(st.sampled_from([None, "t1", "t2", 4])),
+        reply_to=draw(st.sampled_from([None, "t0", False])),
+        lang=draw(st.sampled_from([None, "en", ["en"]])),
+    )
+    for key in draw(st.lists(st.sampled_from(sorted(base)), max_size=2)):
+        if draw(st.booleans()):
+            base.pop(key, None)
+        else:
+            base[key] = draw(field_values())
+    return json.dumps(base)
+
+
+class TestParseReference:
+    @given(st.lists(json_lines(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_equals_reference_record_builder(self, tmp_path_factory, lines):
+        """``TweetRecord`` checking the fields accepts and rejects exactly the
+        lines the old field-by-field record builder did."""
+        path = tmp_path_factory.mktemp("lines") / "t.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        records, report = parse_records(path)
+        with mock.patch.object(ingest, "_record_from_obj", reference_record_from_obj):
+            ref_records, ref_report = parse_records(path)
+        assert records == ref_records
+        assert report == ref_report

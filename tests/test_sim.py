@@ -293,7 +293,7 @@ class TestRoundTrip:
 
         records, report = parse_records(paths["tweets"])
         assert report.malformed == 0
-        kept, _ = filter_corpus(records)
+        kept = filter_corpus(records)
         assert len(kept) == len(records)
         cascades, _ = build_cascades(kept)
         follow, dropped = build_follower_network(paths["edges"], set(world.users))
