@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
+from .csvio import read_rows, write_csv
 from .exposure import ExposureLedger, build_exposure_ledger, choose_scope, write_ledger_csv
 from .graph import (
     PartitionAssignment,
@@ -76,11 +77,9 @@ from .sim import (
 )
 from .textstats import cross_group_counts, word_diff_table, write_spread_csv, write_words_csv
 from .virality import (
-    VIRALITY_COLUMNS,
-    Boundary,
-    ViralityEstimate,
     activity_array,
     compute_activities,
+    read_virality_csv,
     score_corpus,
     write_virality_csv,
 )
@@ -123,20 +122,18 @@ class PipelineConfig:
             "tweets": str(declared.get("tweets", self.tweets)),
             "edges": str(declared.get("edges", self.edges)),
             "labels": [str(p) for p in declared.get("labels", self.labels)],
-            "seed": self.seed,
-            "balance_tol": self.balance_tol,
-            "min_author_tweets": self.min_author_tweets,
-            "folds": self.folds,
-            "top_k": self.top_k,
-            "threshold": self.threshold,
-            "include_unexposed_retweeters": self.include_unexposed_retweeters,
-            "raw_activities": self.raw_activities,
-            "stemmer": self.stemmer,
-            "lambda_grid": self.lambda_grid,
+            **{key: getattr(self, key) for key in _SCALARS if key != "workers"},
             "group_only_features": {
                 k: list(v) for k, v in sorted(self.group_only_features.items())
             },
         }
+
+
+# The scalar settings of PipelineConfig with their defaults; a value given for
+# one is coerced to the type of its default.
+_SCALARS = {
+    f.name: f.default for f in fields(PipelineConfig) if isinstance(f.default, (int, float))
+}
 
 
 def parallel_map(fn, items, workers: int, initializer=None, initargs=()):
@@ -202,16 +199,6 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
-    """The rows of a CSV intermediate after checking its header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(f"unexpected header in {path}: {found}")
-        return list(reader)
-
-
 class Workspace:
     """The config plus the intermediates in ``config.out``.
 
@@ -252,7 +239,7 @@ class Workspace:
         path = _require(
             self.config.out / "activities.csv", "intermediate activities.csv (run ingest)"
         )
-        return {user: int(raw) for user, raw in _read_rows(path, ["user", "raw"])}
+        return {user: int(raw) for user, raw in read_rows(path, ["user", "raw"])}
 
     @cached_property
     def network(self) -> RetweetNetwork:
@@ -260,7 +247,7 @@ class Workspace:
             self.config.out / "retweet_edges.csv",
             "intermediate retweet_edges.csv (run network)",
         )
-        edges = frozenset((a, b) for a, b in _read_rows(path, ["a", "b"]))
+        edges = frozenset((a, b) for a, b in read_rows(path, ["a", "b"]))
         return RetweetNetwork(nodes=frozenset(u for e in edges for u in e), edges=edges)
 
     @cached_property
@@ -269,7 +256,7 @@ class Workspace:
         path = _require(
             self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
         )
-        rows = _read_rows(path, ["user", "group"])
+        rows = read_rows(path, ["user", "group"])
         try:
             return PartitionAssignment(groups={user: int(g) for user, g in rows})
         except ValueError as error:
@@ -286,24 +273,6 @@ class Workspace:
     @cached_property
     def activist(self) -> int:
         return next(g for g, n in self.names.items() if n == "activist")
-
-
-def _load_virality(out: Path) -> list[ViralityEstimate]:
-    path = _require(out / "virality.csv", "intermediate virality.csv (run virality)")
-    return [
-        ViralityEstimate(
-            tweet_id=tweet_id,
-            group=int(group),
-            successes=int(successes),
-            failures=int(failures),
-            exposed=int(exposed),
-            r_hat=float(r_hat) if r_hat else None,
-            ln_r=float(ln_r) if ln_r else None,
-            boundary=Boundary(boundary),
-        )
-        for tweet_id, group, successes, failures, exposed, r_hat, ln_r, boundary
-        in _read_rows(path, VIRALITY_COLUMNS)
-    ]
 
 
 def name_groups(hoax_users: set[str], assignment: PartitionAssignment) -> dict[int, str]:
@@ -328,11 +297,11 @@ def stage_ingest(ws: Workspace) -> dict:
 
     write_records_jsonl(topical, config.out / "filtered.jsonl")
     ws.filtered = topical  # what parsing the file just written returns
-    with open(config.out / "activities.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "raw"])
-        for user in sorted(activities):
-            writer.writerow([user, activities[user]])
+    write_csv(
+        config.out / "activities.csv",
+        ["user", "raw"],
+        ([user, activities[user]] for user in sorted(activities)),
+    )
     return {
         "lines": parse_report.lines,
         "parsed": parse_report.parsed,
@@ -348,11 +317,7 @@ def stage_network(ws: Workspace) -> dict:
     cascades, report = ws.cascades
     net = build_retweet_network(cascades, eligible)
     comp = largest_component(net)
-    with open(ws.config.out / "retweet_edges.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b"])
-        for a, b in sorted(comp.edges):
-            writer.writerow([a, b])
+    write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], sorted(comp.edges))
     return {
         "cascades": report.cascades,
         "stub_origins": report.stub_origins,
@@ -369,11 +334,7 @@ def stage_partition(ws: Workspace) -> dict:
     net = ws.network
     assignment = bisect_partition(net, balance_tol=config.balance_tol, seed=config.seed)
     names = name_groups(ws.hoax_users, assignment)
-    with open(config.out / "partition.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "group"])
-        for user in sorted(assignment.groups):
-            writer.writerow([user, assignment.groups[user]])
+    write_csv(config.out / "partition.csv", ["user", "group"], sorted(assignment.groups.items()))
     (config.out / "network.dot").write_text(to_dot(net, assignment), encoding="utf-8")
     sizes = assignment.group_sizes()
     return {
@@ -481,14 +442,19 @@ def stage_labels(ws: Workspace) -> dict:
     by_id = {rec.tweet_id: rec for rec in ws.filtered}
     authors = {tid: by_id[tid].user_id for tid in vote.rows if tid in by_id}
     marks = {tid: extract_marks(by_id[tid].text) for tid in vote.rows if tid in by_id}
-    estimates = _load_virality(config.out)
+    estimates = read_virality_csv(
+        _require(config.out / "virality.csv", "intermediate virality.csv (run virality)")
+    )
     names = ws.names
     name_to_group = {n: g for g, n in names.items()}
-    group_only = {
-        name_to_group[name]: tuple(feats)
-        for name, feats in config.group_only_features.items()
-        if name in name_to_group
-    }
+    group_only = {}
+    for name, feats in config.group_only_features.items():
+        if name not in name_to_group:
+            raise ValueError(f"group_only_features: unknown group {name!r}")
+        unknown = [f for f in feats if f not in vote.features]
+        if unknown:
+            raise ValueError(f"group_only_features[{name!r}]: unknown features {unknown}")
+        group_only[name_to_group[name]] = tuple(feats)
 
     counts: dict = {
         "krippendorff_alpha": alpha,
@@ -608,10 +574,7 @@ def run_pipeline(config: PipelineConfig) -> int:
 # --------------------------------------------------------------- interface
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON pipeline configuration")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int, help="master seed")
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="process count for ledger building")
     parser.add_argument("--tweets", type=Path, help="tweets.jsonl input")
     parser.add_argument("--edges", type=Path, help="edges.csv input")
@@ -637,18 +600,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echospread", description="Retweet-cascade virality pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run",) + tuple(n for n, _ in STAGES) + ("simulate",):
+    for name in ("run", *(n for n, _ in STAGES), "simulate"):
         sp = sub.add_parser(name)
-        _add_common_flags(sp)
+        sp.add_argument("--config", type=Path, help="JSON pipeline configuration")
+        sp.add_argument("--out", type=Path, help="output directory")
+        sp.add_argument("--seed", type=int, help="master seed")
+        if name != "simulate":
+            _add_pipeline_flags(sp)
     return parser
-
-
-# The scalar settings of PipelineConfig, each with the type a value is coerced to.
-_SCALARS = {
-    "seed": int, "workers": int, "balance_tol": float, "min_author_tweets": int,
-    "folds": int, "top_k": int, "threshold": int, "include_unexposed_retweeters": bool,
-    "raw_activities": bool, "stemmer": bool, "lambda_grid": int,
-}
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -673,13 +632,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     edges = pick("edges", "edges.csv")
     labels = pick("labels", [])
     out = getattr(args, "out", None) or raw.get("out", "out")
-    defaults = {f.name: f.default for f in fields(PipelineConfig)}
     return PipelineConfig(
         tweets=as_path(tweets),
         edges=as_path(edges),
         labels=tuple(as_path(p) for p in labels),
         out=Path(out),
-        **{key: cast(pick(key, defaults[key])) for key, cast in _SCALARS.items()},
+        **{key: type(default)(pick(key, default)) for key, default in _SCALARS.items()},
         group_only_features={
             k: tuple(v) for k, v in raw.get("group_only_features", {}).items()
         },

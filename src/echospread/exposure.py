@@ -16,13 +16,13 @@ rather than string sets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .csvio import write_csv
 from .graph import FollowerNetwork, PartitionAssignment, table_id
 from .ingest import Cascade
 
@@ -203,20 +203,12 @@ def build_exposure_ledger(
 
 def write_ledger_csv(ledgers: Iterable[ExposureLedger], path: str | Path) -> None:
     """Dump per-cascade trial counts, sorted by tweet id."""
-    rows = sorted(ledgers, key=lambda led: led.tweet_id)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tweet_id", "exposed", "successes", "failures", "unexposed_successes", "flags"]
-        )
-        for led in rows:
-            writer.writerow(
-                [
-                    led.tweet_id,
-                    len(led.exposed),
-                    len(led.successes),
-                    len(led.failures),
-                    len(led.unexposed_successes),
-                    ";".join(led.flags),
-                ]
-            )
+    write_csv(
+        path,
+        ["tweet_id", "exposed", "successes", "failures", "unexposed_successes", "flags"],
+        (
+            [led.tweet_id, len(led.exposed), len(led.successes), len(led.failures),
+             len(led.unexposed_successes), ";".join(led.flags)]
+            for led in sorted(ledgers, key=lambda led: led.tweet_id)
+        ),
+    )

@@ -26,17 +26,17 @@ amortized instead of a scan of all nodes.
 
 from __future__ import annotations
 
-import csv
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .csvio import read_csv
 from .ingest import Cascade
 
 
@@ -249,17 +249,17 @@ def build_follower_network(
     path: str | Path, universe: set[str] | frozenset[str]
 ) -> tuple[FollowerNetwork, int]:
     """Read an edge CSV with header ``follower,followee`` restricted to universe."""
-    pairs: list[tuple[str, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with read_csv(path) as (header, rows):
         if header is None or [h.strip() for h in header[:2]] != ["follower", "followee"]:
             raise ValueError(f"{path}: expected header 'follower,followee'")
-        for row in reader:
-            if len(row) < 2:
-                raise ValueError(f"{path}: short row {row!r}")
-            pairs.append((row[0], row[1]))
-    return FollowerNetwork.from_edges(pairs, universe)
+
+        def pairs() -> Iterator[tuple[str, str]]:
+            for row in rows:
+                if len(row) < 2:
+                    raise ValueError(f"{path}: short row {row!r}")
+                yield row[0], row[1]
+
+        return FollowerNetwork.from_edges(pairs(), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +490,11 @@ def bisect_partition(
     """Bisect a connected network into two groups with a near-minimal cut.
 
     Multilevel scheme: coarsen by heavy-edge matching, grow an initial
-    region on the coarsest graph (several seeded starts), then refine with
-    FM passes at every level while honoring the balance cap
-    ``allowed_group_size(n, balance_tol)``. Group 0 is the group holding
-    the lexicographically smallest node id.
+    region on the coarsest graph (several seeded starts), then rebalance and
+    refine with FM passes at every level from the coarsest down. The finest
+    level honors the balance cap ``allowed_group_size(n, balance_tol)``; the
+    starts and the coarser levels take a cap one node weight looser. Group 0
+    is the group holding the lexicographically smallest node id.
     """
     nodes = sorted(net.nodes)
     n = len(nodes)
@@ -519,10 +520,16 @@ def bisect_partition(
         maps.append(coarse_id)
         levels.append(_coarsen(cur_adj, cur_w, coarse_id))
 
-    c_adj, c_w = levels[-1]
+    def cap(weights: list[int], strict: bool) -> int:
+        """The balance cap, or one node weight looser when not strict."""
+        total = sum(weights)
+        allowed = allowed_group_size(total, balance_tol)
+        return allowed if strict else max(allowed, total // 2 + max(weights))
+
+    top = len(maps)
+    c_adj, c_w = levels[top]
     n_c = len(c_adj)
-    total = sum(c_w)
-    allowed_c = max(allowed_group_size(total, balance_tol), total // 2 + max(c_w))
+    allowed_c = cap(c_w, strict=False)
     starts = list(range(n_c)) if n_c <= _COARSE_TARGET else rng.sample(range(n_c), 10)
     best_side = None
     best_cut = None
@@ -540,21 +547,13 @@ def bisect_partition(
         best_side = [0 if i < n_c // 2 else 1 for i in range(n_c)]
     side = best_side
 
-    for level in range(len(maps) - 1, -1, -1):
-        coarse_id = maps[level]
-        fine_adj, fine_w = levels[level]
-        side = [side[coarse_id[v]] for v in range(len(fine_adj))]
-        total = sum(fine_w)
-        allowed = max(
-            allowed_group_size(total, balance_tol), total // 2 + max(fine_w)
-        ) if level > 0 else allowed_group_size(total, balance_tol)
-        _rebalance(fine_adj, fine_w, side, allowed)
-        _fm_refine(fine_adj, fine_w, side, allowed)
-
-    if len(levels) == 1:
-        allowed = allowed_group_size(n, balance_tol)
-        _rebalance(adj, [1] * n, side, allowed)
-        _fm_refine(adj, [1] * n, side, allowed)
+    for level in range(top, -1, -1):
+        if level < top:
+            side = [side[c] for c in maps[level]]
+        level_adj, level_w = levels[level]
+        allowed = cap(level_w, strict=level == 0)
+        _rebalance(level_adj, level_w, side, allowed)
+        _fm_refine(level_adj, level_w, side, allowed)
 
     if side[0] == 1:
         side = [1 - s for s in side]

@@ -126,12 +126,15 @@ _OPTIONAL = ("retweet_of", "reply_to", "lang")
 
 
 def _record_from_obj(obj: object) -> TweetRecord:
-    """A record from a JSON object; ``TweetRecord`` checks the field types."""
+    """A record from a JSON object; ``TweetRecord`` checks the field types.
+    An empty ``user_id`` is malformed: it names a stub origin's absent author."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     for key in _REQUIRED:
         if key not in obj:
             raise ValueError(f"missing field {key}")
+    if obj["user_id"] == "":
+        raise ValueError("user_id must be nonempty")
     return TweetRecord(
         tweet_id=obj["tweet_id"],
         user_id=obj["user_id"],

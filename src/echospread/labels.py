@@ -8,7 +8,6 @@ labels, mark counts, author indicators, and log-virality responses.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .ingest import HASHTAG_RE
 from .virality import Boundary, ViralityEstimate
 
@@ -43,9 +43,7 @@ class CoderSheet:
         path = Path(path)
         if coder_id is None:
             coder_id = path.stem.removeprefix("labels_")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with read_csv(path) as (header, reader):
             if not header or header[0] != "tweet_id" or len(header) < 2:
                 raise ValueError(f"{path}: expected header 'tweet_id,<features...>'")
             features = tuple(header[1:])
@@ -285,18 +283,16 @@ FEATURE_KEYS = ["tweet_id", "author_id", "group"]
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Mirror of the matrix rows for inspection."""
     value_cols = list(matrix.column_names[: len(matrix.column_names) - len(matrix.authors)])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_KEYS + value_cols + ["ln_r"])
-        for i, tweet_id in enumerate(matrix.tweet_ids):
-            values = [
-                ("%g" % v) for v in matrix.X[i, : len(value_cols)]
-            ]
-            writer.writerow(
-                [tweet_id, matrix.author_ids[i], matrix.group]
-                + values
-                + [f"{matrix.y[i]:.12g}"]
-            )
+    write_csv(
+        path,
+        FEATURE_KEYS + value_cols + ["ln_r"],
+        (
+            [tweet_id, matrix.author_ids[i], matrix.group]
+            + [("%g" % v) for v in matrix.X[i, : len(value_cols)]]
+            + [f"{matrix.y[i]:.12g}"]
+            for i, tweet_id in enumerate(matrix.tweet_ids)
+        ),
+    )
 
 
 def read_features_csv(
@@ -304,9 +300,7 @@ def read_features_csv(
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """X, y, penalty groups and column names of a features CSV: the value
     columns plus author indicators rebuilt from the author_id column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with read_csv(path) as (header, reader):
         if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
             raise ValueError(f"unexpected header in {path}: {header}")
         rows = list(reader)

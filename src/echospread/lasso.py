@@ -30,13 +30,14 @@ move the last bits of the objective.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .csvio import write_csv
 
 Groups = Sequence[Sequence[int]]
 
@@ -557,34 +558,24 @@ def report_coefficients(
 
 
 def write_regress_csv(report: CoefficientReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "beta", "pct_change", "selected"])
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.feature,
-                    f"{row.beta:.12g}",
-                    f"{row.pct_change:.1f}",
-                    "true" if row.selected else "false",
-                ]
-            )
-        if report.authors_min_pct is not None:
-            writer.writerow(
-                [
-                    "authors",
-                    f"{report.authors_min_pct:.1f}",
-                    f"{report.authors_max_pct:.1f}",
-                    "true" if report.authors_selected else "false",
-                ]
-            )
+    rows = [
+        [row.feature, f"{row.beta:.12g}", f"{row.pct_change:.1f}",
+         "true" if row.selected else "false"]
+        for row in report.rows
+    ]
+    if report.authors_min_pct is not None:
+        rows.append(
+            ["authors", f"{report.authors_min_pct:.1f}", f"{report.authors_max_pct:.1f}",
+             "true" if report.authors_selected else "false"]
+        )
+    write_csv(path, ["feature", "beta", "pct_change", "selected"], rows)
 
 
 def write_cv_curve_csv(
     curve: Iterable[tuple[float, float]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "mean_val_mse"])
-        for lam, err in curve:
-            writer.writerow([f"{lam:.12g}", f"{err:.12g}"])
+    write_csv(
+        path,
+        ["lambda", "mean_val_mse"],
+        ([f"{lam:.12g}", f"{err:.12g}"] for lam, err in curve),
+    )

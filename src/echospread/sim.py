@@ -22,13 +22,13 @@ user names, and a batch of k uniforms equals k single draws.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .exposure import GroupScope, build_exposure_ledger
 from .graph import FollowerNetwork
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
@@ -348,20 +348,20 @@ def write_world(
     tweets = out / "tweets.jsonl"
     write_records_jsonl((rec for sim in sims for rec in sim.records), tweets)
     edges_path = out / "edges.csv"
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["follower", "followee"])
-        users, ptr, idx = world.users, world.follow.follower_ptr, world.follow.follower_idx
-        followee = np.repeat(np.arange(len(users)), np.diff(ptr))
-        order = np.lexsort((followee, idx))
-        for i, j in zip(idx[order].tolist(), followee[order].tolist()):
-            writer.writerow([users[i], users[j]])
+    users, ptr, idx = world.users, world.follow.follower_ptr, world.follow.follower_idx
+    followee = np.repeat(np.arange(len(users)), np.diff(ptr))
+    order = np.lexsort((followee, idx))
+    write_csv(
+        edges_path,
+        ["follower", "followee"],
+        ((users[i], users[j]) for i, j in zip(idx[order].tolist(), followee[order].tolist())),
+    )
     truth_path = out / "truth.csv"
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tweet_id", "planted_r", "seed_user"])
-        for tweet_id, r, seed_user in truth:
-            writer.writerow([tweet_id, f"{r:.12g}", seed_user])
+    write_csv(
+        truth_path,
+        ["tweet_id", "planted_r", "seed_user"],
+        ([tweet_id, f"{r:.12g}", seed_user] for tweet_id, r, seed_user in truth),
+    )
     return {"tweets": tweets, "edges": edges_path, "truth": truth_path}
 
 
@@ -410,26 +410,14 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
 
 
 def write_recovery_csv(rows: Sequence[RecoveryRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "planted_r",
-                "cascades",
-                "unscorable",
-                "median_rel_error",
-                "p90_rel_error",
-                "mean_exposed",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row.planted_r:.12g}",
-                    row.cascades,
-                    row.unscorable,
-                    f"{row.median_rel_error:.12g}",
-                    f"{row.p90_rel_error:.12g}",
-                    f"{row.mean_exposed:.12g}",
-                ]
-            )
+    write_csv(
+        path,
+        ["planted_r", "cascades", "unscorable", "median_rel_error", "p90_rel_error",
+         "mean_exposed"],
+        (
+            [f"{row.planted_r:.12g}", row.cascades, row.unscorable,
+             f"{row.median_rel_error:.12g}", f"{row.p90_rel_error:.12g}",
+             f"{row.mean_exposed:.12g}"]
+            for row in rows
+        ),
+    )

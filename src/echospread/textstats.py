@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .csvio import write_csv
 from .exposure import classified_counts
 from .graph import PartitionAssignment
 from .ingest import Cascade
@@ -135,16 +135,16 @@ def cross_group_counts(
 
 
 def write_words_csv(rows: Iterable[WordDiffRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "n_self", "n_other", "diff"])
-        for row in rows:
-            writer.writerow([row.token, row.n_self, row.n_other, row.diff])
+    write_csv(
+        path,
+        ["token", "n_self", "n_other", "diff"],
+        ([row.token, row.n_self, row.n_other, row.diff] for row in rows),
+    )
 
 
 def write_spread_csv(counts: Iterable[SpreadCount], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tweet_id", "retweeters_activist", "retweeters_skeptic"])
-        for c in counts:
-            writer.writerow([c.tweet_id, c.retweeters_activist, c.retweeters_skeptic])
+    write_csv(
+        path,
+        ["tweet_id", "retweeters_activist", "retweeters_skeptic"],
+        ([c.tweet_id, c.retweeters_activist, c.retweeters_skeptic] for c in counts),
+    )

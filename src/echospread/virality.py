@@ -20,7 +20,6 @@ estimator that sorts names.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .csvio import read_rows, write_csv
 from .exposure import ExposureLedger
 from .ingest import Cascade, TweetRecord
 
@@ -205,20 +205,32 @@ def score_corpus(
 
 
 def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) -> None:
-    rows = sorted(estimates, key=lambda e: e.tweet_id)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VIRALITY_COLUMNS)
-        for est in rows:
-            writer.writerow(
-                [
-                    est.tweet_id,
-                    est.group,
-                    est.successes,
-                    est.failures,
-                    est.exposed,
-                    "" if est.r_hat is None else f"{est.r_hat:.12g}",
-                    "" if est.ln_r is None else f"{est.ln_r:.12g}",
-                    est.boundary.value,
-                ]
-            )
+    write_csv(
+        path,
+        VIRALITY_COLUMNS,
+        (
+            [est.tweet_id, est.group, est.successes, est.failures, est.exposed,
+             "" if est.r_hat is None else f"{est.r_hat:.12g}",
+             "" if est.ln_r is None else f"{est.ln_r:.12g}",
+             est.boundary.value]
+            for est in sorted(estimates, key=lambda e: e.tweet_id)
+        ),
+    )
+
+
+def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
+    """The estimates of a ``write_virality_csv`` file, in its row order."""
+    return [
+        ViralityEstimate(
+            tweet_id=tweet_id,
+            group=int(group),
+            successes=int(successes),
+            failures=int(failures),
+            exposed=int(exposed),
+            r_hat=float(r_hat) if r_hat else None,
+            ln_r=float(ln_r) if ln_r else None,
+            boundary=Boundary(boundary),
+        )
+        for tweet_id, group, successes, failures, exposed, r_hat, ln_r, boundary
+        in read_rows(path, VIRALITY_COLUMNS)
+    ]

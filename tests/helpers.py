@@ -797,7 +797,8 @@ def reference_simulate_cascade(
 # Ingest as it was before one memoized chain walk served filtering, seed
 # pairs and cascades: three walks, of which the seed-pair hop loop matched a
 # record on a cycle against the cycle member it revisited first; and the
-# record builder that checked every field itself.
+# record builder that checked every field itself (with the empty user id,
+# a stub origin's absent author, added to what it rejects).
 
 
 def reference_record_from_obj(obj: object) -> TweetRecord:
@@ -808,6 +809,8 @@ def reference_record_from_obj(obj: object) -> TweetRecord:
             raise ValueError(f"missing field {key}")
     if not isinstance(obj["tweet_id"], str) or not isinstance(obj["user_id"], str):
         raise ValueError("ids must be strings")
+    if obj["user_id"] == "":
+        raise ValueError("user_id must be nonempty")
     ts = obj["timestamp"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError("timestamp must be an integer")

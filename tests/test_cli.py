@@ -393,6 +393,32 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "group_only, named",
+        [
+            ({"activists": ["crowd_size"]}, "activists"),
+            ({"activist": ["crowd_sise"]}, "crowd_sise"),
+        ],
+        ids=["unknown-group", "unknown-feature"],
+    )
+    def test_unknown_group_only_features_exit_one_and_are_recorded(
+        self, baseline, tmp_path, capsys, group_only, named
+    ):
+        raw = json.loads(CONFIG.read_text())
+        raw["group_only_features"] = group_only
+        raw["tweets"] = str(FIXTURES / raw["tweets"])
+        raw["edges"] = str(FIXTURES / raw["edges"])
+        raw["labels"] = [str(FIXTURES / p) for p in raw["labels"]]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert named in capsys.readouterr().err
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "labels" and named in failure["error"]
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -524,6 +550,14 @@ class TestExitCodes:
         assert main(["simulate", "--out", str(tmp_path / "w")]) == EXIT_BUG
         err = capsys.readouterr().err
         assert "Traceback" in err and "IndexError: index 800 is out of bounds" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--folds", "3"], ["--workers", "9"], ["--tweets", "nope"], ["--stemmer"]]
+    )
+    def test_simulate_rejects_pipeline_flags(self, tmp_path, flag):
+        out = tmp_path / "world"
+        assert main(["simulate", "--out", str(out), *flag]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_simulate_bad_config_exits_one(self, tmp_path):
         config = tmp_path / "sim.json"

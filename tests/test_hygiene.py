@@ -1,6 +1,6 @@
-"""Source hygiene: every name a package module imports is used there, and
-every module-level private function or class is used somewhere in the
-package."""
+"""Source hygiene: every name a package module imports is used there, every
+module-level private function or class is used somewhere in the package, and
+only the CSV module reads or writes CSV."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,52 @@ def test_scanner_flags_an_unreferenced_private_def():
 def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+CSV_MODULE = "csvio.py"
+_CSV_DIALECT = {"reader", "writer", "DictReader", "DictWriter"}
+
+
+def csv_dialect_uses(source: str) -> list[str]:
+    """Uses of the ``csv`` module's readers and writers: attributes taken of
+    ``csv`` and names imported from it. ``csv.Error`` and the rest are free."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "csv"
+            and node.attr in _CSV_DIALECT
+        ):
+            found.append(f"csv.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found += [
+                f"csv.{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in _CSV_DIALECT
+            ]
+    return found
+
+
+def test_scanner_flags_csv_readers_and_writers():
+    source = (
+        "import csv\n"
+        "from csv import DictReader\n"
+        "w = csv.writer(fh)\n"
+        "r = csv.reader(fh)\n"
+        "errors = (ValueError, csv.Error)\n"
+    )
+    assert csv_dialect_uses(source) == [
+        "csv.DictReader (line 2)", "csv.writer (line 3)", "csv.reader (line 4)"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_csv_dialect_only_in_the_csv_module(path):
+    """Every artifact is read and written through one module, so the CSV
+    dialect (UTF-8, ``newline=""``, header first) is stated once."""
+    uses = csv_dialect_uses(path.read_text(encoding="utf-8"))
+    if path.name == CSV_MODULE:
+        assert uses
+    else:
+        assert uses == []

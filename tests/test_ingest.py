@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echospread import ingest
+from echospread.graph import build_retweet_network
 from echospread.ingest import (
     CorpusFilter,
     TweetRecord,
@@ -131,6 +132,27 @@ class TestParseRecords:
         records, report = parse_records(path)
         assert [r.tweet_id for r in records] == ["t3"]
         assert report.malformed == 3
+
+    def test_empty_user_id_is_malformed_not_a_stub_author(self, tmp_path):
+        """A stub origin's author is the empty name, so a record claiming it
+        would give the retweeters of an absent tweet a made-up author."""
+        path = write_jsonl(
+            tmp_path / "t.jsonl",
+            [
+                obj("t0", user_id=""),
+                obj("t1", user_id="a", retweet_of="t0"),
+                obj("t2", user_id="b", retweet_of="absent"),
+            ],
+        )
+        records, report = parse_records(path)
+        assert [r.tweet_id for r in records] == ["t1", "t2"]
+        assert (report.lines, report.parsed, report.malformed) == (3, 2, 1)
+        cascades, _ = build_cascades(records)
+        assert [(c.tweet_id, c.stub_origin) for c in cascades] == [
+            ("absent", True), ("t0", True)
+        ]
+        users = {r.user_id for r in records}
+        assert build_retweet_network(cascades, users).edges == frozenset()
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -389,11 +411,12 @@ class TestCorpusProperties:
             assert len(names) == len(set(names))
 
 
-# Ids are prefixed so that no record can retweet itself.
+# Ids are prefixed so that no record can retweet itself; an empty user id is
+# malformed, as it names a stub origin's absent author.
 any_record = st.builds(
     TweetRecord,
     tweet_id=st.text().map(lambda s: "t" + s),
-    user_id=st.text(),
+    user_id=st.text(min_size=1),
     timestamp=st.integers(min_value=0, max_value=2**70),
     text=st.text(),
     retweet_of=st.none() | st.text().map(lambda s: "o" + s),
@@ -503,7 +526,7 @@ def json_lines(draw):
         return json.dumps(draw(field_values()))
     base = obj(
         draw(st.sampled_from(["t1", "t2", "", 7])),
-        user_id=draw(st.sampled_from(["u", 3, None])),
+        user_id=draw(st.sampled_from(["u", "", 3, None])),
         timestamp=draw(st.sampled_from([0, 5, -1, True, 1.5, "9"])),
         text=draw(st.sampled_from(["climate", 0, None])),
         retweet_of=draw(st.sampled_from([None, "t1", "t2", 4])),

@@ -25,6 +25,7 @@ from echospread.virality import (
     compute_activities,
     log_likelihood,
     mle_virality,
+    read_virality_csv,
     score_corpus,
     write_virality_csv,
 )
@@ -280,6 +281,21 @@ class TestScoreCorpus:
         assert lines[0] == "tweet_id,group,successes,failures,exposed,r_hat,ln_r,boundary"
         assert len(lines) == 4
         assert lines[3].startswith("t3,0,0,3,3,,,zero_successes")
+
+    def test_csv_reads_back_to_the_estimates_as_written(self, tmp_path):
+        cascades, ledgers, act = self.make_cascades_and_ledgers()
+        estimates, _ = score_corpus(cascades, ledgers, act)
+        out = tmp_path / "virality.csv"
+        write_virality_csv(reversed(estimates), out)
+        again = read_virality_csv(out)
+        assert [e.tweet_id for e in again] == ["t1", "t2", "t3"]
+        for got, est in zip(again, estimates):
+            assert (got.group, got.successes, got.failures, got.exposed, got.boundary) == (
+                est.group, est.successes, est.failures, est.exposed, est.boundary
+            )
+            for value, written in ((got.r_hat, est.r_hat), (got.ln_r, est.ln_r)):
+                assert value == (None if written is None else float(f"{written:.12g}"))
+        assert again[2].r_hat is None and again[2].boundary is Boundary.ZERO_SUCCESSES
 
 
 # Names whose sorted order differs from their numeric order.
