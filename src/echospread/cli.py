@@ -19,10 +19,12 @@ import multiprocessing
 import platform
 import sys
 import traceback
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,14 +69,7 @@ from .lasso import (
     write_cv_curve_csv,
     write_regress_csv,
 )
-from .sim import (
-    ActivitySpec,
-    GraphSpec,
-    SimConfig,
-    generate_world,
-    simulate_corpus,
-    write_world,
-)
+from .sim import SimConfig, generate_world, simulate_corpus, write_world
 from .textstats import cross_group_counts, word_diff_table, write_spread_csv, write_words_csv
 from .virality import (
     activity_array,
@@ -112,6 +107,10 @@ class PipelineConfig:
     group_only_features: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     declared_inputs: Mapping[str, object] | None = None
 
+    def __post_init__(self) -> None:
+        if self.top_k < 0:
+            raise ValueError(f"top_k must be at least 0, got {self.top_k}")
+
     def echo(self) -> dict:
         """Manifest form: everything a rerun needs except the worker count and
         the output location, neither of which may influence output bytes.
@@ -122,18 +121,12 @@ class PipelineConfig:
             "tweets": str(declared.get("tweets", self.tweets)),
             "edges": str(declared.get("edges", self.edges)),
             "labels": [str(p) for p in declared.get("labels", self.labels)],
-            **{key: getattr(self, key) for key in _SCALARS if key != "workers"},
+            **{f.name: getattr(self, f.name) for f in fields(self)
+               if isinstance(f.default, (int, float)) and f.name != "workers"},
             "group_only_features": {
                 k: list(v) for k, v in sorted(self.group_only_features.items())
             },
         }
-
-
-# The scalar settings of PipelineConfig with their defaults; a value given for
-# one is coerced to the type of its default.
-_SCALARS = {
-    f.name: f.default for f in fields(PipelineConfig) if isinstance(f.default, (int, float))
-}
 
 
 def parallel_map(fn, items, workers: int, initializer=None, initargs=()):
@@ -205,7 +198,8 @@ class Workspace:
     Each intermediate is read from its artifact on first use and kept for
     the rest of the process, so ``run`` reads each one once and a stage
     subcommand reads only what it needs; ``ingest`` hands its filtered
-    records over directly, so ``run`` never parses ``filtered.jsonl``. A
+    records over directly, and ``network`` its component, so ``run`` never
+    reads ``filtered.jsonl`` or ``retweet_edges.csv``. A
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
     """
@@ -318,6 +312,7 @@ def stage_network(ws: Workspace) -> dict:
     net = build_retweet_network(cascades, eligible)
     comp = largest_component(net)
     write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], sorted(comp.edges))
+    ws.network = comp  # as read back, except that a lone node is kept
     return {
         "cascades": report.cascades,
         "stub_origins": report.stub_origins,
@@ -576,9 +571,9 @@ def run_pipeline(config: PipelineConfig) -> int:
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="process count for ledger building")
-    parser.add_argument("--tweets", type=Path, help="tweets.jsonl input")
-    parser.add_argument("--edges", type=Path, help="edges.csv input")
-    parser.add_argument("--labels", type=Path, nargs="*", help="coder label sheets")
+    parser.add_argument("--tweets", help="tweets.jsonl input")
+    parser.add_argument("--edges", help="edges.csv input")
+    parser.add_argument("--labels", nargs="*", help="coder label sheets")
     parser.add_argument("--min-author-tweets", type=int, dest="min_author_tweets")
     parser.add_argument("--balance-tol", type=float, dest="balance_tol")
     parser.add_argument("--folds", type=int)
@@ -603,101 +598,102 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", *(n for n, _ in STAGES), "simulate"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=Path, help="JSON pipeline configuration")
-        sp.add_argument("--out", type=Path, help="output directory")
+        sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, help="master seed")
         if name != "simulate":
             _add_pipeline_flags(sp)
     return parser
 
 
+# The keys of a config file: the pipeline settings and the simulator's section,
+# so that one file can hold both.
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)} - {"declared_inputs"} | {"sim"}
+
+# The JSON types a config value of each type may take; an integer is also a float.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), Path: (str,)}
+
+
+def _check_object(raw, allowed, prefix: str) -> None:
+    """``raw`` must be a JSON object whose keys are among ``allowed``."""
+    if type(raw) is not dict:
+        where = f"config key {prefix[:-1]!r}" if prefix else "config file"
+        raise ValueError(f"{where}: expected an object, got {json.dumps(raw)}")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config key {prefix + unknown[0]!r}")
+
+
+def _read(cls, raw, prefix: str) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from the JSON object
+    ``raw``, which may set only fields of ``cls``; a field it leaves out keeps
+    its default. ``prefix`` is the dotted key of ``raw`` plus a dot, or empty."""
+    hints = get_type_hints(cls)
+    _check_object(raw, hints, prefix)
+    return {name: _typed(hints[name], value, prefix + name) for name, value in raw.items()}
+
+
+def _typed(hint, value, key: str):
+    """The config value ``value`` as type ``hint``, which it must match: a
+    bool only from true or false, an int only from an integer, a float from
+    any number, a str or Path from a string, a tuple from a list, a mapping or
+    a config dataclass from an object, and ``X | None`` from null too."""
+    if get_origin(hint) in (Union, UnionType):
+        if value is None and type(None) in get_args(hint):
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        return hint(**_read(hint, value, key + "."))
+    if origin is Mapping and type(value) is dict:
+        return {name: _typed(args[1], v, f"{key}.{name}") for name, v in value.items()}
+    if origin is tuple and type(value) is list:
+        return tuple(_typed(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if type(value) in _JSON_TYPES.get(hint, ()):
+        return hint(value)
+    expected = getattr(origin or hint, "__name__", hint)
+    raise ValueError(f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
+
+
+def _config_file(path: Path | None) -> dict:
+    if path is None:
+        return {}
+    raw = json.loads(_require(path, "config file").read_text(encoding="utf-8"))
+    _check_object(raw, _CONFIG_KEYS, "")
+    return raw
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    raw: dict = {}
-    base = Path(".")
-    if args.config is not None:
-        cfg_path = Path(args.config)
-        raw = json.loads(_require(cfg_path, "config file").read_text(encoding="utf-8"))
-        base = cfg_path.parent
-
-    def pick(key, fallback):
-        override = getattr(args, key, None)
-        if override is not None:
-            return override
-        return raw.get(key, fallback)
-
-    def as_path(value) -> Path:
-        path = Path(value)
-        return path if path.is_absolute() else base / path
-
-    tweets = pick("tweets", "tweets.jsonl")
-    edges = pick("edges", "edges.csv")
-    labels = pick("labels", [])
-    out = getattr(args, "out", None) or raw.get("out", "out")
-    return PipelineConfig(
-        tweets=as_path(tweets),
-        edges=as_path(edges),
-        labels=tuple(as_path(p) for p in labels),
-        out=Path(out),
-        **{key: type(default)(pick(key, default)) for key, default in _SCALARS.items()},
-        group_only_features={
-            k: tuple(v) for k, v in raw.get("group_only_features", {}).items()
-        },
-        declared_inputs={
-            "tweets": str(tweets),
-            "edges": str(edges),
-            "labels": [str(p) for p in labels],
-        },
-    )
+    """The config file's settings, overridden by the flags given. Input paths
+    are relative to the config file; ``out`` is relative to the working
+    directory."""
+    given = {key: value for key, value in _config_file(args.config).items() if key != "sim"}
+    given.update((f.name, getattr(args, f.name)) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None)
+    settings = _read(PipelineConfig, given, "")
+    base = args.config.parent if args.config is not None else Path(".")
+    declared = {"tweets": "tweets.jsonl", "edges": "edges.csv", "labels": []}
+    declared.update((key, given[key]) for key in declared if key in given)
+    return PipelineConfig(**{
+        **settings,
+        "tweets": base / declared["tweets"],  # an absolute path stays as it is
+        "edges": base / declared["edges"],
+        "labels": tuple(base / p for p in declared["labels"]),
+        "out": settings.get("out", Path("out")),
+        "declared_inputs": declared,
+    })
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
-    raw: dict = {}
-    if args.config is not None:
-        raw = json.loads(
-            _require(Path(args.config), "config file").read_text(encoding="utf-8")
-        ).get("sim", {})
-    graph = raw.get("graph", {})
-    activity = raw.get("activity", {})
-    base = SimConfig()
-    seed = args.seed if args.seed is not None else int(raw.get("master_seed", base.master_seed))
-    return SimConfig(
-        graph=GraphSpec(
-            kind=graph.get("kind", base.graph.kind),
-            n=int(graph.get("n", base.graph.n)),
-            p=graph.get("p", base.graph.p),
-            p_in=graph.get("p_in", base.graph.p_in),
-            p_out=graph.get("p_out", base.graph.p_out),
-        ),
-        activity=ActivitySpec(
-            kind=activity.get("kind", base.activity.kind),
-            lo=float(activity.get("lo", base.activity.lo)),
-            hi=float(activity.get("hi", base.activity.hi)),
-            mu=float(activity.get("mu", base.activity.mu)),
-            sigma=float(activity.get("sigma", base.activity.sigma)),
-        ),
-        r_values=tuple(raw.get("r_values", base.r_values)),
-        cascades_per_r=int(raw.get("cascades_per_r", base.cascades_per_r)),
-        master_seed=seed,
-        seed_pool=raw.get("seed_pool", base.seed_pool),
-    )
+    settings = _read(SimConfig, _config_file(args.config).get("sim", {}), "sim.")
+    if args.seed is not None:
+        settings["master_seed"] = args.seed
+    return SimConfig(**settings)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out = Path(args.out) if args.out is not None else Path("out")
-    try:
-        config = _sim_config(args)
-    except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        world = generate_world(config)
-        sims, truth = simulate_corpus(world)
-        write_world(world, sims, truth, out)
-    except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
-        code = _exit_code_for(error)
-        if code is None:
-            raise
-        print(f"error: {error}", file=sys.stderr)
-        return code
+    world = generate_world(_sim_config(args))
+    sims, truth = simulate_corpus(world)
+    write_world(world, sims, truth, Path("out" if args.out is None else args.out))
     return EXIT_OK
 
 
@@ -706,24 +702,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     for a bug: any other exception, whose traceback goes to stderr."""
     try:
         return _dispatch(argv)
-    except Exception:  # noqa: BLE001 - boundary: a bug gets its own exit code
-        traceback.print_exc()
-        return EXIT_BUG
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
+        code = _exit_code_for(error)
+        if code is None:
+            traceback.print_exc()
+            return EXIT_BUG
+        print(f"error: {error}", file=sys.stderr)
+        return code
 
 
 def _dispatch(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    args = build_parser().parse_args(argv)
     if args.command == "simulate":
         return cmd_simulate(args)
-    try:
-        config = _config_from_args(args)
-    except Exception as error:  # noqa: BLE001 - boundary turns errors into codes
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_INPUT
+    config = _config_from_args(args)
     if args.command == "run":
         return run_pipeline(config)
     return run_stage(Workspace(config), args.command)

@@ -235,6 +235,20 @@ class TestParseOnce:
         assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
         assert parsed == ["tweets.jsonl"]
 
+    def test_run_reads_no_retweet_edges(self, monkeypatch, tmp_path):
+        """``network`` hands its component to ``partition``."""
+        read = []
+        real = cli.read_rows
+
+        def recording(path, header):
+            read.append(Path(path).name)
+            return real(path, header)
+
+        monkeypatch.setattr(cli, "read_rows", recording)
+        assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        assert "retweet_edges.csv" not in read
+        assert "partition.csv" in read  # the recorder sees the stages' reads
+
 
 class TestBenchmarkSpanTargets:
     """The benchmark's traced mode wraps ``echospread`` names and the
@@ -700,3 +714,86 @@ class TestDefaults:
         config.write_text("{}")
         args = build_parser().parse_args(["simulate", "--config", str(config)])
         assert _sim_config(args) == SimConfig()
+
+
+class TestConfigReader:
+    """Each config value must have its field's JSON type, and each key must be
+    a setting, ``sim`` or a field of the simulator's config; otherwise the
+    command exits 1 and names the dotted key, before writing anything."""
+
+    @staticmethod
+    def exit_and_error(tmp_path, capsys, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        command = "simulate" if "sim" in raw else "run"
+        code = main([command, "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"stemmer": "false"}, "stemmer"),
+            ({"folds": 2.9}, "folds"),
+            ({"seed": True}, "seed"),
+            ({"group_only_features": {"activist": "crowd_size"}}, "group_only_features.activist"),
+            ({"labels": "labels_c1.csv"}, "labels"),
+            ({"sim": {"graph": {"n": 30.7}}}, "sim.graph.n"),
+            ({"sim": {"master_seed": "3"}}, "sim.master_seed"),
+            ({"sim": {"cascades_per_r": True}}, "sim.cascades_per_r"),
+            ({"sim": {"r_values": [0.1, "0.3"]}}, "sim.r_values[1]"),
+        ],
+    )
+    def test_wrong_type_exits_one_and_names_the_key(self, tmp_path, capsys, raw, key):
+        code, err = self.exit_and_error(tmp_path, capsys, raw)
+        assert code == EXIT_INPUT
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"fold": 3}, "fold"),
+            ({"declared_inputs": {}}, "declared_inputs"),
+            ({"sim": {"master_sed": 3}}, "sim.master_sed"),
+            ({"sim": {"graph": {"size": 30}}}, "sim.graph.size"),
+            ({"sim": {"activity": {"low": 0.1}}}, "sim.activity.low"),
+        ],
+        ids=["top-level", "top-level-internal", "sim", "sim.graph", "sim.activity"],
+    )
+    def test_unknown_key_exits_one_and_names_it(self, tmp_path, capsys, raw, key):
+        code, err = self.exit_and_error(tmp_path, capsys, raw)
+        assert code == EXIT_INPUT
+        assert f"unknown config key {key!r}" in err
+
+    def test_negative_top_k_exits_one(self, baseline, tmp_path, capsys):
+        raw = json.loads(CONFIG.read_text())
+        for key in ("tweets", "edges"):
+            raw[key] = str(FIXTURES / raw[key])
+        raw["labels"] = [str(FIXTURES / p) for p in raw["labels"]]
+        raw["top_k"] = -3
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        assert main(["words", "--config", str(config), "--out", str(out)]) == EXIT_INPUT
+        assert "top_k" in capsys.readouterr().err
+        assert (out / "words_activist.csv").read_bytes() == (
+            baseline / "words_activist.csv"
+        ).read_bytes()
+
+    def test_an_integer_is_a_float_and_null_is_none(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "balance_tol": 0,
+            "sim": {"graph": {"p": 1}, "activity": {"lo": 1, "hi": 2}, "r_values": [0, 1]},
+        }))
+        got = _config_from_args(build_parser().parse_args(["run", "--config", str(config)]))
+        assert got.balance_tol == 0.0 and type(got.balance_tol) is float
+        sim = _sim_config(build_parser().parse_args(["simulate", "--config", str(config)]))
+        assert sim.graph == GraphSpec(p=1.0) and type(sim.graph.p) is float
+        assert (sim.activity.lo, sim.activity.hi, sim.r_values) == (1.0, 2.0, (0.0, 1.0))
+        config.write_text(json.dumps({"sim": {"graph": {
+            "kind": "planted-two-block", "p": None, "p_in": 0.5, "p_out": 0.1}}}))
+        sim = _sim_config(build_parser().parse_args(["simulate", "--config", str(config)]))
+        assert sim.graph.p is None

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used there, every
-module-level private function or class is used somewhere in the package, and
-only the CSV module reads or writes CSV."""
+module-level private function or class is used somewhere in the package,
+only the CSV module reads or writes CSV, and only the CLI's two boundaries
+catch every exception."""
 
 import ast
 from pathlib import Path
@@ -136,3 +137,67 @@ def test_csv_dialect_only_in_the_csv_module(path):
         assert uses
     else:
         assert uses == []
+
+
+# The handlers that turn any exception into an exit code: ``main`` for the
+# process and ``run_stage``, which also records the failing stage.
+BROAD_HANDLER_OWNERS = {"cli.main", "cli.run_stage"}
+_BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(module: str, source: str) -> list[str]:
+    """``except Exception``, ``except BaseException`` (alone or in a tuple)
+    and bare ``except:`` clauses, each named by the function or class that
+    holds it."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(t is None or isinstance(t, ast.Name) and t.id in _BROAD
+                       for t in caught):
+                    found.append(f"{owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_scanner_flags_broad_handlers():
+    source = (
+        "def main():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except Exception:\n"
+        "        pass\n"
+        "class Stage:\n"
+        "    def go(self):\n"
+        "        try:\n"
+        "            run()\n"
+        "        except (ValueError, BaseException):\n"
+        "            raise\n"
+        "        except KeyError:\n"
+        "            pass\n"
+        "try:\n"
+        "    import numpy\n"
+        "except:\n"
+        "    numpy = None\n"
+    )
+    assert broad_handlers("m", source) == [
+        "m.main (line 4)", "m.Stage.go (line 10)", "m (line 16)"
+    ]
+
+
+def test_only_the_cli_boundaries_catch_every_exception():
+    """A broad handler elsewhere would decide an exit code of its own, or turn
+    a bug into an input error."""
+    found = [
+        handler
+        for path in sorted(SRC.glob("*.py"))
+        for handler in broad_handlers(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert {handler.split(" ")[0] for handler in found} <= BROAD_HANDLER_OWNERS, found
