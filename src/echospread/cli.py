@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import platform
 import sys
@@ -28,9 +29,9 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, virality
 from .csvio import read_rows, write_csv
-from .exposure import ExposureLedger, build_exposure_ledger, choose_scope, write_ledger_csv
+from .exposure import LEDGER_COLUMNS, build_exposure_ledger, choose_scope, ledger_row
 from .graph import (
     PartitionAssignment,
     RetweetNetwork,
@@ -41,6 +42,7 @@ from .graph import (
     to_dot,
 )
 from .ingest import (
+    SKEPTIC_PAIR,
     Cascade,
     CascadeReport,
     CorpusFilter,
@@ -72,10 +74,11 @@ from .lasso import (
 from .sim import SimConfig, generate_world, simulate_corpus, write_world
 from .textstats import cross_group_counts, word_diff_table, write_spread_csv, write_words_csv
 from .virality import (
+    Boundary,
+    ViralityEstimate,
     activity_array,
     compute_activities,
     read_virality_csv,
-    score_corpus,
     write_virality_csv,
 )
 
@@ -83,8 +86,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_BUG = 3
-
-SKEPTIC_PAIR = ("climate", "hoax")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,11 @@ class PipelineConfig:
     declared_inputs: Mapping[str, object] | None = None
 
     def __post_init__(self) -> None:
-        if self.top_k < 0:
-            raise ValueError(f"top_k must be at least 0, got {self.top_k}")
+        for key, low in (("workers", 1), ("min_author_tweets", 0), ("top_k", 0), ("threshold", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if not (math.isfinite(self.balance_tol) and self.balance_tol >= 0):
+            raise ValueError(f"balance_tol must be finite and at least 0, got {self.balance_tol}")
 
     def echo(self) -> dict:
         """Manifest form: everything a rerun needs except the worker count and
@@ -198,8 +202,9 @@ class Workspace:
     Each intermediate is read from its artifact on first use and kept for
     the rest of the process, so ``run`` reads each one once and a stage
     subcommand reads only what it needs; ``ingest`` hands its filtered
-    records over directly, and ``network`` its component, so ``run`` never
-    reads ``filtered.jsonl`` or ``retweet_edges.csv``. A
+    records and activity counts over directly, and ``network`` its
+    component, so ``run`` never reads ``filtered.jsonl``, ``activities.csv``
+    or ``retweet_edges.csv``. A
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
     """
@@ -296,6 +301,7 @@ def stage_ingest(ws: Workspace) -> dict:
         ["user", "raw"],
         ([user, activities[user]] for user in sorted(activities)),
     )
+    ws.activities = activities
     return {
         "lines": parse_report.lines,
         "parsed": parse_report.parsed,
@@ -340,56 +346,61 @@ def stage_partition(ws: Workspace) -> dict:
     }
 
 
-_LEDGER_CTX: dict = {}
+_SCORE_CTX: dict = {}
 
 
-def _init_ledger_worker(follow, assignment, user_groups, include_unexposed) -> None:
-    _LEDGER_CTX["ctx"] = (follow, assignment, user_groups, include_unexposed)
+def _init_score_worker(*context) -> None:
+    _SCORE_CTX["ctx"] = context
 
 
-def _ledger_task(cascade: Cascade) -> ExposureLedger | None:
-    follow, assignment, user_groups, include_unexposed = _LEDGER_CTX["ctx"]
+def _score_task(k: int) -> tuple[list, ViralityEstimate] | None:
+    """The ``ledgers.csv`` row and the estimate of cascade ``k``, or None for
+    an unscorable cascade. The ledger stays in the process that built it."""
+    cascades, follow, assignment, user_groups, include_unexposed, alpha = _SCORE_CTX["ctx"]
     try:
-        scope = choose_scope(cascade, assignment, user_groups)
+        scope = choose_scope(cascades[k], assignment, user_groups)
     except ValueError:
         return None
-    return build_exposure_ledger(
-        cascade, follow, scope, include_unexposed_retweeters=include_unexposed
+    ledger = build_exposure_ledger(
+        cascades[k], follow, scope, include_unexposed_retweeters=include_unexposed
     )
+    return ledger_row(ledger), virality.mle_virality(ledger, alpha)
 
 
 def stage_virality(ws: Workspace) -> dict:
+    """Each cascade is scored where its ledger is built: the pool gets
+    cascade indices and returns rows and estimates, in tweet-id order."""
     config = ws.config
-    cascades, _ = ws.cascades
+    cascades = sorted(ws.cascades[0], key=lambda c: c.tweet_id)
     universe = {rec.user_id for rec in ws.filtered}
     follow, dropped_edges = build_follower_network(
         _require(config.edges, "edges file"), universe
     )
-
     results = parallel_map(
-        _ledger_task,
-        cascades,
+        _score_task,
+        range(len(cascades)),
         config.workers,
-        initializer=_init_ledger_worker,
+        initializer=_init_score_worker,
         initargs=(
+            cascades,
             follow,
             ws.partition,
             ws.partition.group_ids(follow.users),
             config.include_unexposed_retweeters,
+            activity_array(ws.activities, follow.users, raw=config.raw_activities),
         ),
     )
-    ledgers = [led for led in results if led is not None]
-    write_ledger_csv(ledgers, config.out / "ledgers.csv")
-
-    alpha = activity_array(ws.activities, follow.users, raw=config.raw_activities)
-    estimates, report = score_corpus(cascades, ledgers, alpha)
-    write_virality_csv(estimates, config.out / "virality.csv")
+    _SCORE_CTX.clear()  # set here when run in-process; it holds every cascade
+    scored = [result for result in results if result is not None]
+    write_csv(config.out / "ledgers.csv", LEDGER_COLUMNS, (row for row, _ in scored))
+    write_virality_csv((est for _, est in scored), config.out / "virality.csv")
+    zero = sum(est.boundary is Boundary.ZERO_SUCCESSES for _, est in scored)
     return {
         "dropped_edges": dropped_edges,
-        "ledgers": len(ledgers),
-        "unscorable_cascades": report.missing_ledgers,
-        "scored": report.scored,
-        "zero_successes": report.zero_successes,
+        "ledgers": len(scored),
+        "unscorable_cascades": len(results) - len(scored),
+        "scored": len(scored) - zero,
+        "zero_successes": zero,
     }
 
 
@@ -570,7 +581,7 @@ def run_pipeline(config: PipelineConfig) -> int:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, help="process count for ledger building")
+    parser.add_argument("--workers", type=int, help="process count for scoring cascades")
     parser.add_argument("--tweets", help="tweets.jsonl input")
     parser.add_argument("--edges", help="edges.csv input")
     parser.add_argument("--labels", nargs="*", help="coder label sheets")

@@ -17,12 +17,9 @@ rather than string sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .csvio import write_csv
 from .graph import FollowerNetwork, PartitionAssignment, table_id
 from .ingest import Cascade
 
@@ -83,6 +80,15 @@ class ExposureLedger:
     def exposed(self) -> np.ndarray:
         """Every trial user, ascending: ``successes`` and ``failures`` merged."""
         return np.sort(np.concatenate([self.successes, self.failures]))
+
+
+LEDGER_COLUMNS = ["tweet_id", "exposed", "successes", "failures", "unexposed_successes", "flags"]
+
+
+def ledger_row(ledger: ExposureLedger) -> list:
+    """The ledger's ``ledgers.csv`` row under ``LEDGER_COLUMNS``: its trial counts."""
+    return [ledger.tweet_id, len(ledger.exposed), len(ledger.successes),
+            len(ledger.failures), len(ledger.unexposed_successes), ";".join(ledger.flags)]
 
 
 def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list[int]:
@@ -198,17 +204,4 @@ def build_exposure_ledger(
         unexposed_successes=unexposed,
         attribution=np.where(at >= 0, sources[at], -1),
         flags=flags,
-    )
-
-
-def write_ledger_csv(ledgers: Iterable[ExposureLedger], path: str | Path) -> None:
-    """Dump per-cascade trial counts, sorted by tweet id."""
-    write_csv(
-        path,
-        ["tweet_id", "exposed", "successes", "failures", "unexposed_successes", "flags"],
-        (
-            [led.tweet_id, len(led.exposed), len(led.successes), len(led.failures),
-             len(led.unexposed_successes), ";".join(led.flags)]
-            for led in sorted(ledgers, key=lambda led: led.tweet_id)
-        ),
     )

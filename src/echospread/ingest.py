@@ -56,6 +56,10 @@ class TweetRecord:
             raise ValueError(f"record {self.tweet_id} has negative timestamp")
 
 
+# The seed hashtag pair that marks the skeptic side of the debate.
+SKEPTIC_PAIR = ("climate", "hoax")
+
+
 @dataclass(frozen=True)
 class CorpusFilter:
     """Topical filter plus the hashtag rule that defines eligible users.
@@ -70,7 +74,7 @@ class CorpusFilter:
     exclude_replies: bool = True
     seed_hashtag_pairs: tuple[tuple[str, str], ...] = (
         ("climate", "crisis"),
-        ("climate", "hoax"),
+        SKEPTIC_PAIR,
     )
 
     def __post_init__(self) -> None:

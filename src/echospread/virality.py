@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import read_rows, write_csv
 from .exposure import ExposureLedger
-from .ingest import Cascade, TweetRecord
+from .ingest import TweetRecord
 
 
 class Boundary(enum.Enum):
@@ -57,13 +57,6 @@ class ViralityEstimate:
     ln_r: float | None
     boundary: Boundary
     dropped_zero_activity: int = 0
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    scored: int
-    zero_successes: int
-    missing_ledgers: int
 
 
 def compute_activities(records: Sequence[TweetRecord]) -> dict[str, int]:
@@ -172,36 +165,6 @@ def log_likelihood(r: float, ledger: ExposureLedger, alpha: np.ndarray) -> float
     if np.any(p <= 0.0):
         return -math.inf
     return float(np.sum(np.log(alpha_s[alpha_s > 0.0] * r)) + np.sum(np.log(p)))
-
-
-def score_corpus(
-    cascades: Sequence[Cascade],
-    ledgers: Iterable[ExposureLedger],
-    alpha: np.ndarray,
-) -> tuple[list[ViralityEstimate], ScoreReport]:
-    """One estimate per cascade with a ledger, ordered by tweet id.
-
-    Every ledger must come from one ``FollowerNetwork``, and ``alpha`` is
-    aligned with its ``users``: a ledger over another table of the same
-    length would be scored against the wrong activities.
-    """
-    by_id = {led.tweet_id: led for led in ledgers}
-    estimates: list[ViralityEstimate] = []
-    zero = 0
-    missing = 0
-    for cascade in sorted(cascades, key=lambda c: c.tweet_id):
-        led = by_id.get(cascade.tweet_id)
-        if led is None:
-            missing += 1
-            continue
-        est = mle_virality(led, alpha)
-        if est.boundary is Boundary.ZERO_SUCCESSES:
-            zero += 1
-        estimates.append(est)
-    report = ScoreReport(
-        scored=len(estimates) - zero, zero_successes=zero, missing_ledgers=missing
-    )
-    return estimates, report
 
 
 def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) -> None:

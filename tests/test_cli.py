@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -30,7 +31,6 @@ from echospread.cli import (
     build_parser,
     main,
 )
-from echospread.ingest import Cascade, TweetRecord
 from echospread.lasso import ConvergenceError
 from echospread.sim import (
     GraphSpec,
@@ -39,8 +39,7 @@ from echospread.sim import (
     recovery_experiment,
     simulate_corpus,
 )
-from echospread.virality import score_corpus
-from helpers import id_ledger
+from echospread.virality import Boundary, ViralityEstimate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIG = FIXTURES / "config.json"
@@ -236,7 +235,8 @@ class TestParseOnce:
         assert parsed == ["tweets.jsonl"]
 
     def test_run_reads_no_retweet_edges(self, monkeypatch, tmp_path):
-        """``network`` hands its component to ``partition``."""
+        """``network`` hands its component to ``partition``, and ``ingest``
+        its activity counts to ``virality``."""
         read = []
         real = cli.read_rows
 
@@ -247,6 +247,7 @@ class TestParseOnce:
         monkeypatch.setattr(cli, "read_rows", recording)
         assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
         assert "retweet_edges.csv" not in read
+        assert "activities.csv" not in read
         assert "partition.csv" in read  # the recorder sees the stages' reads
 
 
@@ -270,17 +271,19 @@ class TestBenchmarkSpanTargets:
             )
         assert len(inspect.signature(cli.run_stage).parameters) == 2
 
-    def test_score_corpus_calls_the_traced_mle_once_per_ledger(self, spans):
-        cascades = [
-            Cascade(TweetRecord(tid, "auth", 0, "climate"), ()) for tid in ("t1", "t2", "t3")
-        ]
-        ledgers = [
-            id_ledger(["s0"], ["f0", "f1"][:k], users=("f0", "f1", "s0"), tweet_id=c.tweet_id)
-            for k, c in enumerate(cascades)
-        ]
+    def test_virality_stage_calls_the_traced_mle_once_per_ledger(
+        self, spans, baseline, tmp_path
+    ):
+        out = tmp_path / "traced"
+        shutil.copytree(baseline, out)
         with spans.Tracer().installed() as tracer:
-            score_corpus(cascades, ledgers, np.full(3, 0.5))
-        assert tracer.metrics()["virality.mle_virality.calls"] == 3
+            assert main(["virality", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+        metrics = tracer.metrics()
+        ledgers = json.loads((out / "manifest.json").read_text())["stages"]["virality"]["ledgers"]
+        assert ledgers > 0
+        assert metrics["virality.mle_virality.calls"] == ledgers
+        assert metrics["exposure.build_exposure_ledger.calls"] == ledgers
+        assert tree_bytes(out) == tree_bytes(baseline)
 
     def test_recovery_hooks_read_the_simulated_cascades(self, spans):
         """The counter hooks on the ``sim`` path read ``records`` and
@@ -297,6 +300,38 @@ class TestBenchmarkSpanTargets:
             assert metrics[f"{name}.calls"] == len(sims), name
         assert metrics["sim.records"] == sum(len(sim.records) for sim in sims)
         assert metrics["exposure.trials"] == sum(len(sim.exposed) for sim in sims)
+
+
+class TestScoreTask:
+    def test_only_rows_and_estimates_leave_the_task(self, baseline, tmp_path, monkeypatch):
+        """The pool gets cascade indices and returns, per scorable cascade,
+        a row of plain cells and an estimate: no ledger, array or table."""
+        calls = []
+        real = cli.parallel_map
+
+        def spy(fn, items, workers, initializer=None, initargs=()):
+            results = real(fn, items, workers, initializer, initargs)
+            calls.append((fn, list(items), results))
+            return results
+
+        monkeypatch.setattr(cli, "parallel_map", spy)
+        out = tmp_path / "spied"
+        shutil.copytree(baseline, out)
+        assert main(["virality", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+        ((fn, items, results),) = calls
+        assert fn is cli._score_task
+        assert items == list(range(len(items)))
+        scored = [result for result in results if result is not None]
+        assert scored
+        for result in scored:
+            assert type(result) is tuple and len(result) == 2
+            row, est = result
+            assert type(row) is list
+            assert {type(cell) for cell in row} <= {str, int}
+            assert type(est) is ViralityEstimate
+            cells = {type(getattr(est, f.name)) for f in fields(est)}
+            assert cells <= {str, int, float, type(None), Boundary}
+        assert tree_bytes(out) == tree_bytes(baseline)
 
 
 class TestInputValidation:
@@ -765,6 +800,24 @@ class TestConfigReader:
         code, err = self.exit_and_error(tmp_path, capsys, raw)
         assert code == EXIT_INPUT
         assert f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"balance_tol": math.nan}, "balance_tol"),
+            ({"balance_tol": math.inf}, "balance_tol"),
+            ({"balance_tol": -1}, "balance_tol"),
+            ({"threshold": -5}, "threshold"),
+            ({"min_author_tweets": -1}, "min_author_tweets"),
+            ({"workers": 0}, "workers"),
+        ],
+        ids=["balance_tol-nan", "balance_tol-inf", "balance_tol-negative", "threshold",
+             "min_author_tweets", "workers"],
+    )
+    def test_out_of_range_value_exits_one_and_names_the_key(self, tmp_path, capsys, raw, key):
+        code, err = self.exit_and_error(tmp_path, capsys, raw)
+        assert code == EXIT_INPUT
+        assert f"{key} must be" in err
 
     def test_negative_top_k_exits_one(self, baseline, tmp_path, capsys):
         raw = json.loads(CONFIG.read_text())

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 from echospread.ingest import TweetRecord
 from echospread.virality import (
     Boundary,
-    ScoreReport,
     activity_array,
     compute_activities,
     log_likelihood,
     mle_virality,
     read_virality_csv,
-    score_corpus,
     write_virality_csv,
 )
 
@@ -238,43 +236,22 @@ class TestEquivariance:
             assert abs(est.r_hat - base) <= 1e-12
 
 
-class TestScoreCorpus:
-    def make_cascades_and_ledgers(self):
-        from echospread.ingest import Cascade
-
-        cascades = []
-        ledgers = []
-        specs = [("t1", 2, 1), ("t2", 1, 2), ("t3", 0, 3)]
+class TestViralityCsv:
+    def estimates(self):
+        """Estimates of two interior ledgers and a zero-success one over
+        one table, as the virality stage makes them."""
         table = ("f0", "f1", "f2", "s0", "s1")
-        for tid, n_s, n_f in specs:
-            origin = TweetRecord(tid, f"auth-{tid}", 0, "climate")
-            cascades.append(Cascade(origin, ()))
-            ledgers.append(
-                id_ledger(
-                    [f"s{i}" for i in range(n_s)],
-                    [f"f{i}" for i in range(n_f)],
-                    users=table,
-                    tweet_id=tid,
-                )
+        return [
+            mle_virality(
+                id_ledger([f"s{i}" for i in range(n_s)], [f"f{i}" for i in range(n_f)],
+                          users=table, tweet_id=tid),
+                np.full(len(table), 0.6),
             )
-        return cascades, ledgers, np.full(len(table), 0.6)
-
-    def test_mixed_corpus_counts(self):
-        cascades, ledgers, act = self.make_cascades_and_ledgers()
-        estimates, report = score_corpus(cascades, ledgers, act)
-        assert len(estimates) == 3
-        assert report == ScoreReport(scored=2, zero_successes=1, missing_ledgers=0)
-        assert [e.tweet_id for e in estimates] == ["t1", "t2", "t3"]
-
-    def test_determinism(self):
-        cascades, ledgers, act = self.make_cascades_and_ledgers()
-        a, _ = score_corpus(cascades, ledgers, act)
-        b, _ = score_corpus(cascades, ledgers, act)
-        assert [e.r_hat for e in a] == [e.r_hat for e in b]
+            for tid, n_s, n_f in [("t1", 2, 1), ("t2", 1, 2), ("t3", 0, 3)]
+        ]
 
     def test_csv_format(self, tmp_path):
-        cascades, ledgers, act = self.make_cascades_and_ledgers()
-        estimates, _ = score_corpus(cascades, ledgers, act)
+        estimates = self.estimates()
         out = tmp_path / "virality.csv"
         write_virality_csv(estimates, out)
         lines = out.read_text().strip().splitlines()
@@ -283,8 +260,7 @@ class TestScoreCorpus:
         assert lines[3].startswith("t3,0,0,3,3,,,zero_successes")
 
     def test_csv_reads_back_to_the_estimates_as_written(self, tmp_path):
-        cascades, ledgers, act = self.make_cascades_and_ledgers()
-        estimates, _ = score_corpus(cascades, ledgers, act)
+        estimates = self.estimates()
         out = tmp_path / "virality.csv"
         write_virality_csv(reversed(estimates), out)
         again = read_virality_csv(out)
