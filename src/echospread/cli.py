@@ -45,7 +45,6 @@ from .ingest import (
     SKEPTIC_PAIR,
     Cascade,
     CascadeReport,
-    CorpusFilter,
     TweetRecord,
     build_cascades,
     filter_corpus,
@@ -109,7 +108,8 @@ class PipelineConfig:
     declared_inputs: Mapping[str, object] | None = None
 
     def __post_init__(self) -> None:
-        for key, low in (("workers", 1), ("min_author_tweets", 0), ("top_k", 0), ("threshold", 0)):
+        for key, low in (("seed", 0), ("workers", 1), ("min_author_tweets", 0), ("folds", 2),
+                         ("top_k", 0), ("threshold", 0), ("lambda_grid", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if not (math.isfinite(self.balance_tol) and self.balance_tol >= 0):
@@ -133,16 +133,16 @@ class PipelineConfig:
         }
 
 
-def parallel_map(fn, items, workers: int, initializer=None, initargs=()):
-    """Order-preserving map, optionally over a process pool."""
+def parallel_map(fn, items, workers: int, initializer, initargs):
+    """Order-preserving map over a pool of ``min(workers, len(items))``
+    processes, or in this process when that is at most 1.
+    ``initializer(*initargs)`` runs once in each process that calls ``fn``."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        initializer(*initargs)
         return [fn(item) for item in items]
-    with multiprocessing.Pool(
-        workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
         return pool.map(fn, items)
 
 
@@ -226,7 +226,7 @@ class Workspace:
     def pair_users(self) -> dict[tuple[str, str], set[str]]:
         """The users of each seed hashtag pair. ``filtered.jsonl`` is already
         topical (filtering is idempotent), so it is not filtered again."""
-        return seed_pair_users(self.filtered, CorpusFilter().seed_hashtag_pairs)
+        return seed_pair_users(self.filtered)
 
     @cached_property
     def cascades(self) -> tuple[list[Cascade], CascadeReport]:
@@ -358,11 +358,11 @@ def _score_task(k: int) -> tuple[list, ViralityEstimate] | None:
     an unscorable cascade. The ledger stays in the process that built it."""
     cascades, follow, assignment, user_groups, include_unexposed, alpha = _SCORE_CTX["ctx"]
     try:
-        scope = choose_scope(cascades[k], assignment, user_groups)
+        group = choose_scope(cascades[k], assignment)
     except ValueError:
         return None
     ledger = build_exposure_ledger(
-        cascades[k], follow, scope, include_unexposed_retweeters=include_unexposed
+        cascades[k], follow, user_groups, group, include_unexposed_retweeters=include_unexposed
     )
     return ledger_row(ledger), virality.mle_virality(ledger, alpha)
 

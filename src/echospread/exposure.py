@@ -25,24 +25,6 @@ from .ingest import Cascade
 
 
 @dataclass(frozen=True, eq=False)
-class GroupScope:
-    """The group a cascade mainly spreads in, over the follow graph's users.
-
-    ``user_groups`` is the partition over the follow graph's user table,
-    ``assignment.group_ids(follow.users)``: it is looked up once where the
-    table and the assignment meet and shared by every cascade's scope.
-    """
-
-    user_groups: np.ndarray = field(repr=False)
-    main_group: int
-    tie_fallback: bool = False
-
-    def __post_init__(self) -> None:
-        if self.main_group not in (0, 1):
-            raise ValueError("main_group must be 0 or 1")
-
-
-@dataclass(frozen=True, eq=False)
 class ExposureLedger:
     """Who was exposed to one cascade, who retweeted, and who did not.
 
@@ -107,30 +89,26 @@ def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list
     return counts
 
 
-def choose_scope(
-    cascade: Cascade, assignment: PartitionAssignment, user_groups: np.ndarray
-) -> GroupScope:
-    """Pick the group holding strictly more classified retweeters.
+def choose_scope(cascade: Cascade, assignment: PartitionAssignment) -> int:
+    """The main group: the one holding strictly more classified retweeters.
 
     Ties go to the origin author's group; if the author is unclassified too,
-    group 0 is the deterministic fallback, recorded in ``tie_fallback``.
-    ``user_groups`` is ``assignment.group_ids`` over the follow table.
+    group 0 is the deterministic fallback. A cascade with no classified
+    retweeter cannot be scored and raises ValueError.
     """
     counts = classified_counts(cascade, assignment)
     if counts[0] == 0 and counts[1] == 0:
         raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
     if counts[0] != counts[1]:
-        return GroupScope(user_groups, 0 if counts[0] > counts[1] else 1)
-    author_group = assignment.groups.get(cascade.origin.user_id)
-    if author_group is None:
-        return GroupScope(user_groups, 0, tie_fallback=True)
-    return GroupScope(user_groups, author_group)
+        return 0 if counts[0] > counts[1] else 1
+    return assignment.groups.get(cascade.origin.user_id, 0)
 
 
 def build_exposure_ledger(
     cascade: Cascade,
     follow: FollowerNetwork,
-    scope: GroupScope,
+    user_groups: np.ndarray,
+    group: int,
     include_unexposed_retweeters: bool = False,
 ) -> ExposureLedger:
     """Single-trial exposure bookkeeping for one cascade within its main group.
@@ -145,13 +123,17 @@ def build_exposure_ledger(
     disregarded, as is the origin author as a trial. An origin author
     outside the follow graph's table (a stub origin's empty name, say) is an
     author with no followers; a retweeter missing from it raises ValueError.
+    ``user_groups`` is the partition over the follow table,
+    ``assignment.group_ids(follow.users)``, and ``group`` the main group.
     """
     ptr, idx = follow.follower_ptr, follow.follower_idx
     users = follow.users
     n = len(users)
-    if len(scope.user_groups) != n:
-        raise ValueError("the scope's user groups do not match the follow table")
-    in_group = scope.user_groups == scope.main_group
+    if group not in (0, 1):
+        raise ValueError("group must be 0 or 1")
+    if len(user_groups) != n:
+        raise ValueError("the user groups do not match the follow table")
+    in_group = user_groups == group
     index = follow.index
     author = index.get(cascade.origin.user_id, -1)
     try:
@@ -197,7 +179,7 @@ def build_exposure_ledger(
     return ExposureLedger(
         tweet_id=cascade.tweet_id,
         origin_author=cascade.origin.user_id,
-        group=scope.main_group,
+        group=group,
         users=users,
         successes=np.flatnonzero(success),
         failures=np.flatnonzero(failed),

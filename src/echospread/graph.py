@@ -250,7 +250,7 @@ def build_follower_network(
 ) -> tuple[FollowerNetwork, int]:
     """Read an edge CSV with header ``follower,followee`` restricted to universe."""
     with read_csv(path) as (header, rows):
-        if header is None or [h.strip() for h in header[:2]] != ["follower", "followee"]:
+        if header is None or header[:2] != ["follower", "followee"]:
             raise ValueError(f"{path}: expected header 'follower,followee'")
 
         def pairs() -> Iterator[tuple[str, str]]:
@@ -417,9 +417,9 @@ def _fm_refine(
     node_w: list[int],
     side: list[int],
     allowed: int,
-    max_passes: int = 30,
 ) -> int:
-    """FM refinement: sequences of locked moves, keeping the best prefix.
+    """FM refinement: sequences of locked moves, keeping the best prefix, for
+    at most 30 passes.
 
     Returns the final cut weight. The final state admits no single-node move
     that both respects the balance cap and strictly reduces the cut.
@@ -427,7 +427,7 @@ def _fm_refine(
     n = len(adj)
     min_w = min(node_w)
     cut = _cut_weight(adj, side)
-    for _ in range(max_passes):
+    for _ in range(30):
         w_side = [0, 0]
         for v, s in enumerate(side):
             w_side[s] += node_w[v]
@@ -563,8 +563,8 @@ def bisect_partition(
     return PartitionAssignment(groups=groups, cut_size=cut, balance=balance)
 
 
-def to_dot(net: RetweetNetwork, assignment: PartitionAssignment | None = None) -> str:
-    """DOT serialization of the network, node color by group when given."""
+def to_dot(net: RetweetNetwork, assignment: PartitionAssignment) -> str:
+    """DOT serialization of the network, each node colored by its group."""
     colors = {0: "#e08214", 1: "#7fbf7b"}
 
     def quoted(u: str) -> str:
@@ -572,11 +572,7 @@ def to_dot(net: RetweetNetwork, assignment: PartitionAssignment | None = None) -
 
     lines = ["graph retweet_network {", "  node [style=filled];"]
     for u in sorted(net.nodes):
-        if assignment is not None and u in assignment.groups:
-            color = colors[assignment.groups[u]]
-            lines.append(f'  {quoted(u)} [fillcolor="{color}"];')
-        else:
-            lines.append(f"  {quoted(u)};")
+        lines.append(f'  {quoted(u)} [fillcolor="{colors[assignment.groups[u]]}"];')
     for a, b in sorted(net.edges):
         lines.append(f"  {quoted(a)} -- {quoted(b)};")
     lines.append("}")

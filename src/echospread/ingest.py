@@ -56,33 +56,15 @@ class TweetRecord:
             raise ValueError(f"record {self.tweet_id} has negative timestamp")
 
 
+# The corpus rule. A record is topical when its chain root is in English and
+# its text contains TOPIC, case-insensitively. A user is eligible when they
+# posted or retweeted a record whose root carries one hashtag token holding
+# both stems of a seed pair, e.g. #ClimateCrisis matches ("climate", "crisis").
+TOPIC = "climate"
+LANGS = frozenset({"en"})
 # The seed hashtag pair that marks the skeptic side of the debate.
 SKEPTIC_PAIR = ("climate", "hoax")
-
-
-@dataclass(frozen=True)
-class CorpusFilter:
-    """Topical filter plus the hashtag rule that defines eligible users.
-
-    A user is eligible when they posted or retweeted any record whose text
-    carries a single hashtag token containing both stems of one seed pair
-    (case-insensitive), e.g. #ClimateCrisis matches ("climate", "crisis").
-    """
-
-    substring: str = "climate"
-    lang_allow: frozenset[str] = frozenset({"en"})
-    exclude_replies: bool = True
-    seed_hashtag_pairs: tuple[tuple[str, str], ...] = (
-        ("climate", "crisis"),
-        SKEPTIC_PAIR,
-    )
-
-    def __post_init__(self) -> None:
-        if not self.substring:
-            raise ValueError("substring must be nonempty")
-        lowered = tuple((a.lower(), b.lower()) for a, b in self.seed_hashtag_pairs)
-        object.__setattr__(self, "seed_hashtag_pairs", lowered)
-        object.__setattr__(self, "lang_allow", frozenset(self.lang_allow))
+SEED_PAIRS = (("climate", "crisis"), SKEPTIC_PAIR)
 
 
 @dataclass(frozen=True)
@@ -229,18 +211,14 @@ def _chain_roots(
     return roots
 
 
-def seed_pair_users(
-    records: Iterable[TweetRecord], pairs: Sequence[tuple[str, str]]
-) -> dict[tuple[str, str], set[str]]:
-    """Users who posted or retweeted a record matching each seed pair.
+def seed_pair_users(records: Iterable[TweetRecord]) -> dict[tuple[str, str], set[str]]:
+    """Users who posted or retweeted a record matching each of ``SEED_PAIRS``.
 
     A record matches through its chain root's text, since a retweet shares
     its origin's content; a record without a root matches nothing.
     """
     by_id = _first_by_id(records)
-    matches: dict[tuple[str, str], set[str]] = {
-        (a.lower(), b.lower()): set() for a, b in pairs
-    }
+    matches: dict[tuple[str, str], set[str]] = {pair: set() for pair in SEED_PAIRS}
     roots = _chain_roots(by_id)
     matched: dict[str, list[set[str]]] = {}
     for rec in by_id.values():
@@ -260,27 +238,23 @@ def seed_pair_users(
     return matches
 
 
-def filter_corpus(
-    records: Sequence[TweetRecord], corpus_filter: CorpusFilter | None = None
-) -> list[TweetRecord]:
+def filter_corpus(records: Sequence[TweetRecord]) -> list[TweetRecord]:
     """The topical records, first occurrence of each tweet id, in input order.
 
-    A record is topical when its chain has a root and, if replies are
-    excluded, no reply, and the root's language is allowed and its text
-    contains the filter substring case-insensitively. So a retweet whose
-    origin is present is kept exactly when the origin is, and one whose
-    origin is absent is tested on its own fields. Filtering is idempotent.
+    A record is topical when its chain has a root and holds no reply, and
+    the root's language is in ``LANGS`` and its text contains ``TOPIC``
+    case-insensitively. So a retweet whose origin is present is kept exactly
+    when the origin is, and one whose origin is absent is tested on its own
+    fields. Filtering is idempotent.
     """
-    f = corpus_filter if corpus_filter is not None else CorpusFilter()
     by_id = _first_by_id(records)
-    needle = f.substring.lower()
-    roots = _chain_roots(by_id, f.exclude_replies)
+    roots = _chain_roots(by_id, exclude_replies=True)
     return [
         rec
         for rec in by_id.values()
         if (root := roots[rec.tweet_id]) is not None
-        and (not f.lang_allow or root.lang in f.lang_allow)
-        and needle in root.text.lower()
+        and root.lang in LANGS
+        and TOPIC in root.text.lower()
     ]
 
 

@@ -39,10 +39,9 @@ class CoderSheet:
                 raise ValueError(f"{self.coder_id}: row {tweet_id} has non-binary label")
 
     @classmethod
-    def from_csv(cls, path: str | Path, coder_id: str | None = None) -> "CoderSheet":
+    def from_csv(cls, path: str | Path) -> "CoderSheet":
+        """The sheet in ``labels_<coder>.csv``, named ``<coder>``."""
         path = Path(path)
-        if coder_id is None:
-            coder_id = path.stem.removeprefix("labels_")
         with read_csv(path) as (header, reader):
             if not header or header[0] != "tweet_id" or len(header) < 2:
                 raise ValueError(f"{path}: expected header 'tweet_id,<features...>'")
@@ -57,7 +56,7 @@ class CoderSheet:
                     rows[row[0]] = tuple(int(v) for v in row[1:])
                 except ValueError as exc:
                     raise ValueError(f"{path}: non-integer label in {row!r}") from exc
-        return cls(coder_id=coder_id, features=features, rows=rows)
+        return cls(coder_id=path.stem.removeprefix("labels_"), features=features, rows=rows)
 
 
 @dataclass(frozen=True)

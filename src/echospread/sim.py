@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvio import write_csv
-from .exposure import GroupScope, build_exposure_ledger
+from .exposure import build_exposure_ledger
 from .graph import FollowerNetwork
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
@@ -89,6 +89,8 @@ class SimConfig:
                 raise ValueError("planted r must lie in (0, 1]; 0 allowed for nulls")
         if self.cascades_per_r < 1:
             raise ValueError("cascades_per_r must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
         if self.seed_pool not in {"top-decile", "uniform"}:
             raise ValueError(f"unknown seed_pool {self.seed_pool!r}")
 
@@ -365,9 +367,9 @@ def write_world(
     return {"tweets": tweets, "edges": edges_path, "truth": truth_path}
 
 
-def world_scope(world: SyntheticWorld) -> GroupScope:
+def world_groups(world: SyntheticWorld) -> np.ndarray:
     """Every simulated user in one scoring group, group 0."""
-    return GroupScope(np.zeros(len(world.users), dtype=np.int8), main_group=0)
+    return np.zeros(len(world.users), dtype=np.int8)
 
 
 def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], SyntheticWorld]:
@@ -378,7 +380,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
     """
     world = generate_world(config)
     sims, _ = simulate_corpus(world)
-    scope = world_scope(world)
+    groups = world_groups(world)
     rows: list[RecoveryRow] = []
     by_r: dict[float, list[SimCascade]] = {}
     for sim in sims:
@@ -389,7 +391,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
         unscorable = 0
         for sim in by_r[r]:
             cascades, _ = build_cascades(sim.records)
-            ledger = build_exposure_ledger(cascades[0], world.follow, scope)
+            ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             exposures.append(len(ledger.exposed))
             est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.ZERO_SUCCESSES:

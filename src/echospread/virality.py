@@ -97,9 +97,7 @@ def _dlog_likelihood(r: float, n_success: int, alpha_f: np.ndarray) -> float:
     return n_success / r - float(np.sum(alpha_f / denom))
 
 
-def mle_virality(
-    ledger: ExposureLedger, alpha: np.ndarray, max_iter: int = 200
-) -> ViralityEstimate:
+def mle_virality(ledger: ExposureLedger, alpha: np.ndarray) -> ViralityEstimate:
     """Maximize the cascade likelihood by bisection on its derivative.
 
     ``alpha`` holds each activity of the ledger's user table, 0 for a user
@@ -107,7 +105,7 @@ def mle_virality(
     the ``users`` of the ``FollowerNetwork`` the ledger came from. Trial
     users with zero activity cannot occur under the model and are dropped
     (counted in dropped_zero_activity). The bracket [lo, r_max] is narrowed
-    until its relative width falls below 1e-14 or max_iter halves,
+    until its relative width falls below 1e-14 or after 200 halvings,
     comfortably inside the 1e-10 contract.
     """
     if len(alpha) != len(ledger.users):
@@ -144,7 +142,7 @@ def mle_virality(
         return estimate(r_max, Boundary.UPPER_BOUNDARY)
 
     lo, hi = r_max * 1e-15, r_max
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= hi * 1e-14:
             break
         mid = 0.5 * (lo + hi)

@@ -20,9 +20,11 @@ from echospread.ingest import (
     _OPTIONAL,
     _REQUIRED,
     HASHTAG_RE,
+    LANGS,
+    SEED_PAIRS,
+    TOPIC,
     Cascade,
     CascadeReport,
-    CorpusFilter,
     TweetRecord,
     _first_by_id,
 )
@@ -861,27 +863,23 @@ def reference_seed_pair_users(
     return matches
 
 
-def reference_filter_corpus(
-    records: Sequence[TweetRecord], corpus_filter: CorpusFilter | None = None
-) -> tuple[list[TweetRecord], set[str]]:
+def reference_filter_corpus(records: Sequence[TweetRecord]) -> tuple[list[TweetRecord], set[str]]:
     """Keep topical records and collect the eligible user set.
 
-    A record is topical when it is not a reply (if replies are excluded),
-    its language is allowed, and its content text contains the filter
-    substring case-insensitively. A retweet whose origin record is present
-    in the input is retained exactly when the origin is retained, since it
-    carries the origin's content; with the origin absent the retweet's own
-    fields are tested. Eligible users are collected from the topical
-    records. Both rules make filtering idempotent.
+    A record is topical when it is not a reply, its language is in
+    ``LANGS``, and its content text contains ``TOPIC`` case-insensitively.
+    A retweet whose origin record is present in the input is retained
+    exactly when the origin is retained, since it carries the origin's
+    content; with the origin absent the retweet's own fields are tested.
+    Eligible users are collected from the topical records. Both rules make
+    filtering idempotent.
     """
-    f = corpus_filter if corpus_filter is not None else CorpusFilter()
     by_id = _first_by_id(records)
-    needle = f.substring.lower()
 
     def own_pass(rec: TweetRecord) -> bool:
-        if f.lang_allow and (rec.lang is None or rec.lang not in f.lang_allow):
+        if rec.lang is None or rec.lang not in LANGS:
             return False
-        return needle in rec.text.lower()
+        return TOPIC in rec.text.lower()
 
     status: dict[str, bool] = {}
 
@@ -898,7 +896,7 @@ def reference_filter_corpus(
                 break
             chain.append(cur)
             on_chain.add(cur.tweet_id)
-            if f.exclude_replies and cur.reply_to is not None:
+            if cur.reply_to is not None:
                 verdict = False
                 break
             parent = by_id.get(cur.retweet_of) if cur.retweet_of is not None else None
@@ -912,7 +910,7 @@ def reference_filter_corpus(
 
     topical = [rec for rec in by_id.values() if retained(rec)]
 
-    pair_users = reference_seed_pair_users(topical, f.seed_hashtag_pairs)
+    pair_users = reference_seed_pair_users(topical, SEED_PAIRS)
     eligible: set[str] = set()
     for users in pair_users.values():
         eligible |= users

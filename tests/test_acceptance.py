@@ -26,7 +26,7 @@ import numpy as np
 from conftest import record_acceptance
 from helpers import alpha_of, grid_oracle, id_ledger, named
 
-from echospread.exposure import GroupScope, build_exposure_ledger
+from echospread.exposure import build_exposure_ledger
 from echospread.graph import (
     FollowerNetwork,
     PartitionAssignment,
@@ -49,7 +49,7 @@ from echospread.sim import (
     generate_world,
     recovery_experiment,
     simulate_cascade,
-    world_scope,
+    world_groups,
 )
 from echospread.virality import Boundary, mle_virality
 
@@ -203,8 +203,7 @@ def scenario_ledger(follow_edges, retweets):
     groups = {u: 0 for u in users}
     groups["__other__"] = 1
     assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.0)
-    scope = GroupScope(assignment.group_ids(follow.users), 0)
-    return named(build_exposure_ledger(cascades[0], follow, scope))
+    return named(build_exposure_ledger(cascades[0], follow, assignment.group_ids(follow.users), 0))
 
 
 @criterion(5, "display-rule fixtures reproduce exact exposure sets and attribution")
@@ -365,7 +364,7 @@ def test_criterion_08_planted_effect_recovery():
                 master_seed=rep,
             )
         )
-        scope = world_scope(world)
+        user_groups = world_groups(world)
         pool = sorted(world.users)
         y = np.empty(n_tweets)
         usable = np.ones(n_tweets, dtype=bool)
@@ -373,7 +372,7 @@ def test_criterion_08_planted_effect_recovery():
             seed_user = pool[int(rng.integers(len(pool)))]
             sim = simulate_cascade(world, seed_user, r, i)
             cascades, _ = build_cascades(list(sim.records))
-            ledger = build_exposure_ledger(cascades[0], world.follow, scope)
+            ledger = build_exposure_ledger(cascades[0], world.follow, user_groups, 0)
             est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.INTERIOR:
                 y[i] = est.ln_r

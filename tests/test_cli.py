@@ -334,6 +334,34 @@ class TestScoreTask:
         assert tree_bytes(out) == tree_bytes(baseline)
 
 
+class TestParallelMap:
+    def test_pool_starts_no_more_processes_than_items(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            """Records the process count asked for and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        ready = []
+        assert cli.parallel_map(abs, [-1, -2, -3], 8, ready.append, ("init",)) == [1, 2, 3]
+        assert asked == [3] and ready == ["init"]
+        assert cli.parallel_map(abs, [-4], 8, ready.append, ("again",)) == [4]
+        assert asked == [3] and ready == ["init", "again"]
+
+
 class TestInputValidation:
     def test_missing_edges_exits_one_and_names_input(self, tmp_path):
         config = tmp_path / "config.json"
@@ -498,6 +526,15 @@ class TestEdgesContract:
         assert code == EXIT_INPUT
         assert self.manifest(out)["failure"]["stage"] == "virality"
 
+    def test_spaced_header_exits_one_and_is_recorded(self, baseline, tmp_path):
+        """Header cells are compared exactly, as the rows are read: with
+        ``follower, followee`` every row would name a user `` a02``."""
+        text = (FIXTURES / "edges.csv").read_text().replace(",", ", ")
+        code, out = self.virality(baseline, tmp_path, "o", text)
+        assert code == EXIT_INPUT
+        failure = self.manifest(out)["failure"]
+        assert failure["stage"] == "virality" and "header" in failure["error"]
+
     def test_short_row_exits_one_and_is_recorded(self, baseline, tmp_path):
         text = (FIXTURES / "edges.csv").read_text() + "a00\n"
         code, out = self.virality(baseline, tmp_path, "o", text)
@@ -548,6 +585,18 @@ class TestStubOrigins:
         assert after["zero_successes"] == before["zero_successes"] + 1
         rows = (out / "ledgers.csv").read_text().splitlines()
         assert "gone,9,0,9,1," in rows
+
+
+class TestFixture:
+    def test_make_fixture_reproduces_the_fixtures(self, tmp_path, monkeypatch):
+        """``scripts/make_fixture.py`` writes ``fixtures/`` byte for byte."""
+        path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixture.py"
+        spec = importlib.util.spec_from_file_location("_make_fixture", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        script.main()
+        assert tree_bytes(tmp_path) == tree_bytes(FIXTURES)
 
 
 class TestExitCodes:
@@ -810,9 +859,14 @@ class TestConfigReader:
             ({"threshold": -5}, "threshold"),
             ({"min_author_tweets": -1}, "min_author_tweets"),
             ({"workers": 0}, "workers"),
+            ({"seed": -1}, "seed"),
+            ({"folds": 1}, "folds"),
+            ({"lambda_grid": 0}, "lambda_grid"),
+            ({"sim": {"master_seed": -1}}, "master_seed"),
         ],
         ids=["balance_tol-nan", "balance_tol-inf", "balance_tol-negative", "threshold",
-             "min_author_tweets", "workers"],
+             "min_author_tweets", "workers", "seed", "folds", "lambda_grid",
+             "sim.master_seed"],
     )
     def test_out_of_range_value_exits_one_and_names_the_key(self, tmp_path, capsys, raw, key):
         code, err = self.exit_and_error(tmp_path, capsys, raw)

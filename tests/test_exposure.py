@@ -10,7 +10,7 @@ from helpers import (
     reference_from_edges,
     reference_ledger,
 )
-from echospread.exposure import GroupScope, build_exposure_ledger, choose_scope
+from echospread.exposure import build_exposure_ledger, choose_scope
 from echospread.graph import FollowerNetwork, PartitionAssignment
 from echospread.ingest import Cascade, TweetRecord
 
@@ -27,7 +27,8 @@ def make_cascade(author, events, tweet_id="T"):
 
 
 def scope_over(net, users, author, group=0):
-    """``users`` in ``group`` and the author in the other one, over ``net``'s table."""
+    """``users`` in ``group`` and the author in the other one: the user groups
+    over ``net``'s table and ``group``."""
     groups = {u: group for u in users}
     groups[author] = 1 - group
     assignment = PartitionAssignment(
@@ -37,7 +38,7 @@ def scope_over(net, users, author, group=0):
 
 
 def scope_of(net, assignment, group):
-    return GroupScope(assignment.group_ids(net.users), main_group=group)
+    return assignment.group_ids(net.users), group
 
 
 def follow_net(edges, cascade):
@@ -53,7 +54,7 @@ class TestDisplayRuleFixtures:
         # scenario 1: p follows the origin author; nobody retweets
         cascade = make_cascade("o", [])
         net = follow_net([("p", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p"], "o")))
         assert led.exposed == frozenset({"p"})
         assert led.successes == frozenset()
         assert led.failures == frozenset({"p"})
@@ -67,7 +68,7 @@ class TestDisplayRuleFixtures:
             [("p", "o"), ("p", "i1"), ("p", "i2"), ("i1", "o"), ("i2", "o")], cascade
         )
         led = named(
-            build_exposure_ledger(cascade, net, scope_over(net, ["p", "i1", "i2"], "o"))
+            build_exposure_ledger(cascade, net, *scope_over(net, ["p", "i1", "i2"], "o"))
         )
         assert led.exposed == frozenset({"p", "i1", "i2"})
         assert led.successes == frozenset({"i1", "i2"})
@@ -80,7 +81,7 @@ class TestDisplayRuleFixtures:
         # scenario 3: p follows only retweeter i3
         cascade = make_cascade("o", [("i3", 1)])
         net = follow_net([("i3", "o"), ("p", "i3")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p", "i3"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p", "i3"], "o")))
         assert led.exposed == frozenset({"p", "i3"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "i3"
@@ -89,7 +90,7 @@ class TestDisplayRuleFixtures:
         # scenario 4: p follows retweeters a (t=3) and d (t=7), not the origin
         cascade = make_cascade("o", [("a", 3), ("d", 7)])
         net = follow_net([("a", "o"), ("d", "o"), ("p", "a"), ("p", "d")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["p", "a", "d"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p", "a", "d"], "o")))
         assert led.exposed == frozenset({"p", "a", "d"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "a"
@@ -100,7 +101,7 @@ class TestSuccessPathways:
         # u retweets before its only followee w does: no modeled pathway
         cascade = make_cascade("o", [("u", 1), ("w", 5)])
         net = follow_net([("u", "w"), ("w", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["u", "w"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["u", "w"], "o")))
         assert led.successes == frozenset({"w"})
         assert led.unexposed_successes == frozenset({"u"})
         assert "u" not in led.exposed
@@ -109,7 +110,7 @@ class TestSuccessPathways:
         # T-a sorts before T-b at the same timestamp, so b may cite a
         cascade = make_cascade("o", [("a", 1), ("b", 1)])
         net = follow_net([("a", "o"), ("b", "a")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["a", "b"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["a", "b"], "o")))
         assert led.successes == frozenset({"a", "b"})
         assert led.attribution["b"] == "a"
 
@@ -117,11 +118,11 @@ class TestSuccessPathways:
         cascade = make_cascade("o", [("u", 1)])
         net = follow_net([("x", "o")], cascade)
         scope = scope_over(net, ["u", "x"], "o")
-        led = named(build_exposure_ledger(cascade, net, scope))
+        led = named(build_exposure_ledger(cascade, net, *scope))
         assert led.successes == frozenset()
         assert led.unexposed_successes == frozenset({"u"})
         led_inc = named(
-            build_exposure_ledger(cascade, net, scope, include_unexposed_retweeters=True)
+            build_exposure_ledger(cascade, net, *scope, include_unexposed_retweeters=True)
         )
         assert led_inc.successes == frozenset({"u"})
         assert "included_unexposed_retweeters" in led_inc.flags
@@ -129,7 +130,7 @@ class TestSuccessPathways:
     def test_author_self_retweet_ignored(self):
         cascade = make_cascade("o", [("o", 1), ("u", 2)])
         net = follow_net([("u", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, ["u"], "o")))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["u"], "o")))
         assert led.successes == frozenset({"u"})
         assert "o" not in led.exposed
 
@@ -141,7 +142,7 @@ class TestGroupRestriction:
         groups = {"p": 0, "m": 0, "x": 1, "o": 1}
         assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
         net = follow_net([("x", "o"), ("p", "x"), ("m", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_of(net, assignment, 0)))
+        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, 0)))
         assert "x" not in led.exposed
         assert "p" not in led.exposed
         assert led.successes == frozenset({"m"})
@@ -151,7 +152,7 @@ class TestGroupRestriction:
         groups = {"m": 0, "q": 0, "o": 1}
         assignment = PartitionAssignment(groups=groups, cut_size=0, balance=2 / 3)
         net = follow_net([("m", "o"), ("ghost", "o"), ("q", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_of(net, assignment, 0)))
+        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, 0)))
         assert led.exposed == frozenset({"m", "q"})
 
 
@@ -159,13 +160,6 @@ class TestMainGroup:
     def assignment(self, zeros, ones):
         groups = {u: 0 for u in zeros} | {u: 1 for u in ones}
         return PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
-
-    def scope(self, cascade, assignment):
-        net = follow_net([], cascade)
-        return choose_scope(cascade, assignment, assignment.group_ids(net.users))
-
-    def main_group(self, cascade, assignment):
-        return self.scope(cascade, assignment).main_group
 
     def test_majority_wins(self):
         retweeters = [(f"a{i}", i + 1) for i in range(12)] + [
@@ -175,24 +169,23 @@ class TestMainGroup:
         assignment = self.assignment(
             [f"a{i}" for i in range(12)], [f"s{i}" for i in range(3)]
         )
-        assert self.main_group(cascade, assignment) == 0
+        assert choose_scope(cascade, assignment) == 0
 
     def test_tie_uses_author_group(self):
         cascade = make_cascade("o", [("a0", 1), ("a1", 2), ("s0", 3), ("s1", 4)])
         assignment = self.assignment(["a0", "a1"], ["s0", "s1", "o"])
-        assert self.main_group(cascade, assignment) == 1
+        assert choose_scope(cascade, assignment) == 1
 
     def test_tie_with_unclassified_author_falls_back(self):
         cascade = make_cascade("o", [("a0", 1), ("s0", 2)])
         assignment = self.assignment(["a0"], ["s0"])
-        scope = self.scope(cascade, assignment)
-        assert scope.tie_fallback and scope.main_group == 0
+        assert choose_scope(cascade, assignment) == 0
 
     def test_no_classified_retweeters_is_unscorable(self):
         cascade = make_cascade("o", [("ghost", 1)])
         assignment = self.assignment(["a0"], ["s0"])
         with pytest.raises(ValueError, match="unscorable"):
-            self.main_group(cascade, assignment)
+            choose_scope(cascade, assignment)
 
 
 USERS = [f"u{i}" for i in range(7)]
@@ -222,7 +215,7 @@ class TestLedgerProperties:
         author, edges, events = scenario
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
         assert led.successes | led.failures == led.exposed
         assert not led.successes & led.failures
         assert len(led.exposed) == len(led.successes) + len(led.failures)
@@ -237,10 +230,10 @@ class TestLedgerProperties:
             return
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        full = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
+        full = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
         smaller = follow_net(edges[1:], cascade)
         reduced = named(
-            build_exposure_ledger(cascade, smaller, scope_over(smaller, USERS, author))
+            build_exposure_ledger(cascade, smaller, *scope_over(smaller, USERS, author))
         )
         assert reduced.exposed <= full.exposed
 
@@ -250,7 +243,7 @@ class TestLedgerProperties:
         author, edges, events = scenario
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        led = named(build_exposure_ledger(cascade, net, scope_over(net, USERS, author)))
+        led = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
         order = [rt.user_id for rt in cascade.retweets]
         for s in led.successes:
             followees = {b for a, b in edges if a == s}
@@ -263,10 +256,10 @@ class TestLedgerProperties:
         author, edges, events = scenario
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        scope = scope_over(net, USERS, author)
-        led = named(build_exposure_ledger(cascade, net, scope))
+        user_groups, group = scope_over(net, USERS, author)
+        led = named(build_exposure_ledger(cascade, net, user_groups, group))
         for u in led.exposed:
-            assert scope.user_groups[net.users.index(u)] == scope.main_group
+            assert user_groups[net.users.index(u)] == group
 
 
 MIXED = [f"m{i}" for i in range(6)]
@@ -318,8 +311,7 @@ class TestReferenceLedger:
     def test_equals_reference_on_every_field(self, scenario):
         cascade, edges, assignment, main, include = scenario
         net = follow_net(edges, cascade)
-        scope = scope_of(net, assignment, main)
-        led = named(build_exposure_ledger(cascade, net, scope, include))
+        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, main), include))
         assert led == reference_ledger(cascade, edges, assignment.groups, main, include)
 
     @given(mixed_scenarios())
@@ -329,8 +321,7 @@ class TestReferenceLedger:
         universe = {"auth", "g0", "g1", *MIXED}
         net, _ = FollowerNetwork.from_edges(edges, universe)
         ref_net, _ = reference_from_edges(edges, universe)
-        scope = scope_of(net, assignment, main)
-        led = named(build_exposure_ledger(cascade, net, scope, include))
+        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, main), include))
         assert led == reference_build_exposure_ledger(
             cascade, ref_net, assignment.groups, main, include
         )
@@ -341,7 +332,7 @@ class TestUserTable:
         cascade = make_cascade("o", [("u", 1)])
         net, _ = FollowerNetwork.from_edges([("x", "o")], {"x", "o"})
         with pytest.raises(ValueError, match="'u' is not in the user table"):
-            build_exposure_ledger(cascade, net, scope_over(net, ["u", "x"], "o"))
+            build_exposure_ledger(cascade, net, *scope_over(net, ["u", "x"], "o"))
 
     def test_stub_origin_outside_the_table_has_no_followers(self):
         # a retweet of a missing origin: the stub's author "" is in no table
@@ -354,19 +345,27 @@ class TestUserTable:
         edges = [("b", "a"), ("c", "a"), ("d", "c")]
         net, _ = FollowerNetwork.from_edges(edges, {"a", "b", "c", "d"})
         assignment = PartitionAssignment(groups={"a": 0, "b": 0, "c": 0, "d": 1})
-        scope = choose_scope(cascade, assignment, assignment.group_ids(net.users))
-        led = named(build_exposure_ledger(cascade, net, scope))
+        group = choose_scope(cascade, assignment)
+        led = named(build_exposure_ledger(cascade, net, assignment.group_ids(net.users), group))
         ref_net, _ = reference_from_edges(edges, {"a", "b", "c", "d"})
         assert led == reference_build_exposure_ledger(
-            cascade, ref_net, assignment.groups, scope.main_group
+            cascade, ref_net, assignment.groups, group
         )
         assert led.successes == frozenset({"b"})
         assert led.failures == frozenset({"c"})
         assert led.unexposed_successes == frozenset({"a"})
+
+    @pytest.mark.parametrize("group", [-1, 2])
+    def test_group_other_than_0_or_1_is_rejected(self, group):
+        cascade = make_cascade("o", [("i", 1)])
+        net = follow_net([("i", "o")], cascade)
+        user_groups, _ = scope_over(net, ["i"], "o")
+        with pytest.raises(ValueError, match="group must be 0 or 1"):
+            build_exposure_ledger(cascade, net, user_groups, group)
 
     def test_scope_over_another_table_is_rejected(self):
         cascade = make_cascade("o", [("i", 1)])
         net = follow_net([("i", "o"), ("p", "i")], cascade)
         other = follow_net([("i", "o")], cascade)
         with pytest.raises(ValueError, match="do not match the follow table"):
-            build_exposure_ledger(cascade, net, scope_over(other, ["p", "i"], "o"))
+            build_exposure_ledger(cascade, net, *scope_over(other, ["p", "i"], "o"))

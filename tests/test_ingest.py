@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from echospread import ingest
 from echospread.graph import build_retweet_network
 from echospread.ingest import (
-    CorpusFilter,
+    SEED_PAIRS,
     TweetRecord,
     build_cascades,
     filter_corpus,
@@ -47,13 +47,10 @@ def obj(tweet_id, user_id="u", timestamp=0, text="climate talk", **kw):
     return base
 
 
-PAIRS = CorpusFilter().seed_hashtag_pairs
-
-
 def eligible_users(records):
     """The eligible users as ``ingest`` counts them: the seed-pair users of
     the topical records."""
-    return set().union(*seed_pair_users(filter_corpus(records), PAIRS).values())
+    return set().union(*seed_pair_users(filter_corpus(records)).values())
 
 
 def write_jsonl(path, objs):
@@ -179,11 +176,6 @@ class TestFilterCorpus:
         topical = filter_corpus([rec("t1", reply_to="t0", lang="en")])
         assert topical == []
 
-    def test_reply_kept_when_allowed(self):
-        f = CorpusFilter(exclude_replies=False)
-        topical = filter_corpus([rec("t1", reply_to="t0", lang="en")], f)
-        assert len(topical) == 1
-
     def test_disallowed_lang_dropped(self):
         topical = filter_corpus([rec("t1", lang="de"), rec("t2", lang="en")])
         assert [r.tweet_id for r in topical] == ["t2"]
@@ -191,11 +183,6 @@ class TestFilterCorpus:
     def test_missing_lang_dropped_under_allow_list(self):
         topical = filter_corpus([rec("t1", lang=None)])
         assert topical == []
-
-    def test_empty_allow_list_admits_any_lang(self):
-        f = CorpusFilter(lang_allow=frozenset())
-        topical = filter_corpus([rec("t1", lang=None), rec("t2", lang="fr")], f)
-        assert len(topical) == 2
 
     def test_retweet_follows_origin_retention(self):
         records = [
@@ -247,8 +234,7 @@ class TestSeedPairUsers:
             rec("t1", user_id="a", text="#climatecrisis"),
             rec("t2", user_id="b", text="#ClimateHoax"),
         ]
-        pairs = (("climate", "crisis"), ("climate", "hoax"))
-        users = seed_pair_users(records, pairs)
+        users = seed_pair_users(records)
         assert users[("climate", "crisis")] == {"a"}
         assert users[("climate", "hoax")] == {"b"}
 
@@ -465,7 +451,7 @@ class TestChainReference:
         topical = filter_corpus(records)
         ref_topical, ref_eligible = reference_filter_corpus(records)
         assert topical == ref_topical
-        assert set().union(*seed_pair_users(topical, PAIRS).values()) == ref_eligible
+        assert set().union(*seed_pair_users(topical).values()) == ref_eligible
         assert build_cascades(records) == reference_build_cascades(records)
         assert build_cascades(topical) == reference_build_cascades(topical)
 
@@ -473,9 +459,9 @@ class TestChainReference:
     @settings(max_examples=400)
     def test_seed_pairs_equal_reference_without_a_cycle(self, records):
         topical = filter_corpus(records)
-        assert seed_pair_users(topical, PAIRS) == reference_seed_pair_users(topical, PAIRS)
+        assert seed_pair_users(topical) == reference_seed_pair_users(topical, SEED_PAIRS)
         if not has_cycle(records):
-            assert seed_pair_users(records, PAIRS) == reference_seed_pair_users(records, PAIRS)
+            assert seed_pair_users(records) == reference_seed_pair_users(records, SEED_PAIRS)
 
     def test_record_on_or_into_a_cycle_matches_no_seed_pair(self):
         records = [
@@ -484,7 +470,7 @@ class TestChainReference:
             rec("y", user_id="c", text="#ClimateHoax", retweet_of="x"),
             rec("z", user_id="d", text="#ClimateHoax", retweet_of="x"),
         ]
-        assert seed_pair_users(records, PAIRS)[("climate", "hoax")] == {"a"}
+        assert seed_pair_users(records)[("climate", "hoax")] == {"a"}
         assert [r.tweet_id for r in filter_corpus(records)] == ["o"]
         cascades, report = build_cascades(records)
         assert [c.tweet_id for c in cascades] == ["o"]
@@ -501,7 +487,7 @@ class TestChainReference:
         ]
         start = time.perf_counter()
         topical = filter_corpus(records)
-        users = seed_pair_users(records, PAIRS)
+        users = seed_pair_users(records)
         cascades, report = build_cascades(records)
         assert time.perf_counter() - start < 1.0
         assert len(topical) == n

@@ -28,7 +28,7 @@ from echospread.sim import (
     seed_pool,
     simulate_cascade,
     simulate_corpus,
-    world_scope,
+    world_groups,
     write_recovery_csv,
     write_world,
 )
@@ -298,11 +298,11 @@ class TestRoundTrip:
         cascades, _ = build_cascades(kept)
         follow, dropped = build_follower_network(paths["edges"], set(world.users))
         assert dropped == 0
-        scope = world_scope(world)
+        groups = world_groups(world)
         by_id = {c.tweet_id: c for c in cascades}
         assert set(by_id) == {s.tweet_id for s in sims}
         for sim in map(named, sims):
-            ledger = named(build_exposure_ledger(by_id[sim.tweet_id], follow, scope))
+            ledger = named(build_exposure_ledger(by_id[sim.tweet_id], follow, groups, 0))
             assert ledger.exposed == sim.exposed
             assert ledger.successes == sim.successes
             assert ledger.failures == sim.failures
@@ -342,7 +342,7 @@ class TestRecovery:
         world = hand_world(edges, acts)
         sim = simulate_cascade(world, "hub", 1.0, 0)
         cascades, _ = build_cascades(list(sim.records))
-        ledger = build_exposure_ledger(cascades[0], world.follow, world_scope(world))
+        ledger = build_exposure_ledger(cascades[0], world.follow, world_groups(world), 0)
         est = mle_virality(ledger, world.alpha)
         assert est.boundary is Boundary.UPPER_BOUNDARY
         assert est.r_hat == 1.0
@@ -383,12 +383,12 @@ class TestRecovery:
         edges = [(f"f{i:04d}", "hub") for i in range(spokes)]
         acts = {f"f{i:04d}": 1.0 for i in range(spokes)} | {"hub": 1.0}
         world = hand_world(edges, acts)
-        scope = world_scope(world)
+        groups = world_groups(world)
         errors = []
         for idx in range(reps):
             sim = simulate_cascade(world, "hub", r, idx)
             cascades, _ = build_cascades(list(sim.records))
-            ledger = build_exposure_ledger(cascades[0], world.follow, scope)
+            ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             assert len(ledger.exposed) == spokes
             est = mle_virality(ledger, world.alpha)
             errors.append(abs(est.r_hat - r) / r)
