@@ -20,6 +20,9 @@ from .ingest import HASHTAG_RE
 from .virality import Boundary, ViralityEstimate
 
 MENTION_RE = re.compile(r"@\w+")
+# The prefix of every author-indicator column name, which the lasso report
+# reads to summarize the author block.
+AUTHOR_PREFIX = "author:"
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,9 @@ class CoderSheet:
                     raise ValueError(f"{path}: ragged row {row!r}")
                 if row[0] in rows:
                     raise ValueError(f"{path}: duplicate tweet_id {row[0]}")
-                try:
-                    rows[row[0]] = tuple(int(v) for v in row[1:])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: non-integer label in {row!r}") from exc
+                if any(v not in ("0", "1") for v in row[1:]):
+                    raise ValueError(f"{path}: label other than 0 or 1 in {row!r}")
+                rows[row[0]] = tuple(int(v) for v in row[1:])
         return cls(coder_id=path.stem.removeprefix("labels_"), features=features, rows=rows)
 
 
@@ -272,7 +274,7 @@ def _design(
     groups = tuple((j,) for j in range(p_val))
     if authors:
         groups += (tuple(author_col.values()),)
-    return X, groups, tuple(value_columns) + tuple(f"author:{a}" for a in authors), authors
+    return X, groups, tuple(value_columns) + tuple(AUTHOR_PREFIX + a for a in authors), authors
 
 
 # The leading columns of features_<group>.csv; the value columns and ln_r follow.

@@ -2,20 +2,23 @@
 
 Objective: (1/2n)||y - b0 - X b||^2 + lam * sum_g sqrt(p_g) ||b_g||_2 with an
 unpenalized intercept. Solved by monotone proximal gradient (ISTA) with
-backtracking on the centered, optionally standardized design; gradients use
-the Gram form G = X'X/n, c = X'y/n. The objective is non-increasing at every
-iteration, which is checked.
+backtracking on the centered and standardized design; gradients use the Gram
+form G = X'X/n, c = X'y/n. The objective is non-increasing at every
+iteration, which is checked. Every solve stops by one rule, the module
+constants below: at most ``MAX_ITER`` iterations, a relative objective change
+below ``TOL``, and a KKT residual within ``KKT_TOL`` (``CV_KKT_TOL`` on the
+cross-validation paths, whose fits only score held-out rows).
 
 ISTA finds the support (which coefficients are nonzero) long before its
 iterates pass the KKT check, so each solve ends with a Newton step on the
 support (proximal Newton; Lee, Sun and Saunders, SIAM J. Optim. 2014). Once
-an iteration has moved the objective by less than ``tol`` relative, the best
+an iteration has moved the objective by less than ``TOL`` relative, the best
 iterate is returned if it is certified, as before. If not, and the support
 differs from the one last tried, Newton solves the support's stationarity
 equations with the singletons' signs fixed. Its answer is returned only if
 its objective is no higher than the current iterate's and its KKT residual
-is within ``kkt_tol``, the certificate ISTA itself must pass; otherwise ISTA
-goes on.
+is within the KKT tolerance, the certificate ISTA itself must pass;
+otherwise ISTA goes on.
 
 The groups of a problem are split once into a layout: the singleton groups
 are thresholded together as arrays, and only the multi-column blocks are
@@ -38,19 +41,22 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .csvio import write_csv
+from .labels import AUTHOR_PREFIX
 
 Groups = Sequence[Sequence[int]]
+
+# The stopping rule of every solve (see the module docstring).
+TOL = 1e-6
+MAX_ITER = 10_000
+KKT_TOL = 1e-7
+CV_KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class LassoConfig:
     lambda_grid: int = 100
     folds: int = 5
-    tol: float = 1e-6
-    max_iter: int = 10_000
-    standardize: bool = True
     seed: int = 0
-    kkt_tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.lambda_grid < 1:
@@ -68,7 +74,6 @@ class LassoFit:
     groups: tuple[tuple[int, ...], ...]
     objective: float
     n_iter: int
-    standardized: bool
     cv_curve: tuple[tuple[float, float], ...] = ()
 
 
@@ -150,7 +155,7 @@ def _check_groups(groups: Groups, p: int) -> _Layout:
 
 
 class _Centered(NamedTuple):
-    """A design centered (and optionally scaled), with its Gram form."""
+    """A design centered and scaled, with its Gram form."""
 
     Xs: np.ndarray
     yc: np.ndarray
@@ -161,14 +166,11 @@ class _Centered(NamedTuple):
     c: np.ndarray  # Xs'yc/n
 
 
-def _center(X: np.ndarray, y: np.ndarray, standardize: bool) -> _Centered:
-    """Center (and optionally scale) the design; constants scale to zero."""
+def _center(X: np.ndarray, y: np.ndarray) -> _Centered:
+    """Center and scale the design; constants scale to zero."""
     mu = X.mean(axis=0)
-    if standardize:
-        sd = X.std(axis=0)
-        sd = np.where(sd > 0, sd, 1.0)
-    else:
-        sd = np.ones(X.shape[1])
+    sd = X.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
     Xs = (X - mu) / sd
     y_mean = float(y.mean())
     yc = y - y_mean
@@ -181,12 +183,10 @@ def _lam_top(c: np.ndarray, layout: _Layout) -> float:
     return max((layout.norms(c) / layout.w).tolist())
 
 
-def lambda_max(
-    X: np.ndarray, y: np.ndarray, groups: Groups, standardize: bool = True
-) -> float:
+def lambda_max(X: np.ndarray, y: np.ndarray, groups: Groups) -> float:
     """Smallest penalty at which every group's coefficient block is zero."""
     layout = _check_groups(groups, X.shape[1])
-    cen = _center(np.asarray(X, float), np.asarray(y, float), standardize)
+    cen = _center(np.asarray(X, float), np.asarray(y, float))
     return _lam_top(cen.c, layout)
 
 
@@ -374,19 +374,12 @@ def _solve_std(
     )
 
 
-def fit_group_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    groups: Groups,
-    lam: float,
-    config: LassoConfig | None = None,
-) -> LassoFit:
+def fit_group_lasso(X: np.ndarray, y: np.ndarray, groups: Groups, lam: float) -> LassoFit:
     """Fit at one penalty level; coefficients returned on the original scale.
 
     lam=0 reduces to least squares and is solved exactly; lam >= lambda_max
     returns exact zeros immediately.
     """
-    cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -397,7 +390,7 @@ def fit_group_lasso(
         raise ValueError("lambda must be nonnegative")
     n, p = X.shape
     layout = _check_groups(groups, p)
-    cen = _center(X, y, cfg.standardize)
+    cen = _center(X, y)
 
     if lam == 0.0:
         beta_std, *_ = np.linalg.lstsq(cen.Xs, cen.yc, rcond=None)
@@ -409,7 +402,7 @@ def fit_group_lasso(
         n_iter = 0
     else:
         beta_std, objective, n_iter = _solve_std(
-            cen.G, cen.c, lam, layout, np.zeros(p), cfg.tol, cfg.max_iter, cfg.kkt_tol
+            cen.G, cen.c, lam, layout, np.zeros(p), TOL, MAX_ITER, KKT_TOL
         )
 
     beta = beta_std / cen.sd
@@ -424,7 +417,6 @@ def fit_group_lasso(
         groups=tuple(tuple(g.tolist()) for g in layout.groups),
         objective=objective + constant,
         n_iter=n_iter,
-        standardized=cfg.standardize,
     )
 
 
@@ -435,7 +427,7 @@ def kkt_residual_from_fit(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     layout = _check_groups(groups, X.shape[1])
-    cen = _center(X, y, fit.standardized)
+    cen = _center(X, y)
     beta_std = fit.beta * cen.sd
     # Recomputed from the design rather than the Gram matrix the solver used.
     Gb = cen.Xs.T @ (cen.Xs @ beta_std) / X.shape[0]
@@ -459,7 +451,7 @@ def cv_select_lambda(
     X: np.ndarray,
     y: np.ndarray,
     groups: Groups,
-    config: LassoConfig | None = None,
+    config: LassoConfig,
     fold_ids: Sequence[int] | None = None,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """K-fold CV over a geometric grid with warm starts down the path.
@@ -467,11 +459,10 @@ def cv_select_lambda(
     Returns (lambda_best, curve) where curve pairs each lambda with its mean
     validation squared error; ties resolve to the larger lambda.
     """
-    cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    if n < cfg.folds:
+    if n < config.folds:
         raise ValueError("need at least one row per fold")
     layout = _check_groups(groups, X.shape[1])
 
@@ -480,21 +471,19 @@ def cv_select_lambda(
         fold_labels = sorted(set(fold_ids.tolist()))
         folds = [np.flatnonzero(fold_ids == k) for k in fold_labels]
     else:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(config.seed)
         order = rng.permutation(n)
-        folds = [np.sort(part) for part in np.array_split(order, cfg.folds)]
+        folds = [np.sort(part) for part in np.array_split(order, config.folds)]
     if any(len(f) == 0 for f in folds):
         raise ValueError("fold with zero rows; reduce folds")
 
-    grid = lambda_grid(
-        _lam_top(_center(X, y, cfg.standardize).c, layout), cfg.lambda_grid
-    )
+    grid = lambda_grid(_lam_top(_center(X, y).c, layout), config.lambda_grid)
     errors = np.zeros((len(folds), len(grid)))
     for k, val_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
         X_val, y_val = X[val_idx], y[val_idx]
-        cen = _center(X[mask], y[mask], cfg.standardize)
+        cen = _center(X[mask], y[mask])
         lam_top = _lam_top(cen.c, layout)
         beta_std = np.zeros(X.shape[1])
         for j, lam in enumerate(grid):
@@ -502,8 +491,7 @@ def cv_select_lambda(
                 beta_std = np.zeros(X.shape[1])
             else:
                 beta_std, _, _ = _solve_std(
-                    cen.G, cen.c, float(lam), layout, beta_std,
-                    cfg.tol, cfg.max_iter, max(cfg.kkt_tol, 1e-6),
+                    cen.G, cen.c, float(lam), layout, beta_std, TOL, MAX_ITER, CV_KKT_TOL
                 )
             beta = beta_std / cen.sd
             intercept = cen.y_mean - float(beta @ cen.mu)
@@ -516,18 +504,13 @@ def cv_select_lambda(
     return float(grid[best]), curve
 
 
-def fit_cv(
-    X: np.ndarray, y: np.ndarray, groups: Groups, config: LassoConfig | None = None
-) -> LassoFit:
+def fit_cv(X: np.ndarray, y: np.ndarray, groups: Groups, config: LassoConfig) -> LassoFit:
     """CV-selected penalty, then a final certified fit on all rows."""
-    cfg = config if config is not None else LassoConfig()
-    lam_best, curve = cv_select_lambda(X, y, groups, cfg)
-    return replace(fit_group_lasso(X, y, groups, lam_best, cfg), cv_curve=curve)
+    lam_best, curve = cv_select_lambda(X, y, groups, config)
+    return replace(fit_group_lasso(X, y, groups, lam_best), cv_curve=curve)
 
 
-def report_coefficients(
-    fit: LassoFit, column_names: Sequence[str], author_prefix: str = "author:"
-) -> CoefficientReport:
+def report_coefficients(fit: LassoFit, column_names: Sequence[str]) -> CoefficientReport:
     """Per-feature percent changes; author indicators summarized as a range."""
     active_cols = {j for gi in fit.active_groups for j in fit.groups[gi]}
     rows = []
@@ -535,7 +518,7 @@ def report_coefficients(
     authors_selected = False
     for j, name in enumerate(column_names):
         beta_j = float(fit.beta[j])
-        if name.startswith(author_prefix):
+        if name.startswith(AUTHOR_PREFIX):
             author_pcts.append(pct_change(beta_j))
             authors_selected = authors_selected or j in active_cols
         else:

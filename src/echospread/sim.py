@@ -22,6 +22,7 @@ user names, and a batch of k uniforms equals k single draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -67,6 +68,9 @@ class ActivitySpec:
     def __post_init__(self) -> None:
         if self.kind not in {"uniform", "lognormal"}:
             raise ValueError(f"unknown activity kind {self.kind!r}")
+        for key in ("lo", "hi", "mu", "sigma"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.kind == "uniform" and not 0.0 < self.lo <= self.hi:
             raise ValueError("uniform activity needs 0 < lo <= hi")
         if self.kind == "lognormal" and self.sigma < 0:
@@ -84,9 +88,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
+        if not self.r_values:
+            raise ValueError("r_values must be nonempty")
         for r in self.r_values:
             if not 0.0 <= r <= 1.0:
-                raise ValueError("planted r must lie in (0, 1]; 0 allowed for nulls")
+                raise ValueError(f"r_values must be within [0, 1], got planted r {r}")
         if self.cascades_per_r < 1:
             raise ValueError("cascades_per_r must be positive")
         if self.master_seed < 0:
@@ -95,23 +101,23 @@ class SimConfig:
             raise ValueError(f"unknown seed_pool {self.seed_pool!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticWorld:
-    """A world whose follow graph is one followee-keyed CSR, held in ``follow``.
-
-    ``alpha``, the activities aligned with the user table, is derived at
-    construction and stays out of ``==``.
-    """
+    """A world whose follow graph is one followee-keyed CSR, held in ``follow``,
+    and whose activities are ``alpha``, float64 over the same user table.
+    Equality compares ``alpha`` by value."""
 
     config: SimConfig
     follow: FollowerNetwork
-    activities: Mapping[str, float]
+    alpha: np.ndarray = field(repr=False)
     block_labels: Mapping[str, int] | None = None
-    alpha: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        alpha = np.array([self.activities[u] for u in self.users], dtype=float)
-        object.__setattr__(self, "alpha", alpha)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SyntheticWorld):
+            return NotImplemented
+        return (self.config, self.follow, self.block_labels) == (
+            other.config, other.follow, other.block_labels
+        ) and np.array_equal(self.alpha, other.alpha)
 
     @property
     def users(self) -> tuple[str, ...]:
@@ -241,17 +247,23 @@ def generate_network(
     return (*follower_csr(mask), labels)
 
 
-def generate_activities(config: SimConfig) -> dict[str, float]:
-    """Per-user activity, normalized so the maximum is exactly 1."""
+def generate_activities(config: SimConfig) -> np.ndarray:
+    """Per-user activity over ``_user_ids(n)``, normalized so the maximum is
+    exactly 1. A lognormal draw whose largest value overflows or underflows
+    cannot be normalized and is rejected."""
     spec = config.activity
-    users = _user_ids(config.graph.n)
     rng = np.random.default_rng([config.master_seed, 1])
     if spec.kind == "uniform":
-        vals = rng.uniform(spec.lo, spec.hi, size=len(users))
+        vals = rng.uniform(spec.lo, spec.hi, size=config.graph.n)
     else:
-        vals = rng.lognormal(spec.mu, spec.sigma, size=len(users))
-    vals = vals / vals.max()
-    return {u: float(v) for u, v in zip(users, vals)}
+        vals = rng.lognormal(spec.mu, spec.sigma, size=config.graph.n)
+    peak = float(vals.max())
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise ValueError(
+            f"mu and sigma must be such that the largest activity drawn is finite "
+            f"and positive; mu={spec.mu}, sigma={spec.sigma} drew {peak}"
+        )
+    return vals / peak
 
 
 def generate_world(config: SimConfig) -> SyntheticWorld:
@@ -259,7 +271,7 @@ def generate_world(config: SimConfig) -> SyntheticWorld:
     return SyntheticWorld(
         config=config,
         follow=FollowerNetwork(_user_ids(config.graph.n), follower_ptr, follower_idx),
-        activities=generate_activities(config),
+        alpha=generate_activities(config),
         block_labels=labels,
     )
 

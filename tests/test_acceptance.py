@@ -319,9 +319,8 @@ def test_criterion_07_group_lasso():
     Xo = q * np.sqrt(n)
     yo = rng.normal(size=n)
     ortho_groups = ((0, 1, 2), (3, 4), (5, 6, 7))
-    config = LassoConfig(standardize=False)
-    lam = 0.4 * lambda_max(Xo, yo, ortho_groups, standardize=False)
-    fit_o = fit_group_lasso(Xo, yo, ortho_groups, lam, config)
+    lam = 0.4 * lambda_max(Xo, yo, ortho_groups)
+    fit_o = fit_group_lasso(Xo, yo, ortho_groups, lam)
     yc = yo - yo.mean()
     c = Xo.T @ yc / n
     expected = np.zeros(p)

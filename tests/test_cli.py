@@ -496,6 +496,24 @@ class TestInputValidation:
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert failure["stage"] == "labels" and named in failure["error"]
 
+    @pytest.mark.parametrize("cell", [" 1", "+1", "-0"])
+    def test_label_cell_other_than_0_or_1_exits_one(self, baseline, tmp_path, capsys, cell):
+        raw = json.loads(CONFIG.read_text())
+        raw["tweets"] = str(FIXTURES / raw["tweets"])
+        raw["edges"] = str(FIXTURES / raw["edges"])
+        raw["labels"] = [str(FIXTURES / p) for p in raw["labels"]]
+        rows = (FIXTURES / "labels_c1.csv").read_text().splitlines()
+        sheet = tmp_path / "labels_c1.csv"
+        sheet.write_text("\n".join(rows[:1] + [rows[1][:-1] + cell] + rows[2:]) + "\n")
+        raw["labels"][0] = str(sheet)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "other than 0 or 1" in capsys.readouterr().err
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -863,10 +881,19 @@ class TestConfigReader:
             ({"folds": 1}, "folds"),
             ({"lambda_grid": 0}, "lambda_grid"),
             ({"sim": {"master_seed": -1}}, "master_seed"),
+            ({"sim": {"activity": {"hi": math.inf}}}, "hi"),
+            ({"sim": {"activity": {"kind": "lognormal", "mu": math.nan}}}, "mu"),
+            ({"sim": {"activity": {"kind": "lognormal", "sigma": math.inf}}}, "sigma"),
+            ({"sim": {"activity": {"kind": "lognormal", "mu": 800}}}, "mu and sigma"),
+            ({"sim": {"activity": {"kind": "lognormal", "mu": -800}}}, "mu and sigma"),
+            ({"sim": {"r_values": []}}, "r_values"),
+            ({"sim": {"r_values": [0.1, 1.5]}}, "r_values"),
         ],
         ids=["balance_tol-nan", "balance_tol-inf", "balance_tol-negative", "threshold",
              "min_author_tweets", "workers", "seed", "folds", "lambda_grid",
-             "sim.master_seed"],
+             "sim.master_seed", "sim.activity.hi-inf", "sim.activity.mu-nan",
+             "sim.activity.sigma-inf", "sim.activity.mu-800", "sim.activity.mu-minus-800",
+             "sim.r_values-empty", "sim.r_values-above-1"],
     )
     def test_out_of_range_value_exits_one_and_names_the_key(self, tmp_path, capsys, raw, key):
         code, err = self.exit_and_error(tmp_path, capsys, raw)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used there, every
 module-level private function or class is used somewhere in the package,
-only the CSV module reads or writes CSV, and only the CLI's two boundaries
-catch every exception."""
+every defaulted parameter is passed by some call in it, only the CSV module
+reads or writes CSV, and only the CLI's two boundaries catch every
+exception."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,76 @@ def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
 
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, through ``*args`` or
+    ``**kwargs``, or by position when it has one."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters (``module.function.param``) of any function or
+    method that no call in any module passes. A call is matched to a def by
+    name alone, and a method's ``self`` or ``cls`` takes no position."""
+    params: list[tuple[str, str, str, int | None]] = []
+    calls: dict[str | None, list[ast.Call]] = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                shift = int(bool(positional) and positional[0].arg in ("self", "cls"))
+                first = len(positional) - len(args.defaults)
+                params += [(module, node.name, positional[i].arg, i - shift)
+                           for i in range(first, len(positional))]
+                params += [(module, node.name, arg.arg, None)
+                           for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None]
+    return [
+        f"{module.removesuffix('.py')}.{name}.{param}"
+        for module, name, param, position in params
+        if not any(_passes(call, param, position) for call in calls.get(name, ()))
+    ]
+
+
+def test_scanner_flags_an_unpassed_default():
+    sources = {
+        "a.py": (
+            "def f(x, y=1, z=2, *, k=3, m=4):\n    pass\n"
+            "def e(p=1):\n    pass\n"
+            "class C:\n    def g(self, a=0, b=0):\n        pass\n"
+        ),
+        "b.py": "f(0, 1, m=5)\nC().g(1)\ne(*rest)\n",
+    }
+    assert unpassed_defaults(sources) == ["a.f.z", "a.f.k", "a.g.b"]
+
+
+# Defaults that stay although no call in the package passes them.
+UNPASSED_DEFAULTS = {
+    # The tests' exact-copy folds oracle fixes the fold of every row.
+    "lasso.cv_select_lambda.fold_ids",
+    # The entry point reads sys.argv; tests pass argument lists.
+    "cli.main.argv",
+}
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that no caller overrides is a constant with a knob on it."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sorted(unpassed_defaults(sources)) == sorted(UNPASSED_DEFAULTS)
 
 CSV_MODULE = "csvio.py"
 _CSV_DIALECT = {"reader", "writer", "DictReader", "DictWriter"}

@@ -62,6 +62,13 @@ class TestCoderSheet:
         with pytest.raises(ValueError):
             sheet("a", ["f", "g"], {"t1": (1,)})
 
+    @pytest.mark.parametrize("cell", [" 1", "1 ", "+1", "-0", "01", "1.0"])
+    def test_rejects_cell_other_than_0_or_1(self, tmp_path, cell):
+        path = tmp_path / "labels_a.csv"
+        path.write_text(f"tweet_id,f,g\nt1,0,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            CoderSheet.from_csv(path)
+
     def test_rejects_duplicate_csv_rows(self, tmp_path):
         path = tmp_path / "labels_a.csv"
         path.write_text("tweet_id,f\nt1,1\nt1,0\n", encoding="utf-8")

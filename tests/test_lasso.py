@@ -65,13 +65,6 @@ class TestLeastSquaresLimit:
         np.testing.assert_allclose(fit.intercept, coef[0], atol=1e-6)
         np.testing.assert_allclose(fit.beta, coef[1:], atol=1e-6)
 
-    def test_zero_penalty_without_standardize(self):
-        X, y = random_problem(1)
-        fit = fit_group_lasso(X, y, SINGLES_8, 0.0, LassoConfig(standardize=False))
-        aug = np.column_stack([np.ones(len(y)), X])
-        coef, *_ = np.linalg.lstsq(aug, y, rcond=None)
-        np.testing.assert_allclose(fit.beta, coef[1:], atol=1e-6)
-
     def test_grouped_zero_penalty(self):
         X, y = random_problem(2)
         groups = ((0, 1, 2), (3, 4), (5, 6, 7))
@@ -133,9 +126,8 @@ class TestOrthonormalClosedForm:
         rng = np.random.default_rng(7)
         y = X @ rng.normal(size=6) + 0.3 * rng.normal(size=50)
         groups = ((0, 1, 2), (3, 4), (5,))
-        cfg = LassoConfig(standardize=False)
-        lam = lam_frac * lambda_max(X, y, groups, standardize=False)
-        fit = fit_group_lasso(X, y, groups, lam, cfg)
+        lam = lam_frac * lambda_max(X, y, groups)
+        fit = fit_group_lasso(X, y, groups, lam)
         np.testing.assert_allclose(
             fit.beta, self.closed_form(X, y, groups, lam), atol=1e-6
         )
@@ -145,8 +137,8 @@ class TestOrthonormalClosedForm:
         rng = np.random.default_rng(9)
         y = X @ np.array([1.0, -0.5, 0.02, 0.0]) + 0.1 * rng.normal(size=50)
         groups = tuple((j,) for j in range(4))
-        lam = 0.4 * lambda_max(X, y, groups, standardize=False)
-        fit = fit_group_lasso(X, y, groups, lam, LassoConfig(standardize=False))
+        lam = 0.4 * lambda_max(X, y, groups)
+        fit = fit_group_lasso(X, y, groups, lam)
         np.testing.assert_allclose(
             fit.beta, self.closed_form(X, y, groups, lam), atol=1e-6
         )
@@ -206,7 +198,7 @@ def small_problems(draw):
         groups.append(tuple(range(p, p + k)))
     beta = rng.normal(size=X.shape[1]) * (rng.random(X.shape[1]) < 0.6)
     y = 1.0 + X @ beta + 0.5 * rng.normal(size=n)
-    return X, y, tuple(groups), draw(st.booleans())
+    return X, y, tuple(groups)
 
 
 def with_reference_solver():
@@ -223,14 +215,13 @@ class TestAgainstIstaReference:
     @given(small_problems(), st.sampled_from((0.6, 0.2, 0.03, 0.002)))
     @settings(max_examples=80, deadline=None)
     def test_fit_matches_reference(self, problem, lam_frac):
-        X, y, groups, standardize = problem
-        cfg = LassoConfig(standardize=standardize)
-        lam = lam_frac * lambda_max(X, y, groups, standardize)
-        fit = fit_group_lasso(X, y, groups, lam, cfg)
-        assert kkt_residual_from_fit(X, y, groups, fit) <= cfg.kkt_tol
+        X, y, groups = problem
+        lam = lam_frac * lambda_max(X, y, groups)
+        fit = fit_group_lasso(X, y, groups, lam)
+        assert kkt_residual_from_fit(X, y, groups, fit) <= lasso.KKT_TOL
         try:
             with with_reference_solver():
-                ref = fit_group_lasso(X, y, groups, lam, cfg)
+                ref = fit_group_lasso(X, y, groups, lam)
         except ConvergenceError:
             return
         np.testing.assert_allclose(
@@ -244,8 +235,8 @@ class TestAgainstIstaReference:
         """The same lambda, unless two grid points tie on the reference's own
         curve closer than its path solves (KKT 1e-6) can tell apart: one of
         500 drawn problems had such a tie, 6.3e-8 relative."""
-        X, y, groups, standardize = problem
-        cfg = LassoConfig(lambda_grid=12, folds=3, standardize=standardize)
+        X, y, groups = problem
+        cfg = LassoConfig(lambda_grid=12, folds=3)
         lam, _ = cv_select_lambda(X, y, groups, cfg)
         try:
             with with_reference_solver():
@@ -362,10 +353,11 @@ class TestValidation:
         base = rng.normal(size=(60, 1))
         X = base + 0.001 * rng.normal(size=(60, 8))
         y = X @ np.ones(8) + 0.1 * rng.normal(size=60)
-        cfg = LassoConfig(max_iter=2, kkt_tol=1e-12)
+        cen = lasso._center(X, y)
         lam = 0.05 * lambda_max(X, y, SINGLES_8)
         with pytest.raises(ConvergenceError) as err:
-            fit_group_lasso(X, y, SINGLES_8, lam, cfg)
+            _solve_std(cen.G, cen.c, lam, _check_groups(SINGLES_8, 8), np.zeros(8),
+                       lasso.TOL, max_iter=2, kkt_tol=1e-12)
         assert err.value.beta.shape == (8,)
         assert err.value.residual > 1e-12
 
@@ -408,11 +400,11 @@ class TestCrossValidation:
         X = np.vstack([X1, X1, X1])
         y = np.concatenate([y1, y1, y1])
         groups = tuple((j,) for j in range(4))
-        cfg = LassoConfig(lambda_grid=12, folds=3, tol=1e-10, kkt_tol=1e-8)
+        cfg = LassoConfig(lambda_grid=12, folds=3)
         fold_ids = [0] * 20 + [1] * 20 + [2] * 20
         _, curve = cv_select_lambda(X, y, groups, cfg, fold_ids=fold_ids)
         for lam, mse in curve:
-            fit = fit_group_lasso(X1, y1, groups, lam, cfg)
+            fit = fit_group_lasso(X1, y1, groups, lam)
             train_mse = float(np.mean((y1 - fit.intercept - X1 @ fit.beta) ** 2))
             np.testing.assert_allclose(mse, train_mse, rtol=1e-4, atol=1e-8)
 
@@ -557,15 +549,15 @@ class TestVectorizedGroupOps:
         assert bits(layout.norms(b)) == bits([np.linalg.norm(b[g]) for g in garr])
 
 
-def fit_fingerprint(seed, n, groups, standardize, binary):
+def fit_fingerprint(seed, n, groups, binary):
     """Digests of a CV selection and the final fit on one random problem."""
     rng = np.random.default_rng(seed)
     p = sum(len(g) for g in groups)
     X = (rng.random((n, p)) < 0.4).astype(float) if binary else rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + 0.5 * rng.normal(size=n)
-    cfg = LassoConfig(lambda_grid=15, folds=3, standardize=standardize, seed=seed)
+    cfg = LassoConfig(lambda_grid=15, folds=3, seed=seed)
     lam, curve = cv_select_lambda(X, y, groups, cfg)
-    fit = fit_group_lasso(X, y, groups, lam, cfg)
+    fit = fit_group_lasso(X, y, groups, lam)
     digest = hashlib.sha256(bits(curve) + bits(fit.beta)).hexdigest()[:16]
     return (lam.hex(), fit.intercept.hex(), fit.objective.hex(), fit.n_iter,
             kkt_residual_from_fit(X, y, groups, fit).hex(), digest)
@@ -574,16 +566,16 @@ def fit_fingerprint(seed, n, groups, standardize, binary):
 # Computed by the solver with its Newton finish, with numpy 2.4 on x86-64;
 # another BLAS may round the Gram products differently.
 PINNED_FITS = (
-    ((31, 40, ((0, 1, 2), (3,), (4,), (5, 6)), True, False),
+    ((31, 40, ((0, 1, 2), (3,), (4,), (5, 6)), False),
      ('0x1.4f1ea9a22437cp-4', '0x1.15da29001d992p-5', '0x1.dd3e45edc64e0p-2', 8,
       '0x1.c000000000000p-52', '5210d60f5faceb91')),
-    ((32, 60, ((0,), (1, 2), (3,), (4, 5, 6), (7,)), True, True),
+    ((32, 60, ((0,), (1, 2), (3,), (4, 5, 6), (7,)), True),
      ('0x1.98e051757a1cap-8', '-0x1.0c911332c6400p-3', '0x1.622e9a7c45560p-4', 9,
       '0x1.4334f6818ea9fp-51', '09fbeee5a7f0e077')),
-    ((33, 30, ((1, 3), (0,), (2,), (4,)), False, False),
-     ('0x1.07db5c8af5500p-4', '0x1.666906e4edf06p-7', '0x1.5f1e696960990p-2', 9,
-      '0x1.799d123530b59p-53', '23ab6dc6cb53e5ea')),
-    ((34, 50, ((0,), (1,), (2,), (3, 4, 5, 6, 7, 8)), True, True),
+    ((33, 30, ((1, 3), (0,), (2,), (4,)), False),
+     ('0x1.25ddb8ec197f7p-4', '0x1.5fb4d8f6f7fa2p-7', '0x1.6283a16610648p-2', 7,
+      '0x1.33debf0938797p-52', '28a827221f42d382')),
+    ((34, 50, ((0,), (1,), (2,), (3, 4, 5, 6, 7, 8)), True),
      ('0x1.e2194e0294be3p-14', '-0x1.ca0c29ad72518p-3', '0x1.d0542904df240p-4', 8,
       '0x1.d074000000000p-52', 'aad0bfbcbd3e8e9d')),
 )

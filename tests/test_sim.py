@@ -58,7 +58,7 @@ def hand_world(edges, activities, seed=0):
     return SyntheticWorld(
         config=config,
         follow=FollowerNetwork(users, *follower_csr(mask)),
-        activities=dict(activities),
+        alpha=np.array([activities[u] for u in users], dtype=float),
     )
 
 
@@ -159,6 +159,7 @@ class TestGenerateNetwork:
         assert first.follow.follower_idx is not second.follow.follower_idx
         assert first.alpha is not second.alpha
         assert first == second
+        assert dataclasses.replace(first, alpha=first.alpha / 2) != first
         other = generate_world(SimConfig(graph=GraphSpec(n=30, p=0.2), master_seed=8))
         assert other.follow != first.follow and other != first
 
@@ -167,8 +168,9 @@ class TestGenerateActivities:
     def test_normalized_to_unit_max(self):
         config = SimConfig(graph=GraphSpec(n=50, p=0.1))
         acts = generate_activities(config)
-        assert max(acts.values()) == 1.0
-        assert all(0 < v <= 1 for v in acts.values())
+        assert acts.dtype == np.float64 and acts.shape == (50,)
+        assert acts.max() == 1.0
+        assert np.all((acts > 0) & (acts <= 1))
 
     def test_lognormal_supported(self):
         config = SimConfig(
@@ -176,11 +178,11 @@ class TestGenerateActivities:
             activity=ActivitySpec(kind="lognormal", mu=0.0, sigma=1.0),
         )
         acts = generate_activities(config)
-        assert max(acts.values()) == 1.0
+        assert acts.max() == 1.0
 
     def test_deterministic(self):
         config = SimConfig(graph=GraphSpec(n=40, p=0.1), master_seed=3)
-        assert generate_activities(config) == generate_activities(config)
+        assert np.array_equal(generate_activities(config), generate_activities(config))
 
 
 class TestSimulateCascade:
@@ -470,7 +472,7 @@ class TestStringSetOracle:
         )
         world = generate_world(config)
         edges, _ = reference_generate_network(config)
-        ref = reference_world(config, world.users, edges, world.activities)
+        ref = reference_world(config, world.users, edges, dict(zip(world.users, world.alpha)))
         rounds = set()
         for index, seed_user in enumerate(seed_pool(world)):
             sim = simulate_cascade(world, seed_user, 0.9, index)
@@ -520,13 +522,13 @@ class TestStringSetOracle:
         )
         world = generate_world(config)
         edges, labels = reference_generate_network(config)
-        ref = reference_world(config, world.users, edges, world.activities)
+        ref = reference_world(config, world.users, edges, dict(zip(world.users, world.alpha)))
         assert follower_sets(world.follow) == ref.follow.followers
         assert world.block_labels == labels
         assert world.follow.n_edges == len(edges)
         assert seed_pool(world) == reference_seed_pool(ref)
         assert written_edges_csv(world) == reference_edges_csv(edges)
-        r_max = 1.0 / max(world.activities.values())
+        r_max = 1.0 / world.alpha.max()
         for index in range(3):
             seed_user = data.draw(st.sampled_from(seed_pool(world)))
             r = data.draw(st.floats(0.0, r_max))
