@@ -246,8 +246,11 @@ class Workspace:
             self.config.out / "retweet_edges.csv",
             "intermediate retweet_edges.csv (run network)",
         )
-        edges = frozenset((a, b) for a, b in read_rows(path, ["a", "b"]))
-        return RetweetNetwork(nodes=frozenset(u for e in edges for u in e), edges=edges)
+        edges = read_rows(path, ["a", "b"])
+        for a, b in edges:
+            if not a < b:
+                raise ValueError(f"{path}: edge {a},{b} is a self-loop or out of order")
+        return RetweetNetwork.from_edges(edges)
 
     @cached_property
     def partition(self) -> PartitionAssignment:
@@ -317,7 +320,7 @@ def stage_network(ws: Workspace) -> dict:
     cascades, report = ws.cascades
     net = build_retweet_network(cascades, eligible)
     comp = largest_component(net)
-    write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], sorted(comp.edges))
+    write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], comp.edges())
     ws.network = comp  # as read back, except that a lone node is kept
     return {
         "cascades": report.cascades,

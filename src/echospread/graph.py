@@ -40,30 +40,39 @@ from .csvio import read_csv
 from .ingest import Cascade
 
 
-def _canon(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass(frozen=True)
 class RetweetNetwork:
-    """Undirected co-retweet graph: one edge per user pair with any retweet."""
+    """Undirected co-retweet graph: one edge per user pair with any retweet.
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    Node ``k`` is ``nodes[k]``, a sorted tuple of names, so ids ascend with
+    names, as in ``FollowerNetwork``; ``adj[k]`` holds the neighbour ids of
+    node ``k``, ascending and never ``k`` itself.
+    """
 
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
+    nodes: tuple[str, ...]
+    adj: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_edges(
+        cls, pairs: Iterable[tuple[str, str]], nodes: Iterable[str] = ()
+    ) -> "RetweetNetwork":
+        """The network on the pairs' endpoints plus ``nodes``; a pair may come
+        in either order and more than once, but never as a self-loop."""
+        pairs = list(pairs)
+        table = tuple(sorted({u for e in pairs for u in e}.union(nodes)))
+        index = {u: k for k, u in enumerate(table)}
+        rows: list[set[int]] = [set() for _ in table]
+        for a, b in pairs:
             if a == b:
                 raise ValueError(f"self-loop on {a}")
-            if a > b:
-                raise ValueError("edges must be stored in canonical order")
+            rows[index[a]].add(index[b])
+            rows[index[b]].add(index[a])
+        return cls(table, tuple(tuple(sorted(row)) for row in rows))
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {u: set() for u in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    def edges(self) -> list[tuple[str, str]]:
+        """Each edge once as an ascending name pair, pairs ascending."""
+        nodes = self.nodes
+        return [(nodes[k], nodes[j]) for k, row in enumerate(self.adj) for j in row if j > k]
 
     @property
     def n_nodes(self) -> int:
@@ -71,7 +80,7 @@ class RetweetNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
 
 def table_id(users: Sequence[str], name: str) -> int:
@@ -198,7 +207,7 @@ def build_retweet_network(
 ) -> RetweetNetwork:
     """Undirected network over eligible users appearing in the cascades."""
     nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    pairs: list[tuple[str, str]] = []
     for cascade in cascades:
         author = cascade.origin.user_id
         if author in users:
@@ -209,40 +218,35 @@ def build_retweet_network(
                 continue
             nodes.add(u)
             if author in users and author != u:
-                edges.add(_canon(author, u))
-    return RetweetNetwork(frozenset(nodes), frozenset(edges))
+                pairs.append((author, u))
+    return RetweetNetwork.from_edges(pairs, nodes)
 
 
-def connected_components(net: RetweetNetwork) -> list[set[str]]:
-    adj = net.adjacency()
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        components.append(comp)
+def connected_components(net: RetweetNetwork) -> list[list[int]]:
+    """The node ids of each component, components in order of smallest id."""
+    seen = [False] * net.n_nodes
+    components: list[list[int]] = []
+    for start in range(net.n_nodes):
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for u in comp:  # breadth first: comp grows while it is read
+                for v in net.adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+            components.append(comp)
     return components
 
 
 def largest_component(net: RetweetNetwork) -> RetweetNetwork:
     """Induced subgraph on the largest component; ties by smallest member id."""
-    if not net.nodes:
-        return net
-    components = connected_components(net)
-    size = max(len(c) for c in components)
-    # break size ties toward the component holding the smallest user id
-    best = min((c for c in components if len(c) == size), key=min)
-    edges = frozenset(e for e in net.edges if e[0] in best)
-    return RetweetNetwork(frozenset(best), edges)
+    keep = sorted(max(connected_components(net), key=len, default=[]))
+    new_id = {k: i for i, k in enumerate(keep)}
+    return RetweetNetwork(
+        tuple(net.nodes[k] for k in keep),
+        tuple(tuple(new_id[j] for j in net.adj[k]) for k in keep),
+    )
 
 
 def build_follower_network(
@@ -496,18 +500,12 @@ def bisect_partition(
     starts and the coarser levels take a cap one node weight looser. Group 0
     is the group holding the lexicographically smallest node id.
     """
-    nodes = sorted(net.nodes)
-    n = len(nodes)
+    n = net.n_nodes
     if n < 2:
         raise ValueError("not bisectable")
     if len(connected_components(net)) != 1:
         raise ValueError("network must be connected; take largest_component first")
-    index = {u: i for i, u in enumerate(nodes)}
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for a, b in net.edges:
-        ia, ib = index[a], index[b]
-        adj[ia][ib] = 1
-        adj[ib][ia] = 1
+    adj = [dict.fromkeys(row, 1) for row in net.adj]
 
     rng = random.Random(seed)
     levels: list[tuple[list[dict[int, int]], list[int]]] = [(adj, [1] * n)]
@@ -557,10 +555,9 @@ def bisect_partition(
 
     if side[0] == 1:
         side = [1 - s for s in side]
-    groups = {u: side[index[u]] for u in nodes}
-    cut = sum(1 for a, b in net.edges if groups[a] != groups[b])
     balance = max(sum(side), n - sum(side)) / n
-    return PartitionAssignment(groups=groups, cut_size=cut, balance=balance)
+    groups = dict(zip(net.nodes, side))
+    return PartitionAssignment(groups=groups, cut_size=_cut_weight(adj, side), balance=balance)
 
 
 def to_dot(net: RetweetNetwork, assignment: PartitionAssignment) -> str:
@@ -571,9 +568,9 @@ def to_dot(net: RetweetNetwork, assignment: PartitionAssignment) -> str:
         return '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph retweet_network {", "  node [style=filled];"]
-    for u in sorted(net.nodes):
+    for u in net.nodes:
         lines.append(f'  {quoted(u)} [fillcolor="{colors[assignment.groups[u]]}"];')
-    for a, b in sorted(net.edges):
+    for a, b in net.edges():
         lines.append(f"  {quoted(a)} -- {quoted(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,6 +23,8 @@ MENTION_RE = re.compile(r"@\w+")
 # The prefix of every author-indicator column name, which the lasso report
 # reads to summarize the author block.
 AUTHOR_PREFIX = "author:"
+# The machine-extracted count columns that follow the label features.
+MARK_COLUMNS = ("hashtags", "mentions")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,11 @@ class CoderSheet:
     rows: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        for j, feature in enumerate(self.features):
+            if not feature or feature in self.features[:j]:
+                raise ValueError(f"{self.coder_id}: feature {feature!r} is empty or repeated")
+            if feature in MARK_COLUMNS or feature.startswith(AUTHOR_PREFIX):
+                raise ValueError(f"{self.coder_id}: feature {feature!r} is a reserved column name")
         width = len(self.features)
         for tweet_id, values in self.rows.items():
             if len(values) != width:
@@ -74,6 +81,10 @@ class VoteResult:
 def _check_aligned(sheets: Sequence[CoderSheet]) -> None:
     if len(sheets) < 2:
         raise ValueError("need at least two coder sheets")
+    coders = [sheet.coder_id for sheet in sheets]
+    for coder in coders:
+        if coders.count(coder) > 1:
+            raise ValueError(f"coder {coder} has more than one sheet")
     first = sheets[0]
     for sheet in sheets[1:]:
         if sheet.features != first.features:
@@ -240,7 +251,7 @@ def build_feature_matrix(
         values.append([labels[j] for j in kept_idx] + list(marks.get(tweet_id, (0, 0))))
     author_ids = tuple(authors[t] for t, _ in rows)
     X, group_spec, column_names, kept_authors = _design(
-        feature_names + ["hashtags", "mentions"], values, author_ids
+        feature_names + list(MARK_COLUMNS), values, author_ids
     )
     return FeatureMatrix(
         group=group,

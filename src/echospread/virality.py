@@ -153,18 +153,6 @@ def mle_virality(ledger: ExposureLedger, alpha: np.ndarray) -> ViralityEstimate:
     return estimate(0.5 * (lo + hi), Boundary.INTERIOR)
 
 
-def log_likelihood(r: float, ledger: ExposureLedger, alpha: np.ndarray) -> float:
-    """l(r) for a ledger; -inf outside the feasible domain."""
-    if r <= 0.0:
-        return -math.inf
-    alpha_s = alpha[ledger.successes]
-    alpha_f = alpha[ledger.failures]
-    p = 1.0 - alpha_f[alpha_f > 0.0] * r
-    if np.any(p <= 0.0):
-        return -math.inf
-    return float(np.sum(np.log(alpha_s[alpha_s > 0.0] * r)) + np.sum(np.log(p)))
-
-
 def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) -> None:
     write_csv(
         path,

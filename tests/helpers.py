@@ -3,7 +3,8 @@ simulated cascades mapped back to names, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
 the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
-solver, the linear-scan bisection steps, the string-set simulator, and
+solver, the frozenset retweet network with its components and DOT export,
+the linear-scan bisection steps, the string-set simulator, and
 ingest's record builder, filter, seed-pair scan and cascade builder as they
 were before they shared one chain walk."""
 
@@ -549,6 +550,104 @@ def reference_solve_std(G, c, lam, layout, beta0, tol, max_iter, kkt_tol):
         best_beta,
         best_res,
     )
+
+
+# The retweet network as frozensets of canonical name pairs, kept as it was
+# before it was held on node ids.
+
+
+def _canon(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
+
+
+@dataclass(frozen=True)
+class ReferenceRetweetNetwork:
+    """Undirected co-retweet graph: one edge per user pair with any retweet."""
+
+    nodes: frozenset[str]
+    edges: frozenset[tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        for a, b in self.edges:
+            if a == b:
+                raise ValueError(f"self-loop on {a}")
+            if a > b:
+                raise ValueError("edges must be stored in canonical order")
+
+    def adjacency(self) -> dict[str, set[str]]:
+        adj: dict[str, set[str]] = {u: set() for u in self.nodes}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+
+def reference_build_retweet_network(
+    cascades: Sequence[Cascade], users: set[str] | frozenset[str]
+) -> ReferenceRetweetNetwork:
+    """Undirected network over eligible users appearing in the cascades."""
+    nodes: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    for cascade in cascades:
+        author = cascade.origin.user_id
+        if author in users:
+            nodes.add(author)
+        for rt in cascade.retweets:
+            u = rt.user_id
+            if u not in users:
+                continue
+            nodes.add(u)
+            if author in users and author != u:
+                edges.add(_canon(author, u))
+    return ReferenceRetweetNetwork(frozenset(nodes), frozenset(edges))
+
+
+def reference_connected_components(net: ReferenceRetweetNetwork) -> list[set[str]]:
+    adj = net.adjacency()
+    seen: set[str] = set()
+    components: list[set[str]] = []
+    for start in sorted(net.nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v in adj[u]:
+                if v not in comp:
+                    comp.add(v)
+                    frontier.append(v)
+        seen |= comp
+        components.append(comp)
+    return components
+
+
+def reference_largest_component(net: ReferenceRetweetNetwork) -> ReferenceRetweetNetwork:
+    """Induced subgraph on the largest component; ties by smallest member id."""
+    if not net.nodes:
+        return net
+    components = reference_connected_components(net)
+    size = max(len(c) for c in components)
+    # break size ties toward the component holding the smallest user id
+    best = min((c for c in components if len(c) == size), key=min)
+    edges = frozenset(e for e in net.edges if e[0] in best)
+    return ReferenceRetweetNetwork(frozenset(best), edges)
+
+
+def reference_to_dot(net: ReferenceRetweetNetwork, groups: Mapping[str, int]) -> str:
+    """DOT serialization of the network, each node colored by its group."""
+    colors = {0: "#e08214", 1: "#7fbf7b"}
+
+    def quoted(u: str) -> str:
+        return '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["graph retweet_network {", "  node [style=filled];"]
+    for u in sorted(net.nodes):
+        lines.append(f'  {quoted(u)} [fillcolor="{colors[groups[u]]}"];')
+    for a, b in sorted(net.edges):
+        lines.append(f"  {quoted(a)} -- {quoted(b)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # The bisection steps as linear scans, one full scan per move.

@@ -255,7 +255,7 @@ def test_criterion_06_partitioner():
             ("a0", "b0"),
         }
     )
-    net = RetweetNetwork(frozenset(nodes), edges)
+    net = RetweetNetwork.from_edges(edges, nodes)
 
     cuts = {}
     for side in itertools.combinations(nodes, 3):
@@ -283,7 +283,7 @@ def test_criterion_06_partitioner():
                 p = 0.3 if block[users[i]] == block[users[j]] else 0.002
                 if rng.random() < p:
                     planted.add((users[i], users[j]))
-        planted_net = RetweetNetwork(frozenset(users), frozenset(planted))
+        planted_net = RetweetNetwork.from_edges(planted, users)
         groups = bisect_partition(planted_net).groups
         agree = sum(groups[u] == block[u] for u in users)
         good += max(agree, 100 - agree) >= 95

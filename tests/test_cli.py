@@ -97,6 +97,20 @@ FIXTURE_DIGESTS = {
 FIXTURE_LAMBDAS = {"activist": "0x1.e456a87767303p-4", "skeptic": "0x1.6aac720124ce5p-4"}
 
 
+FIXTURE_SHEETS = [str(FIXTURES / p) for p in json.loads(CONFIG.read_text())["labels"]]
+
+
+def fixture_config(tmp_path, **changes):
+    """The fixture config with absolute input paths and ``changes`` applied,
+    written to ``tmp_path / "config.json"``."""
+    raw = json.loads(CONFIG.read_text())
+    raw.update({"tweets": str(FIXTURES / raw["tweets"]), "edges": str(FIXTURES / raw["edges"]),
+                "labels": FIXTURE_SHEETS, **changes})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return config
+
+
 def run_cli(argv, hash_seed="1"):
     """Invoke the CLI in a subprocess so hash randomization is exercised."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -439,6 +453,22 @@ class TestInputValidation:
         del expected["retweet_edges.csv"]
         assert doubled == expected
 
+    @pytest.mark.parametrize("bad", ["self-loop", "descending"])
+    def test_retweet_edge_row_out_of_order_exits_one_and_is_recorded(
+        self, baseline, tmp_path, capsys, bad
+    ):
+        out = tmp_path / bad
+        shutil.copytree(baseline, out)
+        rows = (out / "retweet_edges.csv").read_text().splitlines()
+        a, b = rows[1].split(",")
+        rows.append(f"{a},{a}" if bad == "self-loop" else f"{b},{a}")
+        (out / "retweet_edges.csv").write_text("\n".join(rows) + "\n")
+        code = main(["partition", "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "retweet_edges.csv" in capsys.readouterr().err
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "partition" and "retweet_edges.csv" in failure["error"]
+
     def test_virality_csv_with_wrong_header_exits_one(self, baseline, tmp_path, capsys):
         out = tmp_path / "bad_header"
         shutil.copytree(baseline, out)
@@ -481,13 +511,7 @@ class TestInputValidation:
     def test_unknown_group_only_features_exit_one_and_are_recorded(
         self, baseline, tmp_path, capsys, group_only, named
     ):
-        raw = json.loads(CONFIG.read_text())
-        raw["group_only_features"] = group_only
-        raw["tweets"] = str(FIXTURES / raw["tweets"])
-        raw["edges"] = str(FIXTURES / raw["edges"])
-        raw["labels"] = [str(FIXTURES / p) for p in raw["labels"]]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(raw))
+        config = fixture_config(tmp_path, group_only_features=group_only)
         out = tmp_path / "out"
         shutil.copytree(baseline, out)
         code = main(["labels", "--config", str(config), "--out", str(out)])
@@ -498,21 +522,53 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("cell", [" 1", "+1", "-0"])
     def test_label_cell_other_than_0_or_1_exits_one(self, baseline, tmp_path, capsys, cell):
-        raw = json.loads(CONFIG.read_text())
-        raw["tweets"] = str(FIXTURES / raw["tweets"])
-        raw["edges"] = str(FIXTURES / raw["edges"])
-        raw["labels"] = [str(FIXTURES / p) for p in raw["labels"]]
         rows = (FIXTURES / "labels_c1.csv").read_text().splitlines()
         sheet = tmp_path / "labels_c1.csv"
         sheet.write_text("\n".join(rows[:1] + [rows[1][:-1] + cell] + rows[2:]) + "\n")
-        raw["labels"][0] = str(sheet)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(raw))
+        config = fixture_config(tmp_path, labels=[str(sheet), *FIXTURE_SHEETS[1:]])
         out = tmp_path / "out"
         shutil.copytree(baseline, out)
         code = main(["labels", "--config", str(config), "--out", str(out)])
         assert code == EXIT_INPUT
         assert "other than 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["same-path", "other-directory"])
+    def test_coder_sheet_given_twice_exits_one_and_is_recorded(
+        self, baseline, tmp_path, capsys, where
+    ):
+        """Two sheets named ``labels_c1.csv`` are one coder, c1, wherever they are."""
+        again = FIXTURE_SHEETS[0]
+        if where == "other-directory":
+            (tmp_path / "copy").mkdir()
+            again = str(shutil.copy(again, tmp_path / "copy"))
+        config = fixture_config(tmp_path, labels=[FIXTURE_SHEETS[0], again])
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "coder c1" in capsys.readouterr().err
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "labels" and "coder c1" in failure["error"]
+
+    @pytest.mark.parametrize("feature", ["author:humor", "hashtags", "crowd_size"])
+    def test_label_feature_named_like_a_design_column_exits_one(
+        self, baseline, tmp_path, capsys, feature
+    ):
+        """``humor`` renamed in every sheet: to an author column, a mark
+        column, or a second ``crowd_size``."""
+        (tmp_path / "sheets").mkdir()
+        sheets = []
+        for path in map(Path, FIXTURE_SHEETS):
+            header, *rows = path.read_text().splitlines()
+            header = header.replace(",humor,", f",{feature},")
+            sheets.append(tmp_path / "sheets" / path.name)
+            sheets[-1].write_text("\n".join([header, *rows]) + "\n")
+        config = fixture_config(tmp_path, labels=[str(p) for p in sheets])
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert f"feature {feature!r}" in capsys.readouterr().err
 
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"

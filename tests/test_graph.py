@@ -3,13 +3,16 @@
 import hashlib
 import itertools
 import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echospread.csvio import write_csv
 from echospread.graph import (
     FollowerNetwork,
     PartitionAssignment,
@@ -27,17 +30,19 @@ from echospread.graph import (
 from echospread.ingest import Cascade, TweetRecord
 from helpers import (
     follower_sets,
+    reference_build_retweet_network,
+    reference_connected_components,
     reference_fm_refine,
     reference_from_edges,
     reference_grow_partition,
+    reference_largest_component,
     reference_rebalance,
+    reference_to_dot,
 )
 
 
 def net_from_pairs(pairs):
-    nodes = frozenset(u for e in pairs for u in e)
-    edges = frozenset(tuple(sorted(e)) for e in pairs)
-    return RetweetNetwork(nodes, edges)
+    return RetweetNetwork.from_edges(pairs)
 
 
 def cascade(tweet_id, author, retweeters):
@@ -61,7 +66,7 @@ def enumerate_min_cut(net, balance_tol):
             continue
         for side0 in itertools.combinations(nodes, size):
             s0 = set(side0)
-            cut = sum(1 for a, b in net.edges if (a in s0) != (b in s0))
+            cut = sum(1 for a, b in net.edges() if (a in s0) != (b in s0))
             if best is None or cut < best:
                 best = cut
                 best_groups = [s0]
@@ -74,7 +79,7 @@ def assert_locally_optimal(net, assignment, balance_tol):
     groups = dict(assignment.groups)
     n = len(groups)
     allowed = allowed_group_size(n, balance_tol)
-    adj = net.adjacency()
+    adj = {u: [net.nodes[j] for j in row] for u, row in zip(net.nodes, net.adj)}
     sizes = [n - sum(groups.values()), sum(groups.values())]
     for u in sorted(groups):
         g = groups[u]
@@ -89,22 +94,74 @@ class TestRetweetNetwork:
     def test_multiplicity_collapses_to_one_edge(self):
         cascades = [cascade("t1", "v", ["u", "u", "u"])]
         net = build_retweet_network(cascades, {"u", "v"})
-        assert net.edges == frozenset({("u", "v")})
+        assert net.edges() == [("u", "v")]
 
     def test_mutual_retweets_single_edge(self):
         cascades = [cascade("t1", "u", ["v"]), cascade("t2", "v", ["u"])]
         net = build_retweet_network(cascades, {"u", "v"})
-        assert net.edges == frozenset({("u", "v")})
+        assert net.edges() == [("u", "v")]
 
     def test_ineligible_users_excluded(self):
         cascades = [cascade("t1", "a", ["b", "c"])]
         net = build_retweet_network(cascades, {"a", "b"})
-        assert net.nodes == frozenset({"a", "b"})
-        assert net.edges == frozenset({("a", "b")})
+        assert net.nodes == ("a", "b")
+        assert net.edges() == [("a", "b")]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            RetweetNetwork(frozenset({"a"}), frozenset({("a", "a")}))
+            RetweetNetwork.from_edges([("a", "a")])
+
+    def test_from_edges_takes_either_order_repeats_and_lone_nodes(self):
+        net = RetweetNetwork.from_edges([("b", "a"), ("a", "b"), ("c", "a")], nodes=["d", "a"])
+        assert net.nodes == ("a", "b", "c", "d")
+        assert net.adj == ((1, 2), (0,), (0,), ())
+        assert net.edges() == [("a", "b"), ("a", "c")]
+        assert (net.n_nodes, net.n_edges) == (4, 2)
+        assert net == RetweetNetwork.from_edges([("a", "c"), ("a", "b")], nodes=["d"])
+
+
+# Names whose sorted order is not the order of first appearance ("B" < "a",
+# "u10" < "u2"), and names DOT must escape.
+NAMES = ["a", "b", "B", "u1", "u10", "u2", 'q"x', "s\\t", "sp ace"]
+
+
+def csv_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "retweet_edges.csv"
+        write_csv(path, ["a", "b"], rows)
+        return path.read_bytes()
+
+
+class TestRetweetNetworkReference:
+    """The id network against the frozenset network in tests/helpers.py."""
+
+    @given(
+        spec=st.lists(
+            st.tuples(st.sampled_from(NAMES), st.lists(st.sampled_from(NAMES), max_size=6)),
+            max_size=12,
+        ),
+        eligible=st.sets(st.sampled_from(NAMES)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_frozenset_network(self, spec, eligible):
+        cascades = [cascade(f"t{i}", author, rts) for i, (author, rts) in enumerate(spec)]
+        net = build_retweet_network(cascades, eligible)
+        ref = reference_build_retweet_network(cascades, eligible)
+        assert list(net.nodes) == sorted(ref.nodes)
+        assert net.edges() == sorted(ref.edges)
+        for k, row in enumerate(net.adj):
+            assert list(row) == sorted(set(row)) and k not in row
+        components = [{net.nodes[k] for k in c} for c in connected_components(net)]
+        assert components == reference_connected_components(ref)
+        comp, ref_comp = largest_component(net), reference_largest_component(ref)
+        assert list(comp.nodes) == sorted(ref_comp.nodes)
+        assert comp.edges() == sorted(ref_comp.edges)
+        assert csv_bytes(comp.edges()) == csv_bytes(sorted(ref_comp.edges))
+        if net.n_nodes >= 2:
+            groups = {u: k % 2 for k, u in enumerate(net.nodes)}
+            assignment = PartitionAssignment(groups=groups)
+            assert to_dot(net, assignment) == reference_to_dot(ref, groups)
+            assert to_dot(comp, assignment) == reference_to_dot(ref_comp, groups)
 
 
 class TestLargestComponent:
@@ -112,7 +169,7 @@ class TestLargestComponent:
         net = net_from_pairs(
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("x", "y"), ("y", "z")]
         )
-        assert largest_component(net).nodes == frozenset("abcde")
+        assert largest_component(net).nodes == tuple("abcde")
 
     def test_identity_on_connected(self):
         net = net_from_pairs([("a", "b"), ("b", "c")])
@@ -120,7 +177,7 @@ class TestLargestComponent:
 
     def test_tie_breaks_to_smallest_member(self):
         net = net_from_pairs([("m", "n"), ("a", "z")])
-        assert largest_component(net).nodes == frozenset({"a", "z"})
+        assert largest_component(net).nodes == ("a", "z")
 
     def test_idempotent(self):
         net = net_from_pairs([("a", "b"), ("x", "y"), ("y", "z")])
@@ -128,13 +185,13 @@ class TestLargestComponent:
         assert largest_component(once) == once
 
     def test_empty_network(self):
-        net = RetweetNetwork(frozenset(), frozenset())
+        net = RetweetNetwork.from_edges([])
         assert largest_component(net) == net
 
     def test_components_cover_nodes(self):
         net = net_from_pairs([("a", "b"), ("x", "y")])
         comps = connected_components(net)
-        assert sorted(map(sorted, comps)) == [["a", "b"], ["x", "y"]]
+        assert [[net.nodes[k] for k in c] for c in comps] == [["a", "b"], ["x", "y"]]
 
 
 class TestFollowerNetwork:
@@ -222,7 +279,7 @@ class TestBisect:
         assert result.group_sizes() == (2, 2)
 
     def test_single_node_not_bisectable(self):
-        net = RetweetNetwork(frozenset({"a"}), frozenset())
+        net = RetweetNetwork.from_edges([], nodes=["a"])
         with pytest.raises(ValueError, match="not bisectable"):
             bisect_partition(net)
 
@@ -253,7 +310,7 @@ class TestBisect:
         net = two_triangles()
         result = bisect_partition(net, balance_tol=0.2, seed=0)
         recount = sum(
-            1 for a, b in net.edges if result.groups[a] != result.groups[b]
+            1 for a, b in net.edges() if result.groups[a] != result.groups[b]
         )
         assert result.cut_size == recount
 
@@ -532,5 +589,5 @@ class TestDotExport:
             else:
                 edges.add((unquote(edge.group(1)), unquote(edge.group(2))))
         assert set(nodes) == set(ids)
-        assert edges == set(net.edges)
+        assert edges == set(net.edges())
         assert {nodes[u] for u in ids if groups[u] == 0} == {"#e08214"}

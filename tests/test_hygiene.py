@@ -1,15 +1,16 @@
-"""Source hygiene: every name a package module imports is used there, every
-module-level private function or class is used somewhere in the package,
-every defaulted parameter is passed by some call in it, only the CSV module
-reads or writes CSV, and only the CLI's two boundaries catch every
-exception."""
+"""Source hygiene: every name a package, test or script module imports is
+used there, every module-level private function or class is used somewhere
+in the package, every defaulted parameter is passed by some call in it, only
+the CSV module reads or writes CSV, and only the CLI's two boundaries catch
+every exception."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "echospread"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "echospread"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +39,13 @@ def test_scanner_flags_an_unused_import():
     assert unused_imports(source) == ["os (line 2)", "Any (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# Package modules go by file name; test and script modules by path.
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+     *sorted((ROOT / "scripts").glob("*.py"))],
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)),
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -149,7 +149,7 @@ class TestParseRecords:
             ("absent", True), ("t0", True)
         ]
         users = {r.user_id for r in records}
-        assert build_retweet_network(cascades, users).edges == frozenset()
+        assert build_retweet_network(cascades, users).edges() == []
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,14 +1,14 @@
 """Coder sheets, adjudication, agreement statistics, and the feature matrix."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echospread.exposure import ExposureLedger
 from echospread.labels import (
     CoderSheet,
-    FeatureMatrix,
     build_feature_matrix,
     extract_marks,
     krippendorff_alpha,
@@ -16,7 +16,7 @@ from echospread.labels import (
     read_features_csv,
     write_features_csv,
 )
-from echospread.virality import Boundary, ViralityEstimate, mle_virality
+from echospread.virality import Boundary, ViralityEstimate
 
 
 def sheet(coder_id, features, rows):
@@ -75,6 +75,21 @@ class TestCoderSheet:
         with pytest.raises(ValueError, match="duplicate"):
             CoderSheet.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "features, named",
+        [
+            (["f", ""], ""),
+            (["crowd_size", "f", "crowd_size"], "crowd_size"),
+            (["hashtags"], "hashtags"),
+            (["mentions"], "mentions"),
+            (["humor", "author:humor"], "author:humor"),
+        ],
+        ids=["empty", "repeated", "hashtags", "mentions", "author-prefix"],
+    )
+    def test_rejects_feature_name_the_design_cannot_hold(self, features, named):
+        with pytest.raises(ValueError, match=re.escape(f"feature {named!r}")):
+            sheet("a", features, {"t1": (0,) * len(features)})
+
 
 class TestMajorityVote:
     def make_sheets(self, *vectors):
@@ -109,6 +124,14 @@ class TestMajorityVote:
         b = sheet("b", ("f",), {"t2": (1,)})
         with pytest.raises(ValueError, match="tweet sets differ"):
             majority_vote([a, b])
+
+    def test_repeated_coder_fatal(self):
+        a = sheet("c1", ("f",), {"t1": (1,)})
+        b = sheet("c2", ("f",), {"t1": (0,)})
+        with pytest.raises(ValueError, match="coder c1 has more than one sheet"):
+            majority_vote([a, b, a])
+        with pytest.raises(ValueError, match="coder c1 has more than one sheet"):
+            krippendorff_alpha([a, b, a])
 
     def test_mismatched_features_fatal(self):
         a = sheet("a", ("f",), {"t1": (1,)})

@@ -22,7 +22,6 @@ from echospread.virality import (
     Boundary,
     activity_array,
     compute_activities,
-    log_likelihood,
     mle_virality,
     read_virality_csv,
     write_virality_csv,
@@ -195,12 +194,6 @@ class TestOracleAgreement:
         # both ends of [0, r_max] are grid points
         assert grid_oracle(*ledger_from_counts(0, 3, 0.05, 0.05)) == 0.0
         assert grid_oracle(*ledger_from_counts(2, 0, 0.05, 0.05)) == 1.0 / 0.05
-
-    def test_loglik_agrees_with_direct_formula(self):
-        led, act = ledger_from_counts(2, 3, 0.7, 0.4)
-        r = 0.9
-        direct = 2 * math.log(0.7 * r) + 3 * math.log(1 - 0.4 * r)
-        np.testing.assert_allclose(log_likelihood(r, led, act), direct)
 
 
 class TestEquivariance:
