@@ -441,8 +441,6 @@ def stage_spread(ws: Workspace) -> dict:
 
 def stage_labels(ws: Workspace) -> dict:
     config = ws.config
-    if len(config.labels) < 2:
-        raise ValueError("need at least two label sheets")
     sheets = [CoderSheet.from_csv(_require(p, "label sheet")) for p in config.labels]
     sheets.sort(key=lambda s: s.coder_id)
     vote = majority_vote(sheets)

@@ -52,6 +52,8 @@ class TweetRecord:
             raise ValueError("tweet_id must be nonempty")
         if self.retweet_of is not None and self.retweet_of == self.tweet_id:
             raise ValueError(f"record {self.tweet_id} retweets itself")
+        if self.retweet_of == "":
+            raise ValueError(f"record {self.tweet_id} has an empty retweet_of")
         if self.timestamp < 0:
             raise ValueError(f"record {self.tweet_id} has negative timestamp")
 

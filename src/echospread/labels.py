@@ -60,6 +60,8 @@ class CoderSheet:
             for row in reader:
                 if len(row) != len(header):
                     raise ValueError(f"{path}: ragged row {row!r}")
+                if not row[0]:
+                    raise ValueError(f"{path}: empty tweet_id in {row!r}")
                 if row[0] in rows:
                     raise ValueError(f"{path}: duplicate tweet_id {row[0]}")
                 if any(v not in ("0", "1") for v in row[1:]):
@@ -139,9 +141,6 @@ def krippendorff_alpha(sheets: Sequence[CoderSheet]) -> float:
     """
     _check_aligned(sheets)
     features = sheets[0].features
-    n_coders = len(sheets)
-    if n_coders < 2:
-        raise ValueError("alpha needs at least two coders")
     total_values = 0
     ones = 0
     observed = 0.0
@@ -171,38 +170,26 @@ def extract_marks(text: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Design matrix for one group's log-virality regression.
+    """The rows of one group's log-virality regression, as
+    ``features_<group>.csv`` holds them.
 
-    Columns: binary label features, hashtag count, mention count, then
-    author one-hot indicators. ``group_spec`` lists column-index groups for
-    the penalty: each non-author column alone, all author columns together.
+    ``columns`` are the kept label features, then the mark counts;
+    ``values`` holds one row of those per tweet. ``read_features_csv``
+    builds the design (author indicators and penalty groups) from the CSV.
     """
 
     group: int
     tweet_ids: tuple[str, ...]
     author_ids: tuple[str, ...]
-    column_names: tuple[str, ...]
-    X: np.ndarray
+    columns: tuple[str, ...]
+    values: tuple[tuple[int, ...], ...]
     y: np.ndarray
-    group_spec: tuple[tuple[int, ...], ...]
-    authors: tuple[str, ...]
     excluded_zero_successes: int = 0
     excluded_thin_authors: int = 0
 
     @property
     def n(self) -> int:
         return len(self.tweet_ids)
-
-    def __post_init__(self) -> None:
-        if self.X.shape != (len(self.tweet_ids), len(self.column_names)):
-            raise ValueError("X shape does not match row/column labels")
-        if self.y.shape != (len(self.tweet_ids),):
-            raise ValueError("y length does not match rows")
-        n_auth = len(self.authors)
-        if n_auth:
-            onehot = self.X[:, -n_auth:]
-            if not np.all(onehot.sum(axis=1) == 1):
-                raise ValueError("author indicators must be one-hot")
 
 
 def build_feature_matrix(
@@ -225,7 +212,6 @@ def build_feature_matrix(
         f for g, feats in group_only.items() if g != group for f in feats
     } - set(group_only.get(group, ()))
     kept_idx = [j for j, f in enumerate(vote.features) if f not in drop]
-    feature_names = [vote.features[j] for j in kept_idx]
 
     by_id = {e.tweet_id: e for e in estimates}
     scorable: list[tuple[str, ViralityEstimate]] = []
@@ -245,23 +231,16 @@ def build_feature_matrix(
     for tweet_id, _ in scorable:
         counts[authors[tweet_id]] = counts.get(authors[tweet_id], 0) + 1
     rows = [(t, e) for t, e in scorable if counts[authors[t]] >= min_author_tweets]
-    values = []
-    for tweet_id, _ in rows:
-        labels = vote.rows[tweet_id]
-        values.append([labels[j] for j in kept_idx] + list(marks.get(tweet_id, (0, 0))))
-    author_ids = tuple(authors[t] for t, _ in rows)
-    X, group_spec, column_names, kept_authors = _design(
-        feature_names + list(MARK_COLUMNS), values, author_ids
-    )
     return FeatureMatrix(
         group=group,
         tweet_ids=tuple(t for t, _ in rows),
-        author_ids=author_ids,
-        column_names=column_names,
-        X=X,
+        author_ids=tuple(authors[t] for t, _ in rows),
+        columns=tuple(vote.features[j] for j in kept_idx) + MARK_COLUMNS,
+        values=tuple(
+            tuple(vote.rows[t][j] for j in kept_idx) + marks.get(t, (0, 0))
+            for t, _ in rows
+        ),
         y=np.array([e.ln_r for _, e in rows], dtype=float),
-        group_spec=group_spec,
-        authors=kept_authors,
         excluded_zero_successes=excluded_zero,
         excluded_thin_authors=len(scorable) - len(rows),
     )
@@ -269,14 +248,14 @@ def build_feature_matrix(
 
 def _design(
     value_columns: Sequence[str], values, author_ids: Sequence[str]
-) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...], tuple[str, ...]]:
-    """X, penalty groups, column names and sorted authors of one design.
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """X, penalty groups and column names of one design.
 
     Columns: the value columns, then one indicator per distinct author in
     sorted order. Each value column is a penalty group of its own and the
     author columns form one.
     """
-    authors = tuple(sorted(set(author_ids)))
+    authors = sorted(set(author_ids))
     n, p_val = len(author_ids), len(value_columns)
     author_col = {a: p_val + i for i, a in enumerate(authors)}
     X = np.zeros((n, p_val + len(authors)))
@@ -285,7 +264,7 @@ def _design(
     groups = tuple((j,) for j in range(p_val))
     if authors:
         groups += (tuple(author_col.values()),)
-    return X, groups, tuple(value_columns) + tuple(AUTHOR_PREFIX + a for a in authors), authors
+    return X, groups, tuple(value_columns) + tuple(AUTHOR_PREFIX + a for a in authors)
 
 
 # The leading columns of features_<group>.csv; the value columns and ln_r follow.
@@ -293,14 +272,13 @@ FEATURE_KEYS = ["tweet_id", "author_id", "group"]
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Mirror of the matrix rows for inspection."""
-    value_cols = list(matrix.column_names[: len(matrix.column_names) - len(matrix.authors)])
+    """The matrix rows, which ``read_features_csv`` turns into the design."""
     write_csv(
         path,
-        FEATURE_KEYS + value_cols + ["ln_r"],
+        FEATURE_KEYS + list(matrix.columns) + ["ln_r"],
         (
             [tweet_id, matrix.author_ids[i], matrix.group]
-            + [("%g" % v) for v in matrix.X[i, : len(value_cols)]]
+            + [("%g" % v) for v in matrix.values[i]]
             + [f"{matrix.y[i]:.12g}"]
             for i, tweet_id in enumerate(matrix.tweet_ids)
         ),
@@ -311,12 +289,12 @@ def read_features_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """X, y, penalty groups and column names of a features CSV: the value
-    columns plus author indicators rebuilt from the author_id column."""
+    columns plus author indicators built from the author_id column."""
     with read_csv(path) as (header, reader):
         if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
             raise ValueError(f"unexpected header in {path}: {header}")
         rows = list(reader)
-    X, groups, columns, _ = _design(
+    X, groups, columns = _design(
         header[3:-1], [[float(v) for v in row[3:-1]] for row in rows], [row[1] for row in rows]
     )
     return X, np.array([float(row[-1]) for row in rows]), groups, columns

@@ -570,6 +570,47 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert f"feature {feature!r}" in capsys.readouterr().err
 
+    def test_label_row_with_empty_tweet_id_exits_one_and_is_recorded(
+        self, baseline, tmp_path, capsys
+    ):
+        (tmp_path / "sheets").mkdir()
+        sheets = []
+        for path in map(Path, FIXTURE_SHEETS):
+            sheets.append(tmp_path / "sheets" / path.name)
+            sheets[-1].write_text(path.read_text() + ",1,1,1,1\n")
+        config = fixture_config(tmp_path, labels=[str(p) for p in sheets])
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "labels_c1.csv: empty tweet_id" in capsys.readouterr().err
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "labels" and "empty tweet_id" in failure["error"]
+
+    def test_one_label_sheet_exits_one_and_is_recorded(self, baseline, tmp_path, capsys):
+        config = fixture_config(tmp_path, labels=FIXTURE_SHEETS[:1])
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        code = main(["labels", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "at least two coder sheets" in capsys.readouterr().err
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "labels" and "two coder sheets" in failure["error"]
+
+    def test_empty_retweet_of_is_malformed_and_skipped(self, baseline, tmp_path):
+        record = {"tweet_id": "zz1", "user_id": "a00", "timestamp": 0, "text": "RT climate",
+                  "retweet_of": "", "reply_to": None, "lang": "en"}
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text((FIXTURES / "tweets.jsonl").read_text() + json.dumps(record) + "\n")
+        config = fixture_config(tmp_path, tweets=str(tweets))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        ingest = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]
+        assert (ingest["malformed"], ingest["parsed"]) == (1, 262)
+        after, before = tree_bytes(out), tree_bytes(baseline)
+        del after["manifest.json"], before["manifest.json"]
+        assert after == before
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -1,8 +1,8 @@
 """Source hygiene: every name a package, test or script module imports is
 used there, every module-level private function or class is used somewhere
-in the package, every defaulted parameter is passed by some call in it, only
-the CSV module reads or writes CSV, and only the CLI's two boundaries catch
-every exception."""
+in the package, every defaulted parameter is passed by some call in it, every
+dataclass field is read in it, only the CSV module reads or writes CSV, and
+only the CLI's two boundaries catch every exception."""
 
 import ast
 from pathlib import Path
@@ -167,6 +167,76 @@ def test_every_default_is_passed_somewhere():
     """A default that no caller overrides is a constant with a knob on it."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sorted(unpassed_defaults(sources)) == sorted(UNPASSED_DEFAULTS)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``
+    decorates the class."""
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Fields (``module.Class.field``) of any ``@dataclass`` whose name no
+    module reads as an attribute. A read is matched to a field by name alone."""
+    fields: list[tuple[str, str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(module, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{module.removesuffix('.py')}.{cls}.{name}"
+        for module, cls, name in fields
+        if name not in read
+    ]
+
+
+def test_scanner_flags_an_unread_field():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n    z: int = 0\n"
+            "class Plain:\n    w: int\n"
+        ),
+        "b.py": (
+            "import dataclasses\n"
+            "@dataclasses.dataclass\nclass Q:\n    u: str\n    v: str\n"
+            "def f(p, q):\n    q.v = p.x\n    return q.u\n"
+        ),
+    }
+    assert unread_fields(sources) == ["a.P.y", "a.P.z", "b.Q.v"]
+
+
+# Fields that stay although no module of the package reads them.
+UNREAD_FIELDS = {
+    # Criterion 05 checks per-user attribution.
+    "exposure.ExposureLedger.attribution",
+    # ROADMAP direction 5 records these four in the manifest.
+    "ingest.Cascade.timestamp_inversion",
+    "ingest.CascadeReport.collapsed_duplicates",
+    "ingest.CascadeReport.inversions",
+    "virality.ViralityEstimate.dropped_zero_activity",
+    # Part of the fit's result; criterion 07 and test_lasso check it.
+    "lasso.LassoFit.intercept",
+    # Part of the fit's result; test_lasso checks it.
+    "lasso.LassoFit.objective",
+    # perfbench/spans.py's _fit_cv hook reads it.
+    "lasso.LassoFit.n_iter",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """A field nothing reads is computed, carried and pickled for no one."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)
 
 CSV_MODULE = "csvio.py"
 _CSV_DIALECT = {"reader", "writer", "DictReader", "DictWriter"}

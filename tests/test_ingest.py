@@ -67,6 +67,11 @@ class TestTweetRecord:
         with pytest.raises(ValueError):
             rec("t1", retweet_of="t1")
 
+    def test_rejects_empty_retweet_of(self):
+        """A stub origin takes ``retweet_of`` as its tweet id."""
+        with pytest.raises(ValueError, match="empty retweet_of"):
+            rec("t1", retweet_of="")
+
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
             rec("t1", timestamp=-1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from echospread.labels import (
     CoderSheet,
+    _design,
     build_feature_matrix,
     extract_marks,
     krippendorff_alpha,
@@ -67,6 +68,12 @@ class TestCoderSheet:
         path = tmp_path / "labels_a.csv"
         path.write_text(f"tweet_id,f,g\nt1,0,{cell}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="other than 0 or 1"):
+            CoderSheet.from_csv(path)
+
+    def test_rejects_empty_tweet_id(self, tmp_path):
+        path = tmp_path / "labels_a.csv"
+        path.write_text("tweet_id,f\nt1,1\n,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"labels_a\.csv: empty tweet_id"):
             CoderSheet.from_csv(path)
 
     def test_rejects_duplicate_csv_rows(self, tmp_path):
@@ -132,6 +139,13 @@ class TestMajorityVote:
             majority_vote([a, b, a])
         with pytest.raises(ValueError, match="coder c1 has more than one sheet"):
             krippendorff_alpha([a, b, a])
+
+    def test_one_sheet_fatal(self):
+        a = sheet("a", ("f",), {"t1": (1,)})
+        with pytest.raises(ValueError, match="at least two coder sheets"):
+            majority_vote([a])
+        with pytest.raises(ValueError, match="at least two coder sheets"):
+            krippendorff_alpha([a])
 
     def test_mismatched_features_fatal(self):
         a = sheet("a", ("f",), {"t1": (1,)})
@@ -257,23 +271,24 @@ class TestFeatureMatrix:
         assert matrix.excluded_zero_successes == 1
         assert matrix.excluded_thin_authors == 2
 
-    def test_one_hot_authors(self):
+    def design(self, tmp_path):
+        """The design the lasso fits: the matrix through its CSV."""
         vote, marks, estimates, authors, _ = self.build()
         matrix = build_feature_matrix(
             vote, marks, estimates, authors, group=0, min_author_tweets=2
         )
-        n_auth = len(matrix.authors)
-        onehot = matrix.X[:, -n_auth:]
-        assert np.all(onehot.sum(axis=1) == 1)
-        assert set(matrix.authors) == {"big", "small"}
+        out = tmp_path / "features.csv"
+        write_features_csv(matrix, out)
+        return read_features_csv(out)
 
-    def test_author_columns_have_support(self):
-        vote, marks, estimates, authors, _ = self.build()
-        matrix = build_feature_matrix(
-            vote, marks, estimates, authors, group=0, min_author_tweets=2
-        )
-        n_auth = len(matrix.authors)
-        per_author = matrix.X[:, -n_auth:].sum(axis=0)
+    def test_one_hot_authors(self, tmp_path):
+        X, _, _, columns = self.design(tmp_path)
+        assert columns[-2:] == ("author:big", "author:small")
+        assert np.all(X[:, -2:].sum(axis=1) == 1)
+
+    def test_author_columns_have_support(self, tmp_path):
+        X, _, _, _ = self.design(tmp_path)
+        per_author = X[:, -2:].sum(axis=0)
         assert np.all(per_author >= 2)
 
     def test_group_only_features_dropped_elsewhere(self):
@@ -287,19 +302,16 @@ class TestFeatureMatrix:
             min_author_tweets=1,
             group_only_features={1: ("links",)},
         )
-        assert "links" not in matrix.column_names
-        assert "humor" in matrix.column_names
+        assert matrix.columns == ("humor", "hashtags", "mentions")
+        assert all(len(row) == 3 for row in matrix.values)
 
-    def test_group_spec_shapes(self):
-        vote, marks, estimates, authors, _ = self.build()
-        matrix = build_feature_matrix(
-            vote, marks, estimates, authors, group=0, min_author_tweets=2
-        )
-        sizes = sorted(len(g) for g in matrix.group_spec)
+    def test_group_spec_shapes(self, tmp_path):
+        X, _, groups, _ = self.design(tmp_path)
+        sizes = sorted(len(g) for g in groups)
         # humor, links, hashtags, mentions singles + one author block of 2
         assert sizes == [1, 1, 1, 1, 2]
-        covered = sorted(j for g in matrix.group_spec for j in g)
-        assert covered == list(range(matrix.X.shape[1]))
+        covered = sorted(j for g in groups for j in g)
+        assert covered == list(range(X.shape[1]))
 
     def test_response_is_log_virality(self):
         vote, marks, estimates, authors, _ = self.build()
@@ -329,7 +341,10 @@ class TestFeatureMatrix:
         out = tmp_path / "features.csv"
         write_features_csv(matrix, out)
         X, y, groups, columns = read_features_csv(out)
-        assert X.tobytes() == matrix.X.tobytes() and X.shape == matrix.X.shape
-        assert groups == matrix.group_spec
-        assert columns == matrix.column_names
+        X_ref, groups_ref, columns_ref = _design(
+            matrix.columns, matrix.values, matrix.author_ids
+        )
+        assert X.tobytes() == X_ref.tobytes() and X.shape == X_ref.shape
+        assert groups == groups_ref
+        assert columns == columns_ref
         np.testing.assert_array_equal(y, [float(f"{v:.12g}") for v in matrix.y])
