@@ -33,12 +33,12 @@ from . import __version__, virality
 from .csvio import read_rows, write_csv
 from .exposure import LEDGER_COLUMNS, build_exposure_ledger, choose_scope, ledger_row
 from .graph import (
-    PartitionAssignment,
     RetweetNetwork,
     bisect_partition,
     build_follower_network,
     build_retweet_network,
     largest_component,
+    table_id,
     to_dot,
 )
 from .ingest import (
@@ -55,6 +55,7 @@ from .ingest import (
 from .labels import (
     CoderSheet,
     build_feature_matrix,
+    corpus_sheets,
     extract_marks,
     krippendorff_alpha,
     majority_vote,
@@ -202,11 +203,13 @@ class Workspace:
     Each intermediate is read from its artifact on first use and kept for
     the rest of the process, so ``run`` reads each one once and a stage
     subcommand reads only what it needs; ``ingest`` hands its filtered
-    records and activity counts over directly, and ``network`` its
-    component, so ``run`` never reads ``filtered.jsonl``, ``activities.csv``
-    or ``retweet_edges.csv``. A
+    records and activity counts over directly, ``network`` its component
+    and ``partition`` its groups, so ``run`` never reads ``filtered.jsonl``,
+    ``activities.csv``, ``retweet_edges.csv`` or ``partition.csv``. A
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
+    Cascades, the follow graph and the groups are held as ids into one
+    sorted user table, ``users``.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -223,6 +226,11 @@ class Workspace:
         return records
 
     @cached_property
+    def users(self) -> tuple[str, ...]:
+        """Every user of ``filtered.jsonl``, sorted: user ``k`` is ``users[k]``."""
+        return tuple(sorted({rec.user_id for rec in self.filtered}))
+
+    @cached_property
     def pair_users(self) -> dict[tuple[str, str], set[str]]:
         """The users of each seed hashtag pair. ``filtered.jsonl`` is already
         topical (filtering is idempotent), so it is not filtered again."""
@@ -230,7 +238,7 @@ class Workspace:
 
     @cached_property
     def cascades(self) -> tuple[list[Cascade], CascadeReport]:
-        return build_cascades(self.filtered)
+        return build_cascades(self.filtered, self.users)
 
     @cached_property
     def activities(self) -> dict[str, int]:
@@ -250,41 +258,51 @@ class Workspace:
         for a, b in edges:
             if not a < b:
                 raise ValueError(f"{path}: edge {a},{b} is a self-loop or out of order")
-        return RetweetNetwork.from_edges(edges)
+        net = RetweetNetwork.from_edges(edges)
+        outside = set(net.nodes).difference(self.users)
+        if outside:
+            raise ValueError(f"{path}: user {min(outside)!r} is not in the user table")
+        return net
 
     @cached_property
-    def partition(self) -> PartitionAssignment:
-        """The groups only: no stage reads the cut, so the network is not read."""
+    def groups(self) -> np.ndarray:
+        """The group, 0 or 1, of each user of the table, -1 outside the
+        partitioned component. No stage reads the cut, so the network is not
+        read."""
         path = _require(
             self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
         )
-        rows = read_rows(path, ["user", "group"])
+        groups = np.full(len(self.users), -1, dtype=np.int8)
         try:
-            return PartitionAssignment(groups={user: int(g) for user, g in rows})
+            for user, g in read_rows(path, ["user", "group"]):
+                if g not in ("0", "1"):
+                    raise ValueError(f"group of {user} is {g!r}, not 0 or 1")
+                groups[table_id(self.users, user)] = int(g)
+            if not (np.any(groups == 0) and np.any(groups == 1)):
+                raise ValueError("both groups must be nonempty")
         except ValueError as error:
             raise ValueError(f"bad partition in {path}: {error}") from error
-
-    @cached_property
-    def hoax_users(self) -> set[str]:
-        return self.pair_users[SKEPTIC_PAIR]
+        return groups
 
     @cached_property
     def names(self) -> dict[int, str]:
-        return name_groups(self.hoax_users, self.partition)
+        return name_groups(_mask(self.users, self.pair_users[SKEPTIC_PAIR]), self.groups)
 
     @cached_property
     def activist(self) -> int:
         return next(g for g, n in self.names.items() if n == "activist")
 
 
-def name_groups(hoax_users: set[str], assignment: PartitionAssignment) -> dict[int, str]:
-    """The group holding more hoax-pair users is the skeptic side."""
-    counts = [0, 0]
-    for user in hoax_users:
-        g = assignment.groups.get(user)
-        if g is not None:
-            counts[g] += 1
-    skeptic = 0 if counts[0] > counts[1] else 1
+def _mask(users: Sequence[str], names: set[str]) -> np.ndarray:
+    """Which users of the table ``users`` are among ``names``."""
+    return np.array([u in names for u in users], dtype=bool)
+
+
+def name_groups(hoax: np.ndarray, groups: np.ndarray) -> dict[int, str]:
+    """The group holding more hoax-pair users is the skeptic side: ``hoax``
+    masks the user table that ``groups`` is over."""
+    g = groups[hoax]
+    skeptic = 0 if np.count_nonzero(g == 0) > np.count_nonzero(g == 1) else 1
     return {skeptic: "skeptic", 1 - skeptic: "activist"}
 
 
@@ -316,9 +334,9 @@ def stage_ingest(ws: Workspace) -> dict:
 
 
 def stage_network(ws: Workspace) -> dict:
-    eligible = set().union(*ws.pair_users.values())
+    eligible = _mask(ws.users, set().union(*ws.pair_users.values()))
     cascades, report = ws.cascades
-    net = build_retweet_network(cascades, eligible)
+    net = build_retweet_network(cascades, ws.users, eligible)
     comp = largest_component(net)
     write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], comp.edges())
     ws.network = comp  # as read back, except that a lone node is kept
@@ -336,16 +354,19 @@ def stage_network(ws: Workspace) -> dict:
 def stage_partition(ws: Workspace) -> dict:
     config = ws.config
     net = ws.network
-    assignment = bisect_partition(net, balance_tol=config.balance_tol, seed=config.seed)
-    names = name_groups(ws.hoax_users, assignment)
-    write_csv(config.out / "partition.csv", ["user", "group"], sorted(assignment.groups.items()))
-    (config.out / "network.dot").write_text(to_dot(net, assignment), encoding="utf-8")
-    sizes = assignment.group_sizes()
+    split = bisect_partition(net, balance_tol=config.balance_tol, seed=config.seed)
+    groups = np.full(len(ws.users), -1, dtype=np.int8)
+    groups[[table_id(ws.users, u) for u in net.nodes]] = split.side
+    ws.groups = groups  # as read back from partition.csv
+    write_csv(config.out / "partition.csv", ["user", "group"],
+              zip(net.nodes, split.side.tolist()))
+    (config.out / "network.dot").write_text(to_dot(net, split.side), encoding="utf-8")
+    n1 = int(split.side.sum())
     return {
-        "cut_size": assignment.cut_size,
-        "balance": assignment.balance,
-        "group_sizes": list(sizes),
-        "group_names": {str(g): n for g, n in names.items()},
+        "cut_size": split.cut_size,
+        "balance": split.balance,
+        "group_sizes": [net.n_nodes - n1, n1],
+        "group_names": {str(g): n for g, n in ws.names.items()},
     }
 
 
@@ -359,13 +380,13 @@ def _init_score_worker(*context) -> None:
 def _score_task(k: int) -> tuple[list, ViralityEstimate] | None:
     """The ``ledgers.csv`` row and the estimate of cascade ``k``, or None for
     an unscorable cascade. The ledger stays in the process that built it."""
-    cascades, follow, assignment, user_groups, include_unexposed, alpha = _SCORE_CTX["ctx"]
+    cascades, follow, groups, include_unexposed, alpha = _SCORE_CTX["ctx"]
     try:
-        group = choose_scope(cascades[k], assignment)
+        group = choose_scope(cascades[k], groups)
     except ValueError:
         return None
     ledger = build_exposure_ledger(
-        cascades[k], follow, user_groups, group, include_unexposed_retweeters=include_unexposed
+        cascades[k], follow, groups, group, include_unexposed_retweeters=include_unexposed
     )
     return ledger_row(ledger), virality.mle_virality(ledger, alpha)
 
@@ -375,9 +396,8 @@ def stage_virality(ws: Workspace) -> dict:
     cascade indices and returns rows and estimates, in tweet-id order."""
     config = ws.config
     cascades = sorted(ws.cascades[0], key=lambda c: c.tweet_id)
-    universe = {rec.user_id for rec in ws.filtered}
     follow, dropped_edges = build_follower_network(
-        _require(config.edges, "edges file"), universe
+        _require(config.edges, "edges file"), ws.users
     )
     results = parallel_map(
         _score_task,
@@ -387,8 +407,7 @@ def stage_virality(ws: Workspace) -> dict:
         initargs=(
             cascades,
             follow,
-            ws.partition,
-            ws.partition.group_ids(follow.users),
+            ws.groups,
             config.include_unexposed_retweeters,
             activity_array(ws.activities, follow.users, raw=config.raw_activities),
         ),
@@ -410,13 +429,12 @@ def stage_virality(ws: Workspace) -> dict:
 def stage_words(ws: Workspace) -> dict:
     config = ws.config
     cascades, _ = ws.cascades
-    groups = ws.partition.groups
+    groups = ws.groups
     activist = ws.activist
     texts: dict[int, list[str]] = {0: [], 1: []}
     for cascade in sorted(cascades, key=lambda c: c.tweet_id):
-        g = groups.get(cascade.origin.user_id)
-        if g is not None and not cascade.stub_origin:
-            texts[g].append(cascade.origin.text)
+        if cascade.author >= 0 and groups[cascade.author] >= 0:
+            texts[int(groups[cascade.author])].append(cascade.text)
     rows_act, rows_ske = word_diff_table(
         texts[activist], texts[1 - activist], top_k=config.top_k, stemmer=config.stemmer
     )
@@ -432,7 +450,7 @@ def stage_words(ws: Workspace) -> dict:
 def stage_spread(ws: Workspace) -> dict:
     cascades, _ = ws.cascades
     counts, summary = cross_group_counts(
-        cascades, ws.partition, threshold=ws.config.threshold, activist_group=ws.activist
+        cascades, ws.groups, threshold=ws.config.threshold, activist_group=ws.activist
     )
     write_spread_csv(counts, ws.config.out / "spread.csv")
     return {"tweets": len(counts), "threshold": summary.threshold,
@@ -443,12 +461,13 @@ def stage_labels(ws: Workspace) -> dict:
     config = ws.config
     sheets = [CoderSheet.from_csv(_require(p, "label sheet")) for p in config.labels]
     sheets.sort(key=lambda s: s.coder_id)
+    by_id = {rec.tweet_id: rec for rec in ws.filtered}
+    sheets, outside = corpus_sheets(sheets, by_id.keys())
     vote = majority_vote(sheets)
     alpha = krippendorff_alpha(sheets)
 
-    by_id = {rec.tweet_id: rec for rec in ws.filtered}
-    authors = {tid: by_id[tid].user_id for tid in vote.rows if tid in by_id}
-    marks = {tid: extract_marks(by_id[tid].text) for tid in vote.rows if tid in by_id}
+    authors = {tid: by_id[tid].user_id for tid in vote.rows}
+    marks = {tid: extract_marks(by_id[tid].text) for tid in vote.rows}
     estimates = read_virality_csv(
         _require(config.out / "virality.csv", "intermediate virality.csv (run virality)")
     )
@@ -468,6 +487,7 @@ def stage_labels(ws: Workspace) -> dict:
         "consensus_rate": vote.consensus_rate,
         "ties": len(vote.ties),
         "labeled_tweets": len(vote.rows),
+        "labels_outside_corpus": outside,
     }
     for g, name in sorted(names.items()):
         matrix = build_feature_matrix(

@@ -5,13 +5,14 @@ retweet notification for it. Rule 2: everyone else sees at most the first
 retweeting followee's notification. Together they imply each exposed user
 gets exactly one timeline appearance, hence one Bernoulli trial.
 
-A ledger names users by their ids in the follow graph's sorted user table
-(see ``graph``): ``successes``, ``failures`` and ``unexposed_successes``
-are sorted int64 id arrays, ``exposed`` is the first two merged, attribution
-is one source id per exposed user, and the ledger keeps the table for names.
-It is built by walking the followee-keyed CSR with a boolean ``seen`` and an
-integer ``first`` over the table, so its cost follows the exposed audience
-rather than string sets.
+Cascades, the follow graph and the partition share one sorted user table
+(see ``graph``), so a ledger is built on ids alone: ``successes``,
+``failures`` and ``unexposed_successes`` are sorted int64 id arrays,
+``exposed`` is the first two merged, attribution is one source id per
+exposed user, and the ledger keeps the table for names. It is built by
+walking the followee-keyed CSR with a boolean ``seen`` and an integer
+``first`` over the table, so its cost follows the exposed audience rather
+than string sets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import FollowerNetwork, PartitionAssignment, table_id
+from .graph import FollowerNetwork
 from .ingest import Cascade
 
 
@@ -35,10 +36,11 @@ class ExposureLedger:
     explicitly included. ``attribution[i]`` is the id of the user whose
     event exposed ``exposed[i]`` first (the origin author wins whenever
     followed, per Rule 1), or -1 for an included unexposed retweeter.
+    ``author`` is the origin author's id, -1 for a stub origin.
     """
 
     tweet_id: str
-    origin_author: str
+    author: int
     group: int
     users: tuple[str, ...] = field(repr=False)
     successes: np.ndarray
@@ -51,11 +53,7 @@ class ExposureLedger:
         trials = self.exposed
         if np.any(trials[1:] == trials[:-1]):
             raise ValueError("successes and failures overlap")
-        try:
-            author = table_id(self.users, self.origin_author)
-        except ValueError:
-            return
-        if author in trials:
+        if self.author in trials:
             raise ValueError("origin author cannot be a trial")
 
     @property
@@ -73,35 +71,26 @@ def ledger_row(ledger: ExposureLedger) -> list:
             len(ledger.failures), len(ledger.unexposed_successes), ";".join(ledger.flags)]
 
 
-def classified_counts(cascade: Cascade, assignment: PartitionAssignment) -> list[int]:
-    """Unique retweeters per group, the origin author and unclassified users
-    left out."""
-    counts = [0, 0]
-    seen: set[str] = set()
-    for rt in cascade.retweets:
-        u = rt.user_id
-        if u in seen or u == cascade.origin.user_id:
-            continue
-        seen.add(u)
-        g = assignment.groups.get(u)
-        if g is not None:
-            counts[g] += 1
-    return counts
+def classified_counts(cascade: Cascade, groups: np.ndarray) -> list[int]:
+    """Retweeters per group, the origin author and unclassified users left
+    out; ``groups`` is the partition over the cascade's user table."""
+    g = groups[cascade.retweeters[cascade.retweeters != cascade.author]]
+    return [int(np.count_nonzero(g == 0)), int(np.count_nonzero(g == 1))]
 
 
-def choose_scope(cascade: Cascade, assignment: PartitionAssignment) -> int:
+def choose_scope(cascade: Cascade, groups: np.ndarray) -> int:
     """The main group: the one holding strictly more classified retweeters.
 
     Ties go to the origin author's group; if the author is unclassified too,
     group 0 is the deterministic fallback. A cascade with no classified
     retweeter cannot be scored and raises ValueError.
     """
-    counts = classified_counts(cascade, assignment)
+    counts = classified_counts(cascade, groups)
     if counts[0] == 0 and counts[1] == 0:
         raise ValueError(f"unscorable: cascade {cascade.tweet_id} has no classified retweeters")
     if counts[0] != counts[1]:
         return 0 if counts[0] > counts[1] else 1
-    return assignment.groups.get(cascade.origin.user_id, 0)
+    return max(int(groups[cascade.author]), 0) if cascade.author >= 0 else 0
 
 
 def build_exposure_ledger(
@@ -120,11 +109,9 @@ def build_exposure_ledger(
     retweeter counts as a success only when that event precedes their own
     retweet; a failure counts as exposed if any event in the whole cascade
     reaches them. Users outside the main group and their follow edges are
-    disregarded, as is the origin author as a trial. An origin author
-    outside the follow graph's table (a stub origin's empty name, say) is an
-    author with no followers; a retweeter missing from it raises ValueError.
-    ``user_groups`` is the partition over the follow table,
-    ``assignment.group_ids(follow.users)``, and ``group`` the main group.
+    disregarded, as is the origin author as a trial. A stub origin's author
+    (-1) has no followers. The cascade and ``user_groups``, the partition,
+    are over the follow graph's table; ``group`` is the main group.
     """
     ptr, idx = follow.follower_ptr, follow.follower_idx
     users = follow.users
@@ -134,14 +121,9 @@ def build_exposure_ledger(
     if len(user_groups) != n:
         raise ValueError("the user groups do not match the follow table")
     in_group = user_groups == group
-    index = follow.index
-    author = index.get(cascade.origin.user_id, -1)
-    try:
-        ids = np.array([index[rt.user_id] for rt in cascade.retweets], dtype=np.int64)
-    except KeyError as missing:
-        raise ValueError(f"user {missing.args[0]!r} is not in the user table") from None
-    events = list(dict.fromkeys(ids[(ids != author) & in_group[ids]].tolist()))
-    sources = np.array([author, *events], dtype=np.int64)
+    author = cascade.author
+    ids = cascade.retweeters
+    sources = np.concatenate([[author], ids[(ids != author) & in_group[ids]]])
 
     seen = np.zeros(n, dtype=bool)
     n_seen = 0
@@ -178,7 +160,7 @@ def build_exposure_ledger(
 
     return ExposureLedger(
         tweet_id=cascade.tweet_id,
-        origin_author=cascade.origin.user_id,
+        author=author,
         group=group,
         users=users,
         successes=np.flatnonzero(success),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class FollowerNetwork:
     def from_edges(
         cls,
         edges: Iterable[tuple[str, str]],
-        universe: set[str] | frozenset[str] | None = None,
+        universe: Iterable[str] | None = None,
     ) -> tuple["FollowerNetwork", int]:
         """Build from (follower, followee) pairs; returns (net, dropped count).
 
@@ -169,57 +169,32 @@ class FollowerNetwork:
         return len(self.follower_idx)
 
 
-@dataclass(frozen=True)
-class PartitionAssignment:
-    """A two-way node assignment with its recounted cut size and balance.
+@dataclass(frozen=True, eq=False)
+class Bisection:
+    """A two-way split of a retweet network: ``side[k]`` is node ``k``'s
+    group, 0 or 1, with the cut size and the larger group's share."""
 
-    An assignment read back from ``partition.csv`` has no network to count a
-    cut on; both figures are then None.
-    """
-
-    groups: Mapping[str, int]
-    cut_size: int | None = None
-    balance: float | None = None
-
-    def __post_init__(self) -> None:
-        for user, g in self.groups.items():
-            if g not in (0, 1):
-                raise ValueError(f"group of {user} is {g}, not 0 or 1")
-        sizes = self.group_sizes()
-        if sizes[0] == 0 or sizes[1] == 0:
-            raise ValueError("both groups must be nonempty")
-
-    def group_ids(self, users: Sequence[str]) -> np.ndarray:
-        """The group of each user of a table, -1 for an unassigned user."""
-        groups = self.groups
-        return np.array([groups.get(u, -1) for u in users], dtype=np.int8)
-
-    def group_sizes(self) -> tuple[int, int]:
-        n1 = sum(self.groups.values())
-        return (len(self.groups) - n1, n1)
-
-    def members(self, group: int) -> set[str]:
-        return {u for u, g in self.groups.items() if g == group}
+    side: np.ndarray
+    cut_size: int
+    balance: float
 
 
 def build_retweet_network(
-    cascades: Sequence[Cascade], users: set[str] | frozenset[str]
+    cascades: Sequence[Cascade], users: Sequence[str], eligible: np.ndarray
 ) -> RetweetNetwork:
-    """Undirected network over eligible users appearing in the cascades."""
-    nodes: set[str] = set()
-    pairs: list[tuple[str, str]] = []
+    """Undirected network over the eligible users appearing in the cascades:
+    ``eligible`` masks the sorted user table ``users`` the cascades are on."""
+    nodes: set[int] = set()
+    pairs: list[tuple[int, int]] = []
     for cascade in cascades:
-        author = cascade.origin.user_id
-        if author in users:
+        author = cascade.author
+        retweeters = cascade.retweeters[eligible[cascade.retweeters]].tolist()
+        nodes.update(retweeters)
+        if author >= 0 and eligible[author]:
             nodes.add(author)
-        for rt in cascade.retweets:
-            u = rt.user_id
-            if u not in users:
-                continue
-            nodes.add(u)
-            if author in users and author != u:
-                pairs.append((author, u))
-    return RetweetNetwork.from_edges(pairs, nodes)
+            pairs += [(author, u) for u in retweeters if u != author]
+    net = RetweetNetwork.from_edges(pairs, nodes)  # on ids, which sort as names do
+    return RetweetNetwork(tuple(users[k] for k in net.nodes), net.adj)
 
 
 def connected_components(net: RetweetNetwork) -> list[list[int]]:
@@ -250,7 +225,7 @@ def largest_component(net: RetweetNetwork) -> RetweetNetwork:
 
 
 def build_follower_network(
-    path: str | Path, universe: set[str] | frozenset[str]
+    path: str | Path, universe: Iterable[str]
 ) -> tuple[FollowerNetwork, int]:
     """Read an edge CSV with header ``follower,followee`` restricted to universe."""
     with read_csv(path) as (header, rows):
@@ -490,7 +465,7 @@ def _fm_refine(
 
 def bisect_partition(
     net: RetweetNetwork, balance_tol: float = 0.1, seed: int = 0
-) -> PartitionAssignment:
+) -> Bisection:
     """Bisect a connected network into two groups with a near-minimal cut.
 
     Multilevel scheme: coarsen by heavy-edge matching, grow an initial
@@ -556,20 +531,19 @@ def bisect_partition(
     if side[0] == 1:
         side = [1 - s for s in side]
     balance = max(sum(side), n - sum(side)) / n
-    groups = dict(zip(net.nodes, side))
-    return PartitionAssignment(groups=groups, cut_size=_cut_weight(adj, side), balance=balance)
+    return Bisection(np.array(side, dtype=np.int8), _cut_weight(adj, side), balance)
 
 
-def to_dot(net: RetweetNetwork, assignment: PartitionAssignment) -> str:
-    """DOT serialization of the network, each node colored by its group."""
+def to_dot(net: RetweetNetwork, side: np.ndarray) -> str:
+    """DOT serialization of the network, node ``k`` colored by ``side[k]``."""
     colors = {0: "#e08214", 1: "#7fbf7b"}
 
     def quoted(u: str) -> str:
         return '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph retweet_network {", "  node [style=filled];"]
-    for u in net.nodes:
-        lines.append(f'  {quoted(u)} [fillcolor="{colors[assignment.groups[u]]}"];')
+    for u, g in zip(net.nodes, side.tolist()):
+        lines.append(f'  {quoted(u)} [fillcolor="{colors[g]}"];')
     for a, b in net.edges():
         lines.append(f"  {quoted(a)} -- {quoted(b)};")
     lines.append("}")

@@ -5,8 +5,9 @@ Input is a JSONL file with one record per (re)tweet:
     {"tweet_id": str, "user_id": str, "timestamp": int, "text": str,
      "retweet_of": str|null, "reply_to": str|null, "lang": str|null}
 
-A cascade is one original tweet plus the time-ordered retweet events that
-reference it.
+A cascade is one original tweet plus the users who retweeted it, in the
+order of their first retweet, held as ids into the sorted table of the
+corpus's users.
 
 One chain rule serves filtering, the seed hashtag pairs and cascades: the
 root of a record is the last record on its ``retweet_of`` chain that is in
@@ -20,9 +21,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 HASHTAG_RE = re.compile(r"#\w+")
 
@@ -69,27 +72,23 @@ SKEPTIC_PAIR = ("climate", "hoax")
 SEED_PAIRS = (("climate", "crisis"), SKEPTIC_PAIR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cascade:
-    """An origin tweet and its retweet events, sorted by (timestamp, tweet_id).
+    """An origin tweet and its retweeters, as ids into a sorted user table.
 
-    ``stub_origin`` marks cascades whose origin record was absent from the
-    corpus and had to be synthesized. ``timestamp_inversion`` marks cascades
-    where some retweet carries a timestamp earlier than the origin (the event
-    is kept; the origin always precedes it in cascade order).
+    ``retweeters`` holds one id per retweeting user, ordered by their
+    earliest retweet event's (timestamp, tweet_id). ``author`` is -1 for a
+    stub origin, a tweet absent from the corpus that its retweets reference;
+    a stub's ``text`` is its first retweet's. ``timestamp_inversion`` marks
+    cascades where some retweet carries a timestamp earlier than the origin
+    (the event is kept; the origin always precedes it in cascade order).
     """
 
-    origin: TweetRecord
-    retweets: tuple[TweetRecord, ...]
-    stub_origin: bool = False
+    tweet_id: str
+    text: str
+    author: int
+    retweeters: np.ndarray = field(repr=False)
     timestamp_inversion: bool = False
-
-    @property
-    def tweet_id(self) -> str:
-        return self.origin.tweet_id
-
-    def retweeters(self) -> tuple[str, ...]:
-        return tuple(r.user_id for r in self.retweets)
 
 
 @dataclass
@@ -115,7 +114,7 @@ _OPTIONAL = ("retweet_of", "reply_to", "lang")
 
 def _record_from_obj(obj: object) -> TweetRecord:
     """A record from a JSON object; ``TweetRecord`` checks the field types.
-    An empty ``user_id`` is malformed: it names a stub origin's absent author."""
+    An empty ``user_id`` is malformed."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     for key in _REQUIRED:
@@ -261,17 +260,18 @@ def filter_corpus(records: Sequence[TweetRecord]) -> list[TweetRecord]:
 
 
 def build_cascades(
-    records: Sequence[TweetRecord],
+    records: Sequence[TweetRecord], users: Sequence[str]
 ) -> tuple[list[Cascade], CascadeReport]:
-    """Assemble one cascade per origin tweet from filtered records.
+    """Assemble one cascade per origin tweet from filtered records, over the
+    sorted user table ``users``, which holds every record's user.
 
     A retweet joins the cascade of its chain root, or of the absent tweet
     that root retweets; a retweet without a root (a cycle) is dropped and
     counted. Repeated retweets by one user collapse to the earliest event.
-    Retweets whose origin record is absent get a synthesized stub origin and
-    the cascade is flagged.
+    Retweets whose origin record is absent make a stub origin cascade.
     """
     report = CascadeReport()
+    index = {u: k for k, u in enumerate(users)}
     by_id = _first_by_id(records)
     roots = _chain_roots(by_id)
     grouped: dict[str, list[TweetRecord]] = {}
@@ -285,14 +285,17 @@ def build_cascades(
         origin_id = root.tweet_id if root.retweet_of is None else root.retweet_of
         grouped.setdefault(origin_id, []).append(rec)
 
-    def collapse(events: list[TweetRecord]) -> tuple[TweetRecord, ...]:
+    def collapse(events: list[TweetRecord]) -> list[TweetRecord]:
         best: dict[str, TweetRecord] = {}
         for ev in sorted(events, key=lambda r: (r.timestamp, r.tweet_id)):
             if ev.user_id not in best:
                 best[ev.user_id] = ev
             else:
                 report.collapsed_duplicates += 1
-        return tuple(best.values())
+        return list(best.values())
+
+    def ids(retweets: list[TweetRecord]) -> np.ndarray:
+        return np.array([index[r.user_id] for r in retweets], dtype=np.int64)
 
     cascades: list[Cascade] = []
     for rec in by_id.values():
@@ -300,22 +303,13 @@ def build_cascades(
             continue
         retweets = collapse(grouped.pop(rec.tweet_id, []))
         inverted = any(r.timestamp < rec.timestamp for r in retweets)
-        cascades.append(
-            Cascade(rec, retweets, timestamp_inversion=inverted)
-        )
+        cascades.append(Cascade(rec.tweet_id, rec.text, index[rec.user_id], ids(retweets),
+                                timestamp_inversion=inverted))
         report.inversions += int(inverted)
 
     for origin_id in sorted(grouped):
         retweets = collapse(grouped[origin_id])
-        first = retweets[0]
-        stub = TweetRecord(
-            tweet_id=origin_id,
-            user_id="",
-            timestamp=first.timestamp,
-            text=first.text,
-            lang=first.lang,
-        )
-        cascades.append(Cascade(stub, retweets, stub_origin=True))
+        cascades.append(Cascade(origin_id, retweets[0].text, -1, ids(retweets)))
         report.stub_origins += 1
 
     report.cascades = len(cascades)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +101,18 @@ def _check_aligned(sheets: Sequence[CoderSheet]) -> None:
                 f"tweet sets differ between {first.coder_id} and {sheet.coder_id}: "
                 f"missing={missing[:5]} extra={extra[:5]}"
             )
+
+
+def corpus_sheets(
+    sheets: Sequence[CoderSheet], tweet_ids: Collection[str]
+) -> tuple[list[CoderSheet], int]:
+    """The aligned sheets cut to the rows whose tweet is in ``tweet_ids``,
+    and how many rows each sheet loses."""
+    _check_aligned(sheets)
+    kept = [CoderSheet(sheet.coder_id, sheet.features,
+                       {t: v for t, v in sheet.rows.items() if t in tweet_ids})
+            for sheet in sheets]
+    return kept, len(sheets[0].rows) - len(kept[0].rows)
 
 
 def majority_vote(sheets: Sequence[CoderSheet]) -> VoteResult:

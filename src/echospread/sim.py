@@ -402,7 +402,7 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
         exposures: list[int] = []
         unscorable = 0
         for sim in by_r[r]:
-            cascades, _ = build_cascades(sim.records)
+            cascades, _ = build_cascades(sim.records, world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             exposures.append(len(ledger.exposed))
             est = mle_virality(ledger, world.alpha)

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .csvio import write_csv
 from .exposure import classified_counts
-from .graph import PartitionAssignment
 from .ingest import Cascade
 
 URL_RE = re.compile(r"[a-z][a-z0-9+.\-]*://\S+")
@@ -110,16 +111,17 @@ def word_diff_table(
 
 def cross_group_counts(
     cascades: Sequence[Cascade],
-    assignment: PartitionAssignment,
+    groups: np.ndarray,
     threshold: int = 10,
     activist_group: int = 0,
 ) -> tuple[list[SpreadCount], SpreadSummary]:
     """Per-tweet classified retweeter counts per group, plus how many
-    tweets exceed the threshold in both groups."""
+    tweets exceed the threshold in both groups; ``groups`` is the partition
+    over the cascades' user table."""
     counts: list[SpreadCount] = []
     qualifying = 0
     for cascade in sorted(cascades, key=lambda c: c.tweet_id):
-        per_group = classified_counts(cascade, assignment)
+        per_group = classified_counts(cascade, groups)
         activist = per_group[activist_group]
         skeptic = per_group[1 - activist_group]
         counts.append(

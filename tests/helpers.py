@@ -1,5 +1,6 @@
 """Shared test utilities: id ledgers built from names, id ledgers and
-simulated cascades mapped back to names, the string-keyed follow graph,
+simulated cascades mapped back to names, cascades held on names and put on
+a user table, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
 the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
@@ -11,7 +12,7 @@ were before they shared one chain walk."""
 import math
 from dataclasses import dataclass, field
 from functools import singledispatch
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from echospread.ingest import (
     CascadeReport,
     TweetRecord,
     _first_by_id,
+    build_cascades,
 )
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
 from echospread.sim import SimCascade, SimConfig, _user_ids
@@ -43,11 +45,11 @@ def id_ledger(
     users=None,
     unexposed=(),
     tweet_id="t",
-    origin_author="auth",
     group=0,
 ):
     """An id ledger with the given trials by name, over the sorted table of
-    ``users`` (default: the trial and unexposed users); no attribution."""
+    ``users`` (default: the trial and unexposed users); no attribution and
+    no origin author in the table."""
     table = tuple(sorted(set(users if users is not None else [])
                          | set(successes) | set(failures) | set(unexposed)))
     index = {u: k for k, u in enumerate(table)}
@@ -57,7 +59,7 @@ def id_ledger(
 
     return ExposureLedger(
         tweet_id=tweet_id,
-        origin_author=origin_author,
+        author=-1,
         group=group,
         users=table,
         successes=ids(successes),
@@ -93,7 +95,7 @@ def named(ledger: ExposureLedger) -> "ReferenceLedger":
 
     return ReferenceLedger(
         tweet_id=ledger.tweet_id,
-        origin_author=ledger.origin_author,
+        origin_author=users[ledger.author] if ledger.author >= 0 else "",
         group=ledger.group,
         exposed=names(ledger.exposed),
         successes=names(ledger.successes),
@@ -125,6 +127,72 @@ def _(sim: SimCascade) -> "ReferenceSimCascade":
         successes=names(sim.successes),
         failures=names(sim.failures),
     )
+
+
+# Cascades held on names, as ``ingest.Cascade`` was before it held ids into
+# the user table, and the two put side by side.
+
+
+@dataclass(frozen=True)
+class StringCascade:
+    """An origin tweet and its retweet events, sorted by (timestamp, tweet_id).
+
+    ``stub_origin`` marks cascades whose origin record was absent from the
+    corpus and had to be synthesized, with the empty name as its author.
+    """
+
+    origin: TweetRecord
+    retweets: tuple[TweetRecord, ...]
+    stub_origin: bool = False
+    timestamp_inversion: bool = False
+
+    @property
+    def tweet_id(self) -> str:
+        return self.origin.tweet_id
+
+    def retweeters(self) -> tuple[str, ...]:
+        return tuple(r.user_id for r in self.retweets)
+
+    def view(self) -> "CascadeView":
+        """The cascade as an id cascade holds it, in names: a user's later
+        retweets are dropped, as ``build_cascades`` collapses them."""
+        return CascadeView(self.tweet_id, self.origin.text, self.origin.user_id,
+                           tuple(dict.fromkeys(self.retweeters())), self.timestamp_inversion)
+
+
+class CascadeView(NamedTuple):
+    """What an id cascade holds, in names; a stub origin's author is ""."""
+
+    tweet_id: str
+    text: str
+    author: str
+    retweeters: tuple[str, ...]
+    timestamp_inversion: bool
+
+
+def id_cascade(cascade: StringCascade, users: Sequence[str]) -> Cascade:
+    """A string cascade on the sorted user table ``users``."""
+    index = {u: k for k, u in enumerate(users)}
+    view = cascade.view()
+    return Cascade(
+        view.tweet_id, view.text, -1 if cascade.stub_origin else index[view.author],
+        np.array([index[u] for u in view.retweeters], dtype=np.int64), view.timestamp_inversion,
+    )
+
+
+def cascade_view(cascade: Cascade, users: Sequence[str]) -> CascadeView:
+    """An id cascade on the table ``users``, in names."""
+    return CascadeView(
+        cascade.tweet_id, cascade.text, users[cascade.author] if cascade.author >= 0 else "",
+        tuple(users[k] for k in cascade.retweeters.tolist()), cascade.timestamp_inversion,
+    )
+
+
+def named_cascades(records: Sequence[TweetRecord]) -> tuple[list[CascadeView], CascadeReport]:
+    """``build_cascades`` over the table of the records' users, in names."""
+    users = sorted({r.user_id for r in records})
+    cascades, report = build_cascades(records, users)
+    return [cascade_view(c, users) for c in cascades], report
 
 
 def follower_sets(net: FollowerNetwork) -> dict[str, frozenset[str]]:
@@ -210,7 +278,7 @@ def reference_from_edges(
 
 
 def reference_build_exposure_ledger(
-    cascade: Cascade,
+    cascade: StringCascade,
     follow: ReferenceFollowerNetwork,
     groups: Mapping[str, int],
     g: int,
@@ -583,7 +651,7 @@ class ReferenceRetweetNetwork:
 
 
 def reference_build_retweet_network(
-    cascades: Sequence[Cascade], users: set[str] | frozenset[str]
+    cascades: Sequence[StringCascade], users: set[str] | frozenset[str]
 ) -> ReferenceRetweetNetwork:
     """Undirected network over eligible users appearing in the cascades."""
     nodes: set[str] = set()
@@ -1034,7 +1102,7 @@ def reference_resolve_origin(
 
 def reference_build_cascades(
     records: Sequence[TweetRecord],
-) -> tuple[list[Cascade], CascadeReport]:
+) -> tuple[list[StringCascade], CascadeReport]:
     """Assemble one cascade per origin tweet from filtered records.
 
     Retweet chains are resolved to their ultimate origin; unresolvable
@@ -1063,14 +1131,14 @@ def reference_build_cascades(
                 report.collapsed_duplicates += 1
         return tuple(sorted(best.values(), key=lambda r: (r.timestamp, r.tweet_id)))
 
-    cascades: list[Cascade] = []
+    cascades: list[StringCascade] = []
     for rec in by_id.values():
         if rec.retweet_of is not None:
             continue
         retweets = collapse(grouped.pop(rec.tweet_id, []))
         inverted = any(r.timestamp < rec.timestamp for r in retweets)
         cascades.append(
-            Cascade(rec, retweets, timestamp_inversion=inverted)
+            StringCascade(rec, retweets, timestamp_inversion=inverted)
         )
         report.inversions += int(inverted)
 
@@ -1084,7 +1152,7 @@ def reference_build_cascades(
             text=first.text,
             lang=first.lang,
         )
-        cascades.append(Cascade(stub, retweets, stub_origin=True))
+        cascades.append(StringCascade(stub, retweets, stub_origin=True))
         report.stub_origins += 1
 
     report.cascades = len(cascades)

@@ -29,7 +29,6 @@ from helpers import alpha_of, grid_oracle, id_ledger, named
 from echospread.exposure import build_exposure_ledger
 from echospread.graph import (
     FollowerNetwork,
-    PartitionAssignment,
     RetweetNetwork,
     bisect_partition,
 )
@@ -78,9 +77,7 @@ def criterion(number: int, description: str):
 
 
 def make_ledger(users, n_successes, tweet_id="t"):
-    return id_ledger(
-        users[:n_successes], users[n_successes:], tweet_id=tweet_id, origin_author="author"
-    )
+    return id_ledger(users[:n_successes], users[n_successes:], tweet_id=tweet_id)
 
 
 def mle(ledger, act):
@@ -199,11 +196,9 @@ def scenario_ledger(follow_edges, retweets):
                 lang="en",
             )
         )
-    cascades, _ = build_cascades(records)
-    groups = {u: 0 for u in users}
-    groups["__other__"] = 1
-    assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.0)
-    return named(build_exposure_ledger(cascades[0], follow, assignment.group_ids(follow.users), 0))
+    cascades, _ = build_cascades(records, follow.users)
+    groups = np.zeros(len(follow.users), dtype=np.int8)
+    return named(build_exposure_ledger(cascades[0], follow, groups, 0))
 
 
 @criterion(5, "display-rule fixtures reproduce exact exposure sets and attribution")
@@ -267,10 +262,11 @@ def test_criterion_06_partitioner():
     winners = [side for side, cut in cuts.items() if cut == best]
     assert best == 1 and winners == [frozenset({"a0", "a1", "a2"})]
 
-    assignment = bisect_partition(net)
-    grouped = {u for u in nodes if assignment.groups[u] == assignment.groups["a0"]}
+    split = bisect_partition(net)
+    side = dict(zip(net.nodes, split.side.tolist()))
+    grouped = {u for u in nodes if side[u] == side["a0"]}
     assert grouped == {"a0", "a1", "a2"}
-    assert assignment.cut_size == 1
+    assert split.cut_size == 1
 
     good = 0
     for seed in range(20):
@@ -284,7 +280,7 @@ def test_criterion_06_partitioner():
                 if rng.random() < p:
                     planted.add((users[i], users[j]))
         planted_net = RetweetNetwork.from_edges(planted, users)
-        groups = bisect_partition(planted_net).groups
+        groups = dict(zip(planted_net.nodes, bisect_partition(planted_net).side.tolist()))
         agree = sum(groups[u] == block[u] for u in users)
         good += max(agree, 100 - agree) >= 95
     assert good >= 18, f"only {good}/20 seeds recovered"
@@ -370,7 +366,7 @@ def test_criterion_08_planted_effect_recovery():
         for i, r in enumerate(world.config.r_values):
             seed_user = pool[int(rng.integers(len(pool)))]
             sim = simulate_cascade(world, seed_user, r, i)
-            cascades, _ = build_cascades(list(sim.records))
+            cascades, _ = build_cascades(list(sim.records), world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, user_groups, 0)
             est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.INTERIOR:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echospread import cli
+from echospread import cli, virality
 from echospread.cli import (
     EXIT_BUG,
     EXIT_INPUT,
@@ -80,7 +80,7 @@ FIXTURE_DIGESTS = {
     "features_skeptic.csv": "38a86c58e0dbce175eed5901727933e195dc7463f02ea4481bda3c1a4141e59c",
     "filtered.jsonl": "77deafc6732f42384bb9535cb744aa721ebf7cae73e2d2ccb61d0bba104970cc",
     "ledgers.csv": "2073a19cde812d9b89d0667e87bb6c506bcf51e4cd5bfbf3f4ca6ac2a6293263",
-    "manifest.json": "c9bb6c6b80b8420d3a32f061758efee9385833da20327ec21c833440e3649e1c",
+    "manifest.json": "b7644ff6387257a554fa0631b7a4d1b38ee2a7ea54ac9d2feaead8039d1b8d89",
     "network.dot": "0ca5952b892e3f980ff3c0e7f552b56c58879d682f1a4c68465e0f7eb30f2296",
     "partition.csv": "bc856b0727fa0d31b06e639aa59914ca28f00b4d7124c739f9e21c12f15d8199",
     "regress_activist.csv": "9929977072412bbab04757ac05f98927a3249dece3c13e96441085dd75a95ae6",
@@ -200,6 +200,25 @@ class TestByteDeterminism:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert tree_bytes(out) == tree_bytes(baseline)
 
+    def test_spawned_workers_do_not_change_bytes(self, baseline, tmp_path):
+        """Under ``spawn`` the workers inherit nothing: the scoring context
+        reaches them pickled, as on platforms without ``fork``."""
+        out = tmp_path / "spawn"
+        script = (
+            "import multiprocessing, sys\n"
+            "from echospread.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(CONFIG), "--out", str(out),
+             "--workers", "2"],
+            capture_output=True, text=True, check=False, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert tree_bytes(out) == tree_bytes(baseline)
+
 
 class TestStageIsolation:
     @pytest.mark.parametrize("stage", STAGE_NAMES)
@@ -249,8 +268,9 @@ class TestParseOnce:
         assert parsed == ["tweets.jsonl"]
 
     def test_run_reads_no_retweet_edges(self, monkeypatch, tmp_path):
-        """``network`` hands its component to ``partition``, and ``ingest``
-        its activity counts to ``virality``."""
+        """``network`` hands its component to ``partition``, ``partition``
+        its groups to the later stages, and ``ingest`` its activity counts
+        to ``virality``."""
         read = []
         real = cli.read_rows
 
@@ -259,10 +279,12 @@ class TestParseOnce:
             return real(path, header)
 
         monkeypatch.setattr(cli, "read_rows", recording)
+        monkeypatch.setattr(virality, "read_rows", recording)
         assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
         assert "retweet_edges.csv" not in read
         assert "activities.csv" not in read
-        assert "partition.csv" in read  # the recorder sees the stages' reads
+        assert "partition.csv" not in read
+        assert "virality.csv" in read  # the recorder sees the stages' reads
 
 
 class TestBenchmarkSpanTargets:
@@ -298,6 +320,24 @@ class TestBenchmarkSpanTargets:
         assert metrics["virality.mle_virality.calls"] == ledgers
         assert metrics["exposure.build_exposure_ledger.calls"] == ledgers
         assert tree_bytes(out) == tree_bytes(baseline)
+
+    def test_traced_run_of_the_fixture_feeds_the_hooks(self, spans, baseline, tmp_path):
+        """The whole pipeline under the tracer: the same bytes, and the hooks
+        read the partition's cut, the feature matrices and every cascade's
+        scope."""
+        out = tmp_path / "traced"
+        with spans.Tracer().installed() as tracer:
+            assert main(["run", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+        assert tree_bytes(out) == tree_bytes(baseline)
+        metrics = tracer.metrics()
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        labels = stages["labels"]
+        assert metrics["graph.cut_size"] == stages["partition"]["cut_size"]
+        assert metrics["labels.rows"] == labels["rows_activist"] + labels["rows_skeptic"]
+        scopes = sum(span.name == "exposure.choose_scope" for span in tracer.spans)
+        assert scopes == stages["network"]["cascades"]
+        unscorable = stages["virality"]["unscorable_cascades"]
+        assert metrics["exposure.unscorable_ratio"] == unscorable / scopes
 
     def test_recovery_hooks_read_the_simulated_cascades(self, spans):
         """The counter hooks on the ``sim`` path read ``records`` and
@@ -439,6 +479,34 @@ class TestInputValidation:
         assert code == EXIT_INPUT
         assert "partition.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["virality", "spread", "words"])
+    def test_read_back_partition_with_a_user_outside_the_table_exits_one(
+        self, baseline, tmp_path, capsys, stage
+    ):
+        """Every user of ``partition.csv`` must author a record of
+        ``filtered.jsonl``: the groups are held on that table."""
+        out = tmp_path / "outside"
+        shutil.copytree(baseline, out)
+        with open(out / "partition.csv", "a", encoding="utf-8") as fh:
+            fh.write("zz9,0\n")
+        code = main([stage, "--config", str(CONFIG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "partition.csv" in err and "'zz9' is not in the user table" in err
+
+    @pytest.mark.parametrize("cell", ["01", " 1", "1.0", ""])
+    def test_read_back_partition_group_cell_must_be_0_or_1(
+        self, baseline, tmp_path, capsys, cell
+    ):
+        out = tmp_path / "cell"
+        shutil.copytree(baseline, out)
+        header, first, *rest = (out / "partition.csv").read_text().splitlines()
+        first = f"{first.split(',')[0]},{cell}"
+        (out / "partition.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        assert main(["spread", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "partition.csv" in err and "not 0 or 1" in err
+
     def test_duplicated_retweet_edges_change_no_output(self, baseline, tmp_path):
         out = tmp_path / "doubled_edges"
         shutil.copytree(baseline, out)
@@ -453,7 +521,7 @@ class TestInputValidation:
         del expected["retweet_edges.csv"]
         assert doubled == expected
 
-    @pytest.mark.parametrize("bad", ["self-loop", "descending"])
+    @pytest.mark.parametrize("bad", ["self-loop", "descending", "outside"])
     def test_retweet_edge_row_out_of_order_exits_one_and_is_recorded(
         self, baseline, tmp_path, capsys, bad
     ):
@@ -461,7 +529,8 @@ class TestInputValidation:
         shutil.copytree(baseline, out)
         rows = (out / "retweet_edges.csv").read_text().splitlines()
         a, b = rows[1].split(",")
-        rows.append(f"{a},{a}" if bad == "self-loop" else f"{b},{a}")
+        bad_rows = {"self-loop": f"{a},{a}", "descending": f"{b},{a}", "outside": f"{a},zz9"}
+        rows.append(bad_rows[bad])
         (out / "retweet_edges.csv").write_text("\n".join(rows) + "\n")
         code = main(["partition", "--config", str(CONFIG), "--out", str(out)])
         assert code == EXIT_INPUT
@@ -586,6 +655,26 @@ class TestInputValidation:
         assert "labels_c1.csv: empty tweet_id" in capsys.readouterr().err
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert failure["stage"] == "labels" and "empty tweet_id" in failure["error"]
+
+    def test_label_row_outside_the_corpus_is_skipped_and_counted(self, baseline, tmp_path):
+        """A row for a tweet that is not in ``filtered.jsonl`` takes no part
+        in the vote, alpha or consensus; the sheets still must align."""
+        (tmp_path / "sheets").mkdir()
+        sheets = []
+        for path in map(Path, FIXTURE_SHEETS):
+            sheets.append(tmp_path / "sheets" / path.name)
+            sheets[-1].write_text(path.read_text() + "zz9,1,1,1,1\n")
+        config = fixture_config(tmp_path, labels=[str(p) for p in sheets])
+        out = tmp_path / "out"
+        shutil.copytree(baseline, out)
+        assert main(["labels", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        counts = json.loads((out / "manifest.json").read_text())["stages"]["labels"]
+        expected = json.loads((baseline / "manifest.json").read_text())["stages"]["labels"]
+        assert expected["labels_outside_corpus"] == 0
+        assert counts == {**expected, "labels_outside_corpus": 1}
+        after, before = tree_bytes(out), tree_bytes(baseline)
+        del after["manifest.json"], before["manifest.json"]
+        assert after == before
 
     def test_one_label_sheet_exits_one_and_is_recorded(self, baseline, tmp_path, capsys):
         config = fixture_config(tmp_path, labels=FIXTURE_SHEETS[:1])

@@ -1,29 +1,44 @@
 """Exposure ledgers under the two timeline display rules."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    StringCascade,
+    id_cascade,
     named,
     reference_build_exposure_ledger,
     reference_from_edges,
     reference_ledger,
 )
 from echospread.exposure import build_exposure_ledger, choose_scope
-from echospread.graph import FollowerNetwork, PartitionAssignment
-from echospread.ingest import Cascade, TweetRecord
+from echospread.graph import FollowerNetwork
+from echospread.ingest import TweetRecord
 
 
 def make_cascade(author, events, tweet_id="T"):
-    """events: list of (user, timestamp) retweets of one origin at t=0."""
+    """events: list of (user, timestamp) retweets of one origin at t=0; the
+    cascade on names."""
     origin = TweetRecord(tweet_id, author, 0, "climate", lang="en")
     rts = tuple(
         TweetRecord(f"{tweet_id}-{u}", u, t, "rt", retweet_of=tweet_id)
         for u, t in events
     )
     rts = tuple(sorted(rts, key=lambda r: (r.timestamp, r.tweet_id)))
-    return Cascade(origin, rts)
+    return StringCascade(origin, rts)
+
+
+def ledger_of(cascade, net, *args, **kwargs):
+    """``build_exposure_ledger`` on the string cascade put on ``net``'s table."""
+    return build_exposure_ledger(id_cascade(cascade, net.users), net, *args, **kwargs)
+
+
+def group_array(users, groups):
+    """The groups by name as the int8 array over the table ``users``, -1 for
+    a user in neither group."""
+    return np.array([groups.get(u, -1) for u in users], dtype=np.int8)
 
 
 def scope_over(net, users, author, group=0):
@@ -31,14 +46,11 @@ def scope_over(net, users, author, group=0):
     over ``net``'s table and ``group``."""
     groups = {u: group for u in users}
     groups[author] = 1 - group
-    assignment = PartitionAssignment(
-        groups=groups, cut_size=0, balance=len(users) / (len(users) + 1)
-    )
-    return scope_of(net, assignment, group)
+    return scope_of(net, groups, group)
 
 
-def scope_of(net, assignment, group):
-    return assignment.group_ids(net.users), group
+def scope_of(net, groups, group):
+    return group_array(net.users, groups), group
 
 
 def follow_net(edges, cascade):
@@ -54,7 +66,7 @@ class TestDisplayRuleFixtures:
         # scenario 1: p follows the origin author; nobody retweets
         cascade = make_cascade("o", [])
         net = follow_net([("p", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["p"], "o")))
         assert led.exposed == frozenset({"p"})
         assert led.successes == frozenset()
         assert led.failures == frozenset({"p"})
@@ -68,7 +80,7 @@ class TestDisplayRuleFixtures:
             [("p", "o"), ("p", "i1"), ("p", "i2"), ("i1", "o"), ("i2", "o")], cascade
         )
         led = named(
-            build_exposure_ledger(cascade, net, *scope_over(net, ["p", "i1", "i2"], "o"))
+            ledger_of(cascade, net, *scope_over(net, ["p", "i1", "i2"], "o"))
         )
         assert led.exposed == frozenset({"p", "i1", "i2"})
         assert led.successes == frozenset({"i1", "i2"})
@@ -81,7 +93,7 @@ class TestDisplayRuleFixtures:
         # scenario 3: p follows only retweeter i3
         cascade = make_cascade("o", [("i3", 1)])
         net = follow_net([("i3", "o"), ("p", "i3")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p", "i3"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["p", "i3"], "o")))
         assert led.exposed == frozenset({"p", "i3"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "i3"
@@ -90,7 +102,7 @@ class TestDisplayRuleFixtures:
         # scenario 4: p follows retweeters a (t=3) and d (t=7), not the origin
         cascade = make_cascade("o", [("a", 3), ("d", 7)])
         net = follow_net([("a", "o"), ("d", "o"), ("p", "a"), ("p", "d")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["p", "a", "d"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["p", "a", "d"], "o")))
         assert led.exposed == frozenset({"p", "a", "d"})
         assert led.failures == frozenset({"p"})
         assert led.attribution["p"] == "a"
@@ -101,7 +113,7 @@ class TestSuccessPathways:
         # u retweets before its only followee w does: no modeled pathway
         cascade = make_cascade("o", [("u", 1), ("w", 5)])
         net = follow_net([("u", "w"), ("w", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["u", "w"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["u", "w"], "o")))
         assert led.successes == frozenset({"w"})
         assert led.unexposed_successes == frozenset({"u"})
         assert "u" not in led.exposed
@@ -110,7 +122,7 @@ class TestSuccessPathways:
         # T-a sorts before T-b at the same timestamp, so b may cite a
         cascade = make_cascade("o", [("a", 1), ("b", 1)])
         net = follow_net([("a", "o"), ("b", "a")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["a", "b"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["a", "b"], "o")))
         assert led.successes == frozenset({"a", "b"})
         assert led.attribution["b"] == "a"
 
@@ -118,11 +130,11 @@ class TestSuccessPathways:
         cascade = make_cascade("o", [("u", 1)])
         net = follow_net([("x", "o")], cascade)
         scope = scope_over(net, ["u", "x"], "o")
-        led = named(build_exposure_ledger(cascade, net, *scope))
+        led = named(ledger_of(cascade, net, *scope))
         assert led.successes == frozenset()
         assert led.unexposed_successes == frozenset({"u"})
         led_inc = named(
-            build_exposure_ledger(cascade, net, *scope, include_unexposed_retweeters=True)
+            ledger_of(cascade, net, *scope, include_unexposed_retweeters=True)
         )
         assert led_inc.successes == frozenset({"u"})
         assert "included_unexposed_retweeters" in led_inc.flags
@@ -130,7 +142,7 @@ class TestSuccessPathways:
     def test_author_self_retweet_ignored(self):
         cascade = make_cascade("o", [("o", 1), ("u", 2)])
         net = follow_net([("u", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, ["u"], "o")))
+        led = named(ledger_of(cascade, net, *scope_over(net, ["u"], "o")))
         assert led.successes == frozenset({"u"})
         assert "o" not in led.exposed
 
@@ -140,9 +152,8 @@ class TestGroupRestriction:
         # x (other group) retweets; p follows only x, so p is not exposed
         cascade = make_cascade("o", [("x", 1), ("m", 2)])
         groups = {"p": 0, "m": 0, "x": 1, "o": 1}
-        assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
         net = follow_net([("x", "o"), ("p", "x"), ("m", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, 0)))
+        led = named(ledger_of(cascade, net, *scope_of(net, groups, 0)))
         assert "x" not in led.exposed
         assert "p" not in led.exposed
         assert led.successes == frozenset({"m"})
@@ -150,42 +161,39 @@ class TestGroupRestriction:
     def test_unclassified_users_not_trials(self):
         cascade = make_cascade("o", [("m", 1)])
         groups = {"m": 0, "q": 0, "o": 1}
-        assignment = PartitionAssignment(groups=groups, cut_size=0, balance=2 / 3)
         net = follow_net([("m", "o"), ("ghost", "o"), ("q", "o")], cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, 0)))
+        led = named(ledger_of(cascade, net, *scope_of(net, groups, 0)))
         assert led.exposed == frozenset({"m", "q"})
 
 
 class TestMainGroup:
-    def assignment(self, zeros, ones):
+    @staticmethod
+    def choose(cascade, zeros, ones):
+        """``choose_scope`` over the table of the cascade's users and the
+        grouped ones, with ``zeros`` in group 0 and ``ones`` in group 1."""
         groups = {u: 0 for u in zeros} | {u: 1 for u in ones}
-        return PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
+        users = sorted({cascade.origin.user_id, *cascade.retweeters(), *groups})
+        return choose_scope(id_cascade(cascade, users), group_array(users, groups))
 
     def test_majority_wins(self):
         retweeters = [(f"a{i}", i + 1) for i in range(12)] + [
             (f"s{i}", 20 + i) for i in range(3)
         ]
         cascade = make_cascade("o", retweeters)
-        assignment = self.assignment(
-            [f"a{i}" for i in range(12)], [f"s{i}" for i in range(3)]
-        )
-        assert choose_scope(cascade, assignment) == 0
+        assert self.choose(cascade, [f"a{i}" for i in range(12)], [f"s{i}" for i in range(3)]) == 0
 
     def test_tie_uses_author_group(self):
         cascade = make_cascade("o", [("a0", 1), ("a1", 2), ("s0", 3), ("s1", 4)])
-        assignment = self.assignment(["a0", "a1"], ["s0", "s1", "o"])
-        assert choose_scope(cascade, assignment) == 1
+        assert self.choose(cascade, ["a0", "a1"], ["s0", "s1", "o"]) == 1
 
     def test_tie_with_unclassified_author_falls_back(self):
         cascade = make_cascade("o", [("a0", 1), ("s0", 2)])
-        assignment = self.assignment(["a0"], ["s0"])
-        assert choose_scope(cascade, assignment) == 0
+        assert self.choose(cascade, ["a0"], ["s0"]) == 0
 
     def test_no_classified_retweeters_is_unscorable(self):
         cascade = make_cascade("o", [("ghost", 1)])
-        assignment = self.assignment(["a0"], ["s0"])
         with pytest.raises(ValueError, match="unscorable"):
-            choose_scope(cascade, assignment)
+            self.choose(cascade, ["a0"], ["s0"])
 
 
 USERS = [f"u{i}" for i in range(7)]
@@ -215,7 +223,7 @@ class TestLedgerProperties:
         author, edges, events = scenario
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
+        led = named(ledger_of(cascade, net, *scope_over(net, USERS, author)))
         assert led.successes | led.failures == led.exposed
         assert not led.successes & led.failures
         assert len(led.exposed) == len(led.successes) + len(led.failures)
@@ -230,10 +238,10 @@ class TestLedgerProperties:
             return
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        full = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
+        full = named(ledger_of(cascade, net, *scope_over(net, USERS, author)))
         smaller = follow_net(edges[1:], cascade)
         reduced = named(
-            build_exposure_ledger(cascade, smaller, *scope_over(smaller, USERS, author))
+            ledger_of(cascade, smaller, *scope_over(smaller, USERS, author))
         )
         assert reduced.exposed <= full.exposed
 
@@ -243,7 +251,7 @@ class TestLedgerProperties:
         author, edges, events = scenario
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_over(net, USERS, author)))
+        led = named(ledger_of(cascade, net, *scope_over(net, USERS, author)))
         order = [rt.user_id for rt in cascade.retweets]
         for s in led.successes:
             followees = {b for a, b in edges if a == s}
@@ -257,7 +265,7 @@ class TestLedgerProperties:
         cascade = make_cascade(author, events)
         net = follow_net(edges, cascade)
         user_groups, group = scope_over(net, USERS, author)
-        led = named(build_exposure_ledger(cascade, net, user_groups, group))
+        led = named(ledger_of(cascade, net, user_groups, group))
         for u in led.exposed:
             assert user_groups[net.users.index(u)] == group
 
@@ -272,8 +280,8 @@ def mixed_scenarios(draw):
     The author may be unclassified or in either group and may retweet their
     own tweet; a user may retweet more than once. ``g0`` and ``g1`` keep
     both groups nonempty. Now and then the origin is a stub, whose author
-    ``""`` has no followers and, over the fixed universe, is outside the
-    follow table, as for a retweet of a missing origin in the pipeline.
+    ``""`` has no followers and is -1 on the table, as for a retweet of a
+    missing origin in the pipeline.
     """
     author = draw(st.sampled_from(["auth", "auth", "auth", ""]))
     everyone = MIXED + ["g0", "g1", "auth"]
@@ -283,7 +291,6 @@ def mixed_scenarios(draw):
         g = draw(st.sampled_from([main, main, 1 - main, None]))
         if g is not None:
             groups[u] = g
-    assignment = PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
     edges = [
         (a, b) for a in everyone for b in everyone if a != b and draw(st.booleans())
     ]
@@ -301,56 +308,49 @@ def mixed_scenarios(draw):
         ),
         key=lambda r: (r.timestamp, r.tweet_id),
     )
-    cascade = Cascade(origin, tuple(rts), stub_origin=author == "")
-    return cascade, edges, assignment, main, draw(st.booleans())
+    cascade = StringCascade(origin, tuple(rts), stub_origin=author == "")
+    return cascade, edges, groups, main, draw(st.booleans())
 
 
 class TestReferenceLedger:
     @given(mixed_scenarios())
     @settings(max_examples=400)
     def test_equals_reference_on_every_field(self, scenario):
-        cascade, edges, assignment, main, include = scenario
+        cascade, edges, groups, main, include = scenario
         net = follow_net(edges, cascade)
-        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, main), include))
-        assert led == reference_ledger(cascade, edges, assignment.groups, main, include)
+        led = named(ledger_of(cascade, net, *scope_of(net, groups, main), include))
+        assert led == reference_ledger(cascade, edges, groups, main, include)
 
     @given(mixed_scenarios())
     @settings(max_examples=400)
     def test_equals_string_ledger_on_every_field(self, scenario):
-        cascade, edges, assignment, main, include = scenario
+        cascade, edges, groups, main, include = scenario
         universe = {"auth", "g0", "g1", *MIXED}
         net, _ = FollowerNetwork.from_edges(edges, universe)
         ref_net, _ = reference_from_edges(edges, universe)
-        led = named(build_exposure_ledger(cascade, net, *scope_of(net, assignment, main), include))
-        assert led == reference_build_exposure_ledger(
-            cascade, ref_net, assignment.groups, main, include
-        )
+        led = named(ledger_of(cascade, net, *scope_of(net, groups, main), include))
+        assert led == reference_build_exposure_ledger(cascade, ref_net, groups, main, include)
 
 
 class TestUserTable:
-    def test_cascade_user_outside_the_table_is_rejected(self):
-        cascade = make_cascade("o", [("u", 1)])
-        net, _ = FollowerNetwork.from_edges([("x", "o")], {"x", "o"})
-        with pytest.raises(ValueError, match="'u' is not in the user table"):
-            build_exposure_ledger(cascade, net, *scope_over(net, ["u", "x"], "o"))
-
     def test_stub_origin_outside_the_table_has_no_followers(self):
-        # a retweet of a missing origin: the stub's author "" is in no table
+        # a retweet of a missing origin: the stub's author is -1
         stub = TweetRecord("T", "", 1, "rt", lang="en")
         retweets = (
             TweetRecord("T-a", "a", 1, "rt", retweet_of="T"),
             TweetRecord("T-b", "b", 2, "rt", retweet_of="T"),
         )
-        cascade = Cascade(stub, retweets, stub_origin=True)
+        cascade = StringCascade(stub, retweets, stub_origin=True)
         edges = [("b", "a"), ("c", "a"), ("d", "c")]
         net, _ = FollowerNetwork.from_edges(edges, {"a", "b", "c", "d"})
-        assignment = PartitionAssignment(groups={"a": 0, "b": 0, "c": 0, "d": 1})
-        group = choose_scope(cascade, assignment)
-        led = named(build_exposure_ledger(cascade, net, assignment.group_ids(net.users), group))
+        groups = {"a": 0, "b": 0, "c": 0, "d": 1}
+        user_groups = group_array(net.users, groups)
+        on_table = id_cascade(cascade, net.users)
+        assert on_table.author == -1
+        group = choose_scope(on_table, user_groups)
+        led = named(build_exposure_ledger(on_table, net, user_groups, group))
         ref_net, _ = reference_from_edges(edges, {"a", "b", "c", "d"})
-        assert led == reference_build_exposure_ledger(
-            cascade, ref_net, assignment.groups, group
-        )
+        assert led == reference_build_exposure_ledger(cascade, ref_net, groups, group)
         assert led.successes == frozenset({"b"})
         assert led.failures == frozenset({"c"})
         assert led.unexposed_successes == frozenset({"a"})
@@ -361,11 +361,11 @@ class TestUserTable:
         net = follow_net([("i", "o")], cascade)
         user_groups, _ = scope_over(net, ["i"], "o")
         with pytest.raises(ValueError, match="group must be 0 or 1"):
-            build_exposure_ledger(cascade, net, user_groups, group)
+            ledger_of(cascade, net, user_groups, group)
 
     def test_scope_over_another_table_is_rejected(self):
         cascade = make_cascade("o", [("i", 1)])
         net = follow_net([("i", "o"), ("p", "i")], cascade)
         other = follow_net([("i", "o")], cascade)
         with pytest.raises(ValueError, match="do not match the follow table"):
-            build_exposure_ledger(cascade, net, *scope_over(other, ["p", "i"], "o"))
+            ledger_of(cascade, net, *scope_over(other, ["p", "i"], "o"))

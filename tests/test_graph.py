@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from echospread.csvio import write_csv
 from echospread.graph import (
     FollowerNetwork,
-    PartitionAssignment,
     RetweetNetwork,
     _fm_refine,
     _grow_partition,
@@ -27,9 +26,11 @@ from echospread.graph import (
     largest_component,
     to_dot,
 )
-from echospread.ingest import Cascade, TweetRecord
+from echospread.ingest import TweetRecord
 from helpers import (
+    StringCascade,
     follower_sets,
+    id_cascade,
     reference_build_retweet_network,
     reference_connected_components,
     reference_fm_refine,
@@ -46,12 +47,35 @@ def net_from_pairs(pairs):
 
 
 def cascade(tweet_id, author, retweeters):
+    """A cascade on names."""
     origin = TweetRecord(tweet_id, author, 0, "climate")
     rts = tuple(
         TweetRecord(f"{tweet_id}-r{i}", u, i + 1, "rt", retweet_of=tweet_id)
         for i, u in enumerate(retweeters)
     )
-    return Cascade(origin, rts)
+    return StringCascade(origin, rts)
+
+
+def retweet_network(cascades, eligible):
+    """``build_retweet_network`` on the string cascades put on the table of
+    their users, with the users named in ``eligible`` eligible."""
+    users = sorted({u for c in cascades for u in (c.origin.user_id, *c.retweeters())})
+    mask = np.array([u in eligible for u in users], dtype=bool)
+    return build_retweet_network([id_cascade(c, users) for c in cascades], users, mask)
+
+
+def groups_of(net, result):
+    """Each node's group by name."""
+    return dict(zip(net.nodes, result.side.tolist()))
+
+
+def members(net, result, group):
+    return {u for u, g in groups_of(net, result).items() if g == group}
+
+
+def group_sizes(result):
+    n1 = int(result.side.sum())
+    return (len(result.side) - n1, n1)
 
 
 def enumerate_min_cut(net, balance_tol):
@@ -75,8 +99,8 @@ def enumerate_min_cut(net, balance_tol):
     return best, best_groups
 
 
-def assert_locally_optimal(net, assignment, balance_tol):
-    groups = dict(assignment.groups)
+def assert_locally_optimal(net, result, balance_tol):
+    groups = groups_of(net, result)
     n = len(groups)
     allowed = allowed_group_size(n, balance_tol)
     adj = {u: [net.nodes[j] for j in row] for u, row in zip(net.nodes, net.adj)}
@@ -93,17 +117,17 @@ def assert_locally_optimal(net, assignment, balance_tol):
 class TestRetweetNetwork:
     def test_multiplicity_collapses_to_one_edge(self):
         cascades = [cascade("t1", "v", ["u", "u", "u"])]
-        net = build_retweet_network(cascades, {"u", "v"})
+        net = retweet_network(cascades, {"u", "v"})
         assert net.edges() == [("u", "v")]
 
     def test_mutual_retweets_single_edge(self):
         cascades = [cascade("t1", "u", ["v"]), cascade("t2", "v", ["u"])]
-        net = build_retweet_network(cascades, {"u", "v"})
+        net = retweet_network(cascades, {"u", "v"})
         assert net.edges() == [("u", "v")]
 
     def test_ineligible_users_excluded(self):
         cascades = [cascade("t1", "a", ["b", "c"])]
-        net = build_retweet_network(cascades, {"a", "b"})
+        net = retweet_network(cascades, {"a", "b"})
         assert net.nodes == ("a", "b")
         assert net.edges() == [("a", "b")]
 
@@ -145,7 +169,7 @@ class TestRetweetNetworkReference:
     @settings(max_examples=300, deadline=None)
     def test_equals_frozenset_network(self, spec, eligible):
         cascades = [cascade(f"t{i}", author, rts) for i, (author, rts) in enumerate(spec)]
-        net = build_retweet_network(cascades, eligible)
+        net = retweet_network(cascades, eligible)
         ref = reference_build_retweet_network(cascades, eligible)
         assert list(net.nodes) == sorted(ref.nodes)
         assert net.edges() == sorted(ref.edges)
@@ -159,9 +183,10 @@ class TestRetweetNetworkReference:
         assert csv_bytes(comp.edges()) == csv_bytes(sorted(ref_comp.edges))
         if net.n_nodes >= 2:
             groups = {u: k % 2 for k, u in enumerate(net.nodes)}
-            assignment = PartitionAssignment(groups=groups)
-            assert to_dot(net, assignment) == reference_to_dot(ref, groups)
-            assert to_dot(comp, assignment) == reference_to_dot(ref_comp, groups)
+            side = np.array([groups[u] for u in net.nodes], dtype=np.int8)
+            comp_side = np.array([groups[u] for u in comp.nodes], dtype=np.int8)
+            assert to_dot(net, side) == reference_to_dot(ref, groups)
+            assert to_dot(comp, comp_side) == reference_to_dot(ref_comp, groups)
 
 
 class TestLargestComponent:
@@ -265,10 +290,10 @@ class TestBisect:
         assert oracle_cut == 1
         result = bisect_partition(net, balance_tol=0.2, seed=0)
         assert result.cut_size == 1
-        assert result.members(0) in [set(g) for g in oracle_groups] or result.members(
-            1
+        assert members(net, result, 0) in [set(g) for g in oracle_groups] or members(
+            net, result, 1
         ) in [set(g) for g in oracle_groups]
-        assert result.members(0) == {"a1", "a2", "a3"}
+        assert members(net, result, 0) == {"a1", "a2", "a3"}
 
     def test_k4_any_even_split(self):
         net = net_from_pairs([(f"n{i}", f"n{j}") for i in range(4) for j in range(i + 1, 4)])
@@ -276,7 +301,7 @@ class TestBisect:
         assert oracle_cut == 4
         result = bisect_partition(net, balance_tol=0.0, seed=1)
         assert result.cut_size == 4
-        assert result.group_sizes() == (2, 2)
+        assert group_sizes(result) == (2, 2)
 
     def test_single_node_not_bisectable(self):
         net = RetweetNetwork.from_edges([], nodes=["a"])
@@ -292,26 +317,25 @@ class TestBisect:
         net = net_from_pairs([("a", "b")])
         result = bisect_partition(net)
         assert result.cut_size == 1
-        assert result.group_sizes() == (1, 1)
+        assert group_sizes(result) == (1, 1)
 
     def test_group_zero_holds_smallest_id(self):
         net = two_triangles()
         result = bisect_partition(net, balance_tol=0.2, seed=3)
-        assert result.groups["a1"] == 0
+        assert groups_of(net, result)["a1"] == 0
 
     def test_deterministic_for_seed(self):
         net = two_triangles()
         a = bisect_partition(net, balance_tol=0.2, seed=7)
         b = bisect_partition(net, balance_tol=0.2, seed=7)
-        assert a.groups == b.groups
+        assert groups_of(net, a) == groups_of(net, b)
         assert a.cut_size == b.cut_size
 
     def test_cut_size_matches_recount(self):
         net = two_triangles()
         result = bisect_partition(net, balance_tol=0.2, seed=0)
-        recount = sum(
-            1 for a, b in net.edges() if result.groups[a] != result.groups[b]
-        )
+        groups = groups_of(net, result)
+        recount = sum(1 for a, b in net.edges() if groups[a] != groups[b])
         assert result.cut_size == recount
 
 
@@ -354,7 +378,7 @@ class TestPlantedPartition:
         if cross == 0 or len(connected_components(net)) > 1:
             pytest.skip("generator produced a disconnected draw")
         result = bisect_partition(net, balance_tol=0.1, seed=0)
-        side0 = result.members(0)
+        side0 = members(net, result, 0)
         agreement = max(len(side0 & left), len(side0 & right)) / len(left)
         assert agreement == 1.0
         assert result.cut_size == cross
@@ -416,7 +440,7 @@ class TestLocalOptimality:
         assert result.cut_size >= oracle_cut
         n = net.n_nodes
         allowed = allowed_group_size(n, 0.1)
-        assert max(result.group_sizes()) <= allowed
+        assert max(group_sizes(result)) <= allowed
 
 
 def weighted_graph(rng, n, unit):
@@ -432,8 +456,8 @@ def weighted_graph(rng, n, unit):
     return adj, node_w
 
 
-def groups_digest(assignment):
-    rows = "".join(f"{u},{g}\n" for u, g in sorted(assignment.groups.items()))
+def groups_digest(net, result):
+    rows = "".join(f"{u},{g}\n" for u, g in sorted(groups_of(net, result).items()))
     return hashlib.sha256(rows.encode()).hexdigest()[:16]
 
 
@@ -519,7 +543,7 @@ class TestHeapSelection:
     def test_groups_pinned(self, build, digest, cut):
         net = largest_component(build())
         result = bisect_partition(net, balance_tol=0.1, seed=2)
-        assert (groups_digest(result), result.cut_size) == (digest, cut)
+        assert (groups_digest(net, result), result.cut_size) == (digest, cut)
 
 
 class TestScaling:
@@ -530,7 +554,7 @@ class TestScaling:
         t0 = time.perf_counter()
         result = bisect_partition(net, balance_tol=0.1, seed=0)
         elapsed = time.perf_counter() - t0
-        assert max(result.group_sizes()) <= allowed_group_size(net.n_nodes, 0.1)
+        assert max(group_sizes(result)) <= allowed_group_size(net.n_nodes, 0.1)
         assert elapsed < 15.0, f"bisecting {net.n_nodes} nodes took {elapsed:.1f} s"
 
 
@@ -546,7 +570,7 @@ class TestBalance:
         net = largest_component(net_from_pairs(pairs))
         result = bisect_partition(net, balance_tol=0.1, seed=2)
         allowed = allowed_group_size(net.n_nodes, 0.1)
-        assert max(result.group_sizes()) <= allowed
+        assert max(group_sizes(result)) <= allowed
 
     def test_allowed_group_size_floor(self):
         assert allowed_group_size(4, 0.0) == 2
@@ -559,7 +583,7 @@ class TestDotExport:
     def test_contains_nodes_edges_and_colors(self):
         net = two_triangles()
         result = bisect_partition(net, balance_tol=0.2, seed=0)
-        dot = to_dot(net, result)
+        dot = to_dot(net, result.side)
         assert dot.startswith("graph")
         assert '"a1" -- "a2";' in dot
         assert "fillcolor" in dot
@@ -568,7 +592,7 @@ class TestDotExport:
         ids = ['a"b', "c\\d", "e f", "g\\", '"', "plain"]
         net = net_from_pairs([(ids[i], ids[i + 1]) for i in range(len(ids) - 1)])
         groups = {u: i % 2 for i, u in enumerate(ids)}
-        dot = to_dot(net, PartitionAssignment(groups=groups, cut_size=0, balance=0.5))
+        dot = to_dot(net, np.array([groups[u] for u in net.nodes], dtype=np.int8))
 
         # A DOT quoted ID: '"', then characters other than '"' and '\', or
         # a backslash escape, then '"'.

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from echospread import ingest
 from echospread.graph import build_retweet_network
 from echospread.ingest import (
@@ -21,6 +23,7 @@ from echospread.ingest import (
     write_records_jsonl,
 )
 from helpers import (
+    named_cascades,
     reference_build_cascades,
     reference_filter_corpus,
     reference_record_from_obj,
@@ -136,8 +139,8 @@ class TestParseRecords:
         assert report.malformed == 3
 
     def test_empty_user_id_is_malformed_not_a_stub_author(self, tmp_path):
-        """A stub origin's author is the empty name, so a record claiming it
-        would give the retweeters of an absent tweet a made-up author."""
+        """The record with the empty name is skipped, so its retweeters and
+        those of an absent tweet both make stub origins, with no author."""
         path = write_jsonl(
             tmp_path / "t.jsonl",
             [
@@ -149,12 +152,11 @@ class TestParseRecords:
         records, report = parse_records(path)
         assert [r.tweet_id for r in records] == ["t1", "t2"]
         assert (report.lines, report.parsed, report.malformed) == (3, 2, 1)
-        cascades, _ = build_cascades(records)
-        assert [(c.tweet_id, c.stub_origin) for c in cascades] == [
-            ("absent", True), ("t0", True)
-        ]
-        users = {r.user_id for r in records}
-        assert build_retweet_network(cascades, users).edges() == []
+        users = sorted({r.user_id for r in records})
+        cascades, _ = build_cascades(records, users)
+        assert [(c.tweet_id, c.author) for c in cascades] == [("absent", -1), ("t0", -1)]
+        eligible = np.ones(len(users), dtype=bool)
+        assert build_retweet_network(cascades, users, eligible).edges() == []
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -251,28 +253,29 @@ class TestBuildCascades:
             rec("ru", user_id="u", timestamp=5, retweet_of="o"),
             rec("rv", user_id="v", timestamp=3, retweet_of="o"),
         ]
-        cascades, _ = build_cascades(records)
+        cascades, _ = named_cascades(records)
         assert len(cascades) == 1
-        assert cascades[0].retweeters() == ("v", "u")
+        assert cascades[0].retweeters == ("v", "u")
 
     def test_duplicate_retweeter_collapses_to_earliest(self):
         records = [
             rec("o", user_id="a", timestamp=0),
             rec("r1", user_id="u", timestamp=9, retweet_of="o"),
             rec("r2", user_id="u", timestamp=3, retweet_of="o"),
+            rec("r3", user_id="v", timestamp=5, retweet_of="o"),
         ]
-        cascades, report = build_cascades(records)
-        assert cascades[0].retweeters() == ("u",)
-        assert cascades[0].retweets[0].timestamp == 3
+        cascades, report = named_cascades(records)
+        assert cascades[0].retweeters == ("u", "v")  # u's event at 3 precedes v's
         assert report.collapsed_duplicates == 1
 
     def test_stub_origin_flagged(self):
-        records = [rec("r1", user_id="u", timestamp=4, retweet_of="gone")]
-        cascades, report = build_cascades(records)
+        records = [rec("r1", user_id="u", timestamp=4, text="rt climate", retweet_of="gone")]
+        cascades, report = build_cascades(records, ["u"])
         assert len(cascades) == 1
-        assert cascades[0].stub_origin
+        assert cascades[0].author == -1
         assert cascades[0].tweet_id == "gone"
-        assert cascades[0].origin.timestamp == 4
+        assert cascades[0].text == "rt climate"
+        assert cascades[0].retweeters.tolist() == [0]
         assert report.stub_origins == 1
 
     def test_chain_resolves_to_ultimate_origin(self):
@@ -281,16 +284,16 @@ class TestBuildCascades:
             rec("r1", user_id="b", timestamp=1, retweet_of="o"),
             rec("r2", user_id="c", timestamp=2, retweet_of="r1"),
         ]
-        cascades, _ = build_cascades(records)
+        cascades, _ = named_cascades(records)
         assert len(cascades) == 1
-        assert cascades[0].retweeters() == ("b", "c")
+        assert cascades[0].retweeters == ("b", "c")
 
     def test_cycle_dropped_and_counted(self):
         records = [
             rec("x", user_id="a", timestamp=0, retweet_of="y"),
             rec("y", user_id="b", timestamp=1, retweet_of="x"),
         ]
-        cascades, report = build_cascades(records)
+        cascades, report = named_cascades(records)
         assert cascades == []
         assert report.dropped_cycles == 2
 
@@ -299,15 +302,15 @@ class TestBuildCascades:
             rec("o", user_id="a", timestamp=5),
             rec("r1", user_id="u", timestamp=1, retweet_of="o"),
         ]
-        cascades, report = build_cascades(records)
+        cascades, report = named_cascades(records)
         assert cascades[0].timestamp_inversion
-        assert cascades[0].retweeters() == ("u",)
+        assert cascades[0].retweeters == ("u",)
         assert report.inversions == 1
 
     def test_zero_retweet_original_is_a_cascade(self):
-        cascades, _ = build_cascades([rec("o", user_id="a")])
+        cascades, _ = build_cascades([rec("o", user_id="a")], ["a"])
         assert len(cascades) == 1
-        assert cascades[0].retweets == ()
+        assert (cascades[0].author, cascades[0].retweeters.tolist()) == (0, [])
 
 
 USERS = [f"u{i}" for i in range(6)]
@@ -377,33 +380,34 @@ class TestCorpusProperties:
     @given(corpora())
     @settings(max_examples=150)
     def test_retweets_reference_their_cascade_origin(self, records):
-        cascades, _ = build_cascades(records)
+        """Without chains, a cascade's retweeters are the users of the
+        retweets of its origin, ordered by their earliest such retweet."""
+        cascades, _ = named_cascades(records)
         for cascade in cascades:
-            for rt in cascade.retweets:
-                assert rt.retweet_of == cascade.tweet_id
-            keys = [(rt.timestamp, rt.tweet_id) for rt in cascade.retweets]
-            assert keys == sorted(keys)
+            events = sorted((r.timestamp, r.tweet_id, r.user_id) for r in records
+                            if r.retweet_of == cascade.tweet_id)
+            assert cascade.retweeters == tuple(dict.fromkeys(u for _, _, u in events))
 
     @given(corpora())
     @settings(max_examples=150)
     def test_event_count_bounded_by_topical_records(self, records):
         # all retweet targets exist in the corpus, so no stub inflation
         topical = filter_corpus(records)
-        cascades, _ = build_cascades(topical)
-        total = sum(1 + len(c.retweets) for c in cascades)
+        cascades, _ = named_cascades(topical)
+        total = sum(1 + len(c.retweeters) for c in cascades)
         assert total <= len(topical)
 
     @given(corpora())
     @settings(max_examples=100)
     def test_no_retweeter_twice_per_cascade(self, records):
-        cascades, _ = build_cascades(records)
+        cascades, _ = named_cascades(records)
         for cascade in cascades:
-            names = cascade.retweeters()
+            names = cascade.retweeters
             assert len(names) == len(set(names))
 
 
 # Ids are prefixed so that no record can retweet itself; an empty user id is
-# malformed, as it names a stub origin's absent author.
+# malformed.
 any_record = st.builds(
     TweetRecord,
     tweet_id=st.text().map(lambda s: "t" + s),
@@ -457,8 +461,11 @@ class TestChainReference:
         ref_topical, ref_eligible = reference_filter_corpus(records)
         assert topical == ref_topical
         assert set().union(*seed_pair_users(topical).values()) == ref_eligible
-        assert build_cascades(records) == reference_build_cascades(records)
-        assert build_cascades(topical) == reference_build_cascades(topical)
+        for corpus in (records, topical):
+            cascades, report = named_cascades(corpus)
+            ref_cascades, ref_report = reference_build_cascades(corpus)
+            assert cascades == [c.view() for c in ref_cascades]
+            assert report == ref_report
 
     @given(corpora(wide=True))
     @settings(max_examples=400)
@@ -477,7 +484,7 @@ class TestChainReference:
         ]
         assert seed_pair_users(records)[("climate", "hoax")] == {"a"}
         assert [r.tweet_id for r in filter_corpus(records)] == ["o"]
-        cascades, report = build_cascades(records)
+        cascades, report = named_cascades(records)
         assert [c.tweet_id for c in cascades] == ["o"]
         assert report.dropped_cycles == 3
 
@@ -493,11 +500,11 @@ class TestChainReference:
         start = time.perf_counter()
         topical = filter_corpus(records)
         users = seed_pair_users(records)
-        cascades, report = build_cascades(records)
+        cascades, report = named_cascades(records)
         assert time.perf_counter() - start < 1.0
         assert len(topical) == n
         assert len(users[("climate", "crisis")]) == n
-        assert [len(c.retweets) for c in cascades] == [n - 1]
+        assert [len(c.retweeters) for c in cascades] == [n - 1]
         assert report.dropped_cycles == 0
 
 

@@ -297,7 +297,7 @@ class TestRoundTrip:
         assert report.malformed == 0
         kept = filter_corpus(records)
         assert len(kept) == len(records)
-        cascades, _ = build_cascades(kept)
+        cascades, _ = build_cascades(kept, world.users)
         follow, dropped = build_follower_network(paths["edges"], set(world.users))
         assert dropped == 0
         groups = world_groups(world)
@@ -343,7 +343,7 @@ class TestRecovery:
         acts = {f"f{i}": 1.0 for i in range(k)} | {"hub": 1.0}
         world = hand_world(edges, acts)
         sim = simulate_cascade(world, "hub", 1.0, 0)
-        cascades, _ = build_cascades(list(sim.records))
+        cascades, _ = build_cascades(list(sim.records), world.users)
         ledger = build_exposure_ledger(cascades[0], world.follow, world_groups(world), 0)
         est = mle_virality(ledger, world.alpha)
         assert est.boundary is Boundary.UPPER_BOUNDARY
@@ -389,7 +389,7 @@ class TestRecovery:
         errors = []
         for idx in range(reps):
             sim = simulate_cascade(world, "hub", r, idx)
-            cascades, _ = build_cascades(list(sim.records))
+            cascades, _ = build_cascades(list(sim.records), world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             assert len(ledger.exposed) == spokes
             est = mle_virality(ledger, world.alpha)

@@ -1,10 +1,10 @@
 """Tokenizer, characteristic-word tables, and cross-group spread counts."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echospread.graph import PartitionAssignment
-from echospread.ingest import Cascade, TweetRecord
+from echospread.ingest import Cascade
 from echospread.textstats import (
     SpreadCount,
     cross_group_counts,
@@ -106,24 +106,25 @@ class TestWordDiffTable:
             assert row.n_other == 0
 
 
+TABLE = tuple(sorted([f"a{i}" for i in range(15)] + [f"s{i}" for i in range(15)] + ["ghost"]))
+
+
 def cascade_with_retweeters(tweet_id, author, users):
-    origin = TweetRecord(tweet_id, author, 0, "climate")
-    rts = tuple(
-        TweetRecord(f"{tweet_id}-{i}", u, i + 1, "rt", retweet_of=tweet_id)
-        for i, u in enumerate(users)
-    )
-    return Cascade(origin, rts)
+    """A cascade on ``TABLE``."""
+    index = {u: k for k, u in enumerate(TABLE)}
+    return Cascade(tweet_id, "climate", index[author],
+                   np.array([index[u] for u in users], dtype=np.int64))
 
 
 class TestCrossGroupCounts:
-    def assignment(self):
-        groups = {f"a{i}": 0 for i in range(15)} | {f"s{i}": 1 for i in range(15)}
-        return PartitionAssignment(groups=groups, cut_size=0, balance=0.5)
+    def groups(self):
+        """The a-users in group 0, the s-users in group 1, ghost in neither."""
+        return np.array([{"a": 0, "s": 1}.get(u[0], -1) for u in TABLE], dtype=np.int8)
 
     def test_threshold_qualification(self):
         users = [f"a{i}" for i in range(12)] + [f"s{i}" for i in range(11)]
         cascades = [cascade_with_retweeters("t1", "a14", users)]
-        counts, summary = cross_group_counts(cascades, self.assignment())
+        counts, summary = cross_group_counts(cascades, self.groups())
         assert counts[0].retweeters_activist == 12
         assert counts[0].retweeters_skeptic == 11
         assert summary.qualifying == 1
@@ -131,25 +132,25 @@ class TestCrossGroupCounts:
     def test_exactly_threshold_does_not_qualify(self):
         users = [f"a{i}" for i in range(10)] + [f"s{i}" for i in range(11)]
         cascades = [cascade_with_retweeters("t1", "s0", users)]
-        _, summary = cross_group_counts(cascades, self.assignment())
+        _, summary = cross_group_counts(cascades, self.groups())
         assert summary.qualifying == 0
 
     def test_single_sided_spread(self):
         users = [f"a{i}" for i in range(4)]
         cascades = [cascade_with_retweeters("t1", "s0", users)]
-        counts, _ = cross_group_counts(cascades, self.assignment())
+        counts, _ = cross_group_counts(cascades, self.groups())
         assert (counts[0].retweeters_activist, counts[0].retweeters_skeptic) == (4, 0)
 
     def test_activist_group_remapping(self):
         users = ["a0", "s0", "s1"]
         cascades = [cascade_with_retweeters("t1", "a9", users)]
-        counts, _ = cross_group_counts(cascades, self.assignment(), activist_group=1)
+        counts, _ = cross_group_counts(cascades, self.groups(), activist_group=1)
         assert (counts[0].retweeters_activist, counts[0].retweeters_skeptic) == (2, 1)
 
     def test_unclassified_retweeters_ignored(self):
         users = ["a0", "ghost"]
         cascades = [cascade_with_retweeters("t1", "s0", users)]
-        counts, _ = cross_group_counts(cascades, self.assignment())
+        counts, _ = cross_group_counts(cascades, self.groups())
         assert counts[0].retweeters_activist == 1
 
 
