@@ -30,7 +30,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, virality
-from .csvio import read_rows, write_csv
+from .csvio import by_key, read_rows, write_csv
 from .exposure import LEDGER_COLUMNS, build_exposure_ledger, choose_scope, ledger_row
 from .graph import (
     RetweetNetwork,
@@ -197,6 +197,11 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _intermediate(out: Path, name: str, stage: str) -> Path:
+    """``out / name``, which must exist; the stage ``stage`` writes it."""
+    return _require(out / name, f"intermediate {name} (run {stage})")
+
+
 class Workspace:
     """The config plus the intermediates in ``config.out``.
 
@@ -208,8 +213,8 @@ class Workspace:
     ``activities.csv``, ``retweet_edges.csv`` or ``partition.csv``. A
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
-    Cascades, the follow graph and the groups are held as ids into one
-    sorted user table, ``users``.
+    Users are ids into one sorted user table, ``users``, from the cascades
+    on; only the artifact writers and read-backs convert names.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -217,9 +222,7 @@ class Workspace:
 
     @cached_property
     def filtered(self) -> list[TweetRecord]:
-        path = _require(
-            self.config.out / "filtered.jsonl", "intermediate filtered.jsonl (run ingest)"
-        )
+        path = _intermediate(self.config.out, "filtered.jsonl", "ingest")
         records, report = parse_records(path)
         if report.malformed:
             raise ValueError(f"corrupt intermediate {path}")
@@ -231,10 +234,15 @@ class Workspace:
         return tuple(sorted({rec.user_id for rec in self.filtered}))
 
     @cached_property
-    def pair_users(self) -> dict[tuple[str, str], set[str]]:
-        """The users of each seed hashtag pair. ``filtered.jsonl`` is already
-        topical (filtering is idempotent), so it is not filtered again."""
-        return seed_pair_users(self.filtered)
+    def pair_users(self) -> dict[tuple[str, str], np.ndarray]:
+        """A mask over ``users`` per seed hashtag pair. ``filtered.jsonl`` is
+        topical already (filtering is idempotent): it is not filtered again."""
+        return seed_pair_users(self.filtered, self.users)
+
+    @cached_property
+    def eligible(self) -> np.ndarray:
+        """The users of any seed hashtag pair, as a mask over ``users``."""
+        return np.logical_or.reduce(list(self.pair_users.values()))
 
     @cached_property
     def cascades(self) -> tuple[list[Cascade], CascadeReport]:
@@ -243,38 +251,36 @@ class Workspace:
     @cached_property
     def activities(self) -> dict[str, int]:
         """Raw activity counts per user."""
-        path = _require(
-            self.config.out / "activities.csv", "intermediate activities.csv (run ingest)"
-        )
-        return {user: int(raw) for user, raw in read_rows(path, ["user", "raw"])}
+        path = _intermediate(self.config.out, "activities.csv", "ingest")
+        rows = by_key(path, read_rows(path, ["user", "raw"]))
+        for user, (raw,) in rows.items():
+            if not (raw.isascii() and raw.isdigit()):
+                raise ValueError(f"{path}: raw {raw!r} of {user!r} is not a nonnegative integer")
+        return {user: int(raw) for user, (raw,) in rows.items()}
 
     @cached_property
     def network(self) -> RetweetNetwork:
-        path = _require(
-            self.config.out / "retweet_edges.csv",
-            "intermediate retweet_edges.csv (run network)",
-        )
-        edges = read_rows(path, ["a", "b"])
-        for a, b in edges:
-            if not a < b:
-                raise ValueError(f"{path}: edge {a},{b} is a self-loop or out of order")
-        net = RetweetNetwork.from_edges(edges)
-        outside = set(net.nodes).difference(self.users)
-        if outside:
-            raise ValueError(f"{path}: user {min(outside)!r} is not in the user table")
-        return net
+        path = _intermediate(self.config.out, "retweet_edges.csv", "network")
+        rows, pairs = read_rows(path, ["a", "b"]), []
+        try:
+            for a, b in rows:
+                if not a < b:
+                    raise ValueError(f"edge {a},{b} is a self-loop or out of order")
+                pairs.append((table_id(self.users, a), table_id(self.users, b)))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from error
+        return RetweetNetwork.from_edges(pairs)
 
     @cached_property
     def groups(self) -> np.ndarray:
         """The group, 0 or 1, of each user of the table, -1 outside the
         partitioned component. No stage reads the cut, so the network is not
         read."""
-        path = _require(
-            self.config.out / "partition.csv", "intermediate partition.csv (run partition)"
-        )
+        path = _intermediate(self.config.out, "partition.csv", "partition")
+        rows = by_key(path, read_rows(path, ["user", "group"]))
         groups = np.full(len(self.users), -1, dtype=np.int8)
         try:
-            for user, g in read_rows(path, ["user", "group"]):
+            for user, (g,) in rows.items():
                 if g not in ("0", "1"):
                     raise ValueError(f"group of {user} is {g!r}, not 0 or 1")
                 groups[table_id(self.users, user)] = int(g)
@@ -286,16 +292,11 @@ class Workspace:
 
     @cached_property
     def names(self) -> dict[int, str]:
-        return name_groups(_mask(self.users, self.pair_users[SKEPTIC_PAIR]), self.groups)
+        return name_groups(self.pair_users[SKEPTIC_PAIR], self.groups)
 
     @cached_property
     def activist(self) -> int:
         return next(g for g, n in self.names.items() if n == "activist")
-
-
-def _mask(users: Sequence[str], names: set[str]) -> np.ndarray:
-    """Which users of the table ``users`` are among ``names``."""
-    return np.array([u in names for u in users], dtype=bool)
 
 
 def name_groups(hoax: np.ndarray, groups: np.ndarray) -> dict[int, str]:
@@ -329,16 +330,16 @@ def stage_ingest(ws: Workspace) -> dict:
         "malformed": parse_report.malformed,
         "duplicates": parse_report.duplicates,
         "topical": len(topical),
-        "eligible_users": len(set().union(*ws.pair_users.values())),
+        "eligible_users": int(np.count_nonzero(ws.eligible)),
     }
 
 
 def stage_network(ws: Workspace) -> dict:
-    eligible = _mask(ws.users, set().union(*ws.pair_users.values()))
     cascades, report = ws.cascades
-    net = build_retweet_network(cascades, ws.users, eligible)
+    net = build_retweet_network(cascades, ws.eligible)
     comp = largest_component(net)
-    write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"], comp.edges())
+    write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"],
+              ((ws.users[a], ws.users[b]) for a, b in comp.edges()))
     ws.network = comp  # as read back, except that a lone node is kept
     return {
         "cascades": report.cascades,
@@ -356,11 +357,11 @@ def stage_partition(ws: Workspace) -> dict:
     net = ws.network
     split = bisect_partition(net, balance_tol=config.balance_tol, seed=config.seed)
     groups = np.full(len(ws.users), -1, dtype=np.int8)
-    groups[[table_id(ws.users, u) for u in net.nodes]] = split.side
+    groups[list(net.nodes)] = split.side
     ws.groups = groups  # as read back from partition.csv
     write_csv(config.out / "partition.csv", ["user", "group"],
-              zip(net.nodes, split.side.tolist()))
-    (config.out / "network.dot").write_text(to_dot(net, split.side), encoding="utf-8")
+              zip((ws.users[k] for k in net.nodes), split.side.tolist()))
+    (config.out / "network.dot").write_text(to_dot(net, split.side, ws.users), encoding="utf-8")
     n1 = int(split.side.sum())
     return {
         "cut_size": split.cut_size,
@@ -468,9 +469,7 @@ def stage_labels(ws: Workspace) -> dict:
 
     authors = {tid: by_id[tid].user_id for tid in vote.rows}
     marks = {tid: extract_marks(by_id[tid].text) for tid in vote.rows}
-    estimates = read_virality_csv(
-        _require(config.out / "virality.csv", "intermediate virality.csv (run virality)")
-    )
+    estimates = read_virality_csv(_intermediate(config.out, "virality.csv", "virality"))
     names = ws.names
     name_to_group = {n: g for g, n in names.items()}
     group_only = {}
@@ -510,10 +509,7 @@ def stage_regress(ws: Workspace) -> dict:
     config = ws.config
     counts: dict = {}
     for name in ("activist", "skeptic"):
-        path = _require(
-            config.out / f"features_{name}.csv",
-            f"intermediate features_{name}.csv (run labels)",
-        )
+        path = _intermediate(config.out, f"features_{name}.csv", "labels")
         X, y, groups, columns = read_features_csv(path)
         if X.shape[0] < max(2, config.folds):
             counts[name] = {"skipped": f"only {X.shape[0]} rows"}

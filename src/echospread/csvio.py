@@ -31,3 +31,14 @@ def read_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:
         if found != list(header):
             raise ValueError(f"unexpected header in {path}: {found}")
         return list(rows)
+
+
+def by_key(path: str | Path, rows: Iterable[Sequence[str]]) -> dict[str, list[str]]:
+    """Each row read from ``path`` as its first cell -> the cells after it; a
+    repeated first cell is a ValueError naming both."""
+    keyed: dict[str, list[str]] = {}
+    for key, *rest in rows:
+        if key in keyed:
+            raise ValueError(f"{path}: {key!r} is repeated")
+        keyed[key] = rest
+    return keyed

@@ -44,17 +44,17 @@ from .ingest import Cascade
 class RetweetNetwork:
     """Undirected co-retweet graph: one edge per user pair with any retweet.
 
-    Node ``k`` is ``nodes[k]``, a sorted tuple of names, so ids ascend with
-    names, as in ``FollowerNetwork``; ``adj[k]`` holds the neighbour ids of
-    node ``k``, ascending and never ``k`` itself.
+    Node ``k`` is ``nodes[k]``, a sorted tuple of distinct user ids into a
+    sorted user table, so node ids ascend with the users' names; ``adj[k]``
+    holds the neighbour node ids of node ``k``, ascending and never ``k``.
     """
 
-    nodes: tuple[str, ...]
+    nodes: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(
-        cls, pairs: Iterable[tuple[str, str]], nodes: Iterable[str] = ()
+        cls, pairs: Iterable[tuple[int, int]], nodes: Iterable[int] = ()
     ) -> "RetweetNetwork":
         """The network on the pairs' endpoints plus ``nodes``; a pair may come
         in either order and more than once, but never as a self-loop."""
@@ -69,8 +69,8 @@ class RetweetNetwork:
             rows[index[b]].add(index[a])
         return cls(table, tuple(tuple(sorted(row)) for row in rows))
 
-    def edges(self) -> list[tuple[str, str]]:
-        """Each edge once as an ascending name pair, pairs ascending."""
+    def edges(self) -> list[tuple[int, int]]:
+        """Each edge once as an ascending user pair, pairs ascending."""
         nodes = self.nodes
         return [(nodes[k], nodes[j]) for k, row in enumerate(self.adj) for j in row if j > k]
 
@@ -125,18 +125,16 @@ class FollowerNetwork:
 
     @classmethod
     def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str]],
-        universe: Iterable[str] | None = None,
+        cls, edges: Iterable[tuple[str, str]], universe: Iterable[str]
     ) -> tuple["FollowerNetwork", int]:
         """Build from (follower, followee) pairs; returns (net, dropped count).
 
-        The table is the sorted universe, or the sorted edge endpoints when
-        there is none. Self-loops and edges leaving the universe are dropped
-        and counted; duplicate edges are merged without being counted.
+        The table is the sorted universe. Self-loops and edges leaving the
+        universe are dropped and counted; duplicate edges are merged without
+        being counted.
         """
         edges = list(edges)
-        users = tuple(sorted({u for e in edges for u in e} if universe is None else universe))
+        users = tuple(sorted(universe))
         index = {u: k for k, u in enumerate(users)}
         pairs = np.array(
             [(index.get(a, -1), index.get(b, -1)) for a, b in edges], dtype=np.int64
@@ -179,11 +177,9 @@ class Bisection:
     balance: float
 
 
-def build_retweet_network(
-    cascades: Sequence[Cascade], users: Sequence[str], eligible: np.ndarray
-) -> RetweetNetwork:
-    """Undirected network over the eligible users appearing in the cascades:
-    ``eligible`` masks the sorted user table ``users`` the cascades are on."""
+def build_retweet_network(cascades: Sequence[Cascade], eligible: np.ndarray) -> RetweetNetwork:
+    """Undirected network over the eligible users appearing in the cascades,
+    on ids into the user table the cascades are on, which ``eligible`` masks."""
     nodes: set[int] = set()
     pairs: list[tuple[int, int]] = []
     for cascade in cascades:
@@ -193,8 +189,7 @@ def build_retweet_network(
         if author >= 0 and eligible[author]:
             nodes.add(author)
             pairs += [(author, u) for u in retweeters if u != author]
-    net = RetweetNetwork.from_edges(pairs, nodes)  # on ids, which sort as names do
-    return RetweetNetwork(tuple(users[k] for k in net.nodes), net.adj)
+    return RetweetNetwork.from_edges(pairs, nodes)
 
 
 def connected_components(net: RetweetNetwork) -> list[list[int]]:
@@ -534,8 +529,8 @@ def bisect_partition(
     return Bisection(np.array(side, dtype=np.int8), _cut_weight(adj, side), balance)
 
 
-def to_dot(net: RetweetNetwork, side: np.ndarray) -> str:
-    """DOT serialization of the network, node ``k`` colored by ``side[k]``."""
+def to_dot(net: RetweetNetwork, side: np.ndarray, users: Sequence[str]) -> str:
+    """DOT serialization: node ``k`` is ``users[nodes[k]]``, colored by ``side[k]``."""
     colors = {0: "#e08214", 1: "#7fbf7b"}
 
     def quoted(u: str) -> str:
@@ -543,8 +538,8 @@ def to_dot(net: RetweetNetwork, side: np.ndarray) -> str:
 
     lines = ["graph retweet_network {", "  node [style=filled];"]
     for u, g in zip(net.nodes, side.tolist()):
-        lines.append(f'  {quoted(u)} [fillcolor="{colors[g]}"];')
+        lines.append(f'  {quoted(users[u])} [fillcolor="{colors[g]}"];')
     for a, b in net.edges():
-        lines.append(f"  {quoted(a)} -- {quoted(b)};")
+        lines.append(f"  {quoted(users[a])} -- {quoted(users[b])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -212,16 +212,20 @@ def _chain_roots(
     return roots
 
 
-def seed_pair_users(records: Iterable[TweetRecord]) -> dict[tuple[str, str], set[str]]:
-    """Users who posted or retweeted a record matching each of ``SEED_PAIRS``.
+def seed_pair_users(
+    records: Iterable[TweetRecord], users: Sequence[str]
+) -> dict[tuple[str, str], np.ndarray]:
+    """Per pair of ``SEED_PAIRS``, a bool mask over the sorted table ``users``
+    of every record's user: who posted or retweeted a record matching it.
 
     A record matches through its chain root's text, since a retweet shares
     its origin's content; a record without a root matches nothing.
     """
+    index = {u: k for k, u in enumerate(users)}
     by_id = _first_by_id(records)
-    matches: dict[tuple[str, str], set[str]] = {pair: set() for pair in SEED_PAIRS}
+    matches = {pair: np.zeros(len(users), dtype=bool) for pair in SEED_PAIRS}
     roots = _chain_roots(by_id)
-    matched: dict[str, list[set[str]]] = {}
+    matched: dict[str, list[np.ndarray]] = {}
     for rec in by_id.values():
         root = roots[rec.tweet_id]
         if root is None:
@@ -230,12 +234,12 @@ def seed_pair_users(records: Iterable[TweetRecord]) -> dict[tuple[str, str], set
         if hits is None:
             tags = HASHTAG_RE.findall(root.text.lower())
             hits = matched[root.tweet_id] = [
-                users
-                for (base, qualifier), users in matches.items()
+                mask
+                for (base, qualifier), mask in matches.items()
                 if any(base in tag and qualifier in tag for tag in tags)
             ]
-        for users in hits:
-            users.add(rec.user_id)
+        for mask in hits:
+            mask[index[rec.user_id]] = True
     return matches
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .csvio import read_rows, write_csv
+from .csvio import by_key, read_rows, write_csv
 from .exposure import ExposureLedger
 from .ingest import TweetRecord
 
@@ -168,7 +168,7 @@ def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) 
 
 
 def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
-    """The estimates of a ``write_virality_csv`` file, in its row order."""
+    """The estimates of a ``write_virality_csv`` file, in row order, one per tweet id."""
     return [
         ViralityEstimate(
             tweet_id=tweet_id,
@@ -180,6 +180,6 @@ def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
             ln_r=float(ln_r) if ln_r else None,
             boundary=Boundary(boundary),
         )
-        for tweet_id, group, successes, failures, exposed, r_hat, ln_r, boundary
-        in read_rows(path, VIRALITY_COLUMNS)
+        for tweet_id, (group, successes, failures, exposed, r_hat, ln_r, boundary)
+        in by_key(path, read_rows(path, VIRALITY_COLUMNS)).items()
     ]

@@ -30,6 +30,7 @@ from echospread.ingest import (
     TweetRecord,
     _first_by_id,
     build_cascades,
+    seed_pair_users,
 )
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
 from echospread.sim import SimCascade, SimConfig, _user_ids
@@ -193,6 +194,13 @@ def named_cascades(records: Sequence[TweetRecord]) -> tuple[list[CascadeView], C
     users = sorted({r.user_id for r in records})
     cascades, report = build_cascades(records, users)
     return [cascade_view(c, users) for c in cascades], report
+
+
+def named_seed_pair_users(records: Sequence[TweetRecord]) -> dict[tuple[str, str], set[str]]:
+    """``seed_pair_users`` over the table of the records' users, in names."""
+    users = sorted({r.user_id for r in records})
+    masks = seed_pair_users(records, users)
+    return {pair: {users[k] for k in np.flatnonzero(mask)} for pair, mask in masks.items()}
 
 
 def follower_sets(net: FollowerNetwork) -> dict[str, frozenset[str]]:

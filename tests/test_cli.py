@@ -286,6 +286,23 @@ class TestParseOnce:
         assert "partition.csv" not in read
         assert "virality.csv" in read  # the recorder sees the stages' reads
 
+    def test_run_maps_no_name_to_an_id_after_the_cascades(self, baseline, monkeypatch, tmp_path):
+        """The seed-pair users, the retweet network and the groups stay on the
+        user table's ids; only a read-back looks a name up."""
+
+        def refusing(users, name):
+            raise ValueError(f"table_id called for {name!r}")
+
+        monkeypatch.setattr(cli, "table_id", refusing)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+        assert tree_bytes(out) == tree_bytes(baseline)
+        out = tmp_path / "partition"
+        shutil.copytree(baseline, out)
+        assert main(["partition", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        failure = json.loads((out / "manifest.json").read_text())["failure"]["error"]
+        assert "retweet_edges.csv" in failure and "table_id called" in failure
+
 
 class TestBenchmarkSpanTargets:
     """The benchmark's traced mode wraps ``echospread`` names and the
@@ -537,6 +554,42 @@ class TestInputValidation:
         assert "retweet_edges.csv" in capsys.readouterr().err
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert failure["stage"] == "partition" and "retweet_edges.csv" in failure["error"]
+
+    @pytest.mark.parametrize(
+        "name, row, stage",
+        [
+            ("partition.csv", "s19,0", "spread"),
+            ("activities.csv", "a01,1", "virality"),
+            ("virality.csv", "t000,0,1,10,11,0.153205252926,-1.87597673424,interior", "labels"),
+        ],
+    )
+    def test_repeated_key_in_a_read_back_exits_one_naming_file_and_key(
+        self, baseline, tmp_path, capsys, name, row, stage
+    ):
+        """The first cell of ``row`` already keys a row of ``name``."""
+        out = tmp_path / "repeated"
+        shutil.copytree(baseline, out)
+        key = row.split(",")[0]
+        assert f"\n{key}," in (out / name).read_text()
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert main([stage, "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert name in err and f"{key!r} is repeated" in err
+
+    @pytest.mark.parametrize("cell", ["0_9", " 9", "+9", "\u0669"])
+    def test_raw_activity_cell_must_be_ascii_digits(self, baseline, tmp_path, capsys, cell):
+        """``int`` reads each of these cells as 9; the file holds only digits."""
+        out = tmp_path / "raw"
+        shutil.copytree(baseline, out)
+        text = (out / "activities.csv").read_text(encoding="utf-8")
+        assert "\na01,9\n" in text
+        (out / "activities.csv").write_text(
+            text.replace("\na01,9\n", f"\na01,{cell}\n"), encoding="utf-8"
+        )
+        assert main(["virality", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "activities.csv" in err and f"{cell!r} of 'a01' is not" in err
 
     def test_virality_csv_with_wrong_header_exits_one(self, baseline, tmp_path, capsys):
         out = tmp_path / "bad_header"

@@ -58,10 +58,20 @@ def cascade(tweet_id, author, retweeters):
 
 def retweet_network(cascades, eligible):
     """``build_retweet_network`` on the string cascades put on the table of
-    their users, with the users named in ``eligible`` eligible."""
+    their users, with the users named in ``eligible`` eligible, and that table."""
     users = sorted({u for c in cascades for u in (c.origin.user_id, *c.retweeters())})
     mask = np.array([u in eligible for u in users], dtype=bool)
-    return build_retweet_network([id_cascade(c, users) for c in cascades], users, mask)
+    return build_retweet_network([id_cascade(c, users) for c in cascades], mask), users
+
+
+def named(net, users):
+    """A network on ids into the table ``users``, with each id replaced by its name."""
+    return RetweetNetwork(tuple(users[k] for k in net.nodes), net.adj)
+
+
+def on_ids(net):
+    """A network on names as the network on ids into its node table, ``net.nodes``."""
+    return RetweetNetwork(tuple(range(net.n_nodes)), net.adj)
 
 
 def groups_of(net, result):
@@ -117,17 +127,17 @@ def assert_locally_optimal(net, result, balance_tol):
 class TestRetweetNetwork:
     def test_multiplicity_collapses_to_one_edge(self):
         cascades = [cascade("t1", "v", ["u", "u", "u"])]
-        net = retweet_network(cascades, {"u", "v"})
+        net = named(*retweet_network(cascades, {"u", "v"}))
         assert net.edges() == [("u", "v")]
 
     def test_mutual_retweets_single_edge(self):
         cascades = [cascade("t1", "u", ["v"]), cascade("t2", "v", ["u"])]
-        net = retweet_network(cascades, {"u", "v"})
+        net = named(*retweet_network(cascades, {"u", "v"}))
         assert net.edges() == [("u", "v")]
 
     def test_ineligible_users_excluded(self):
         cascades = [cascade("t1", "a", ["b", "c"])]
-        net = retweet_network(cascades, {"a", "b"})
+        net = named(*retweet_network(cascades, {"a", "b"}))
         assert net.nodes == ("a", "b")
         assert net.edges() == [("a", "b")]
 
@@ -169,7 +179,8 @@ class TestRetweetNetworkReference:
     @settings(max_examples=300, deadline=None)
     def test_equals_frozenset_network(self, spec, eligible):
         cascades = [cascade(f"t{i}", author, rts) for i, (author, rts) in enumerate(spec)]
-        net = retweet_network(cascades, eligible)
+        ids, users = retweet_network(cascades, eligible)
+        net = named(ids, users)
         ref = reference_build_retweet_network(cascades, eligible)
         assert list(net.nodes) == sorted(ref.nodes)
         assert net.edges() == sorted(ref.edges)
@@ -185,8 +196,10 @@ class TestRetweetNetworkReference:
             groups = {u: k % 2 for k, u in enumerate(net.nodes)}
             side = np.array([groups[u] for u in net.nodes], dtype=np.int8)
             comp_side = np.array([groups[u] for u in comp.nodes], dtype=np.int8)
-            assert to_dot(net, side) == reference_to_dot(ref, groups)
-            assert to_dot(comp, comp_side) == reference_to_dot(ref_comp, groups)
+            assert to_dot(ids, side, users) == reference_to_dot(ref, groups)
+            assert to_dot(largest_component(ids), comp_side, users) == reference_to_dot(
+                ref_comp, groups
+            )
 
 
 class TestLargestComponent:
@@ -264,6 +277,8 @@ class TestFollowerNetworkReference:
     )
     @settings(max_examples=300)
     def test_equals_string_network(self, edges, universe):
+        if universe is None:  # the edge endpoints
+            universe = {u for e in edges for u in e}
         net, dropped = FollowerNetwork.from_edges(edges, universe)
         ref, ref_dropped = reference_from_edges(edges, universe)
         assert dropped == ref_dropped
@@ -271,8 +286,7 @@ class TestFollowerNetworkReference:
         assert net.n_edges == ref.n_edges
         for u in ENDPOINTS + ["ghost"]:
             assert frozenset(net.followers_of(u)) == ref.followers_of(u)
-        table = universe if universe is not None else {u for e in edges for u in e}
-        assert net.users == tuple(sorted(table))
+        assert net.users == tuple(sorted(universe))
 
 
 def two_triangles():
@@ -583,7 +597,7 @@ class TestDotExport:
     def test_contains_nodes_edges_and_colors(self):
         net = two_triangles()
         result = bisect_partition(net, balance_tol=0.2, seed=0)
-        dot = to_dot(net, result.side)
+        dot = to_dot(on_ids(net), result.side, net.nodes)
         assert dot.startswith("graph")
         assert '"a1" -- "a2";' in dot
         assert "fillcolor" in dot
@@ -592,7 +606,8 @@ class TestDotExport:
         ids = ['a"b', "c\\d", "e f", "g\\", '"', "plain"]
         net = net_from_pairs([(ids[i], ids[i + 1]) for i in range(len(ids) - 1)])
         groups = {u: i % 2 for i, u in enumerate(ids)}
-        dot = to_dot(net, np.array([groups[u] for u in net.nodes], dtype=np.int8))
+        side = np.array([groups[u] for u in net.nodes], dtype=np.int8)
+        dot = to_dot(on_ids(net), side, net.nodes)
 
         # A DOT quoted ID: '"', then characters other than '"' and '\', or
         # a backslash escape, then '"'.

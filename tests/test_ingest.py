@@ -19,11 +19,11 @@ from echospread.ingest import (
     build_cascades,
     filter_corpus,
     parse_records,
-    seed_pair_users,
     write_records_jsonl,
 )
 from helpers import (
     named_cascades,
+    named_seed_pair_users,
     reference_build_cascades,
     reference_filter_corpus,
     reference_record_from_obj,
@@ -53,7 +53,7 @@ def obj(tweet_id, user_id="u", timestamp=0, text="climate talk", **kw):
 def eligible_users(records):
     """The eligible users as ``ingest`` counts them: the seed-pair users of
     the topical records."""
-    return set().union(*seed_pair_users(filter_corpus(records)).values())
+    return set().union(*named_seed_pair_users(filter_corpus(records)).values())
 
 
 def write_jsonl(path, objs):
@@ -156,7 +156,7 @@ class TestParseRecords:
         cascades, _ = build_cascades(records, users)
         assert [(c.tweet_id, c.author) for c in cascades] == [("absent", -1), ("t0", -1)]
         eligible = np.ones(len(users), dtype=bool)
-        assert build_retweet_network(cascades, users, eligible).edges() == []
+        assert build_retweet_network(cascades, eligible).edges() == []
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -241,7 +241,7 @@ class TestSeedPairUsers:
             rec("t1", user_id="a", text="#climatecrisis"),
             rec("t2", user_id="b", text="#ClimateHoax"),
         ]
-        users = seed_pair_users(records)
+        users = named_seed_pair_users(records)
         assert users[("climate", "crisis")] == {"a"}
         assert users[("climate", "hoax")] == {"b"}
 
@@ -460,7 +460,7 @@ class TestChainReference:
         topical = filter_corpus(records)
         ref_topical, ref_eligible = reference_filter_corpus(records)
         assert topical == ref_topical
-        assert set().union(*seed_pair_users(topical).values()) == ref_eligible
+        assert set().union(*named_seed_pair_users(topical).values()) == ref_eligible
         for corpus in (records, topical):
             cascades, report = named_cascades(corpus)
             ref_cascades, ref_report = reference_build_cascades(corpus)
@@ -471,9 +471,9 @@ class TestChainReference:
     @settings(max_examples=400)
     def test_seed_pairs_equal_reference_without_a_cycle(self, records):
         topical = filter_corpus(records)
-        assert seed_pair_users(topical) == reference_seed_pair_users(topical, SEED_PAIRS)
+        assert named_seed_pair_users(topical) == reference_seed_pair_users(topical, SEED_PAIRS)
         if not has_cycle(records):
-            assert seed_pair_users(records) == reference_seed_pair_users(records, SEED_PAIRS)
+            assert named_seed_pair_users(records) == reference_seed_pair_users(records, SEED_PAIRS)
 
     def test_record_on_or_into_a_cycle_matches_no_seed_pair(self):
         records = [
@@ -482,7 +482,7 @@ class TestChainReference:
             rec("y", user_id="c", text="#ClimateHoax", retweet_of="x"),
             rec("z", user_id="d", text="#ClimateHoax", retweet_of="x"),
         ]
-        assert seed_pair_users(records)[("climate", "hoax")] == {"a"}
+        assert named_seed_pair_users(records)[("climate", "hoax")] == {"a"}
         assert [r.tweet_id for r in filter_corpus(records)] == ["o"]
         cascades, report = named_cascades(records)
         assert [c.tweet_id for c in cascades] == ["o"]
@@ -499,7 +499,7 @@ class TestChainReference:
         ]
         start = time.perf_counter()
         topical = filter_corpus(records)
-        users = seed_pair_users(records)
+        users = named_seed_pair_users(records)
         cascades, report = named_cascades(records)
         assert time.perf_counter() - start < 1.0
         assert len(topical) == n
