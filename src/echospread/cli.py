@@ -224,8 +224,11 @@ class Workspace:
     def filtered(self) -> list[TweetRecord]:
         path = _intermediate(self.config.out, "filtered.jsonl", "ingest")
         records, report = parse_records(path)
-        if report.malformed:
-            raise ValueError(f"corrupt intermediate {path}")
+        if report.malformed or report.duplicates:
+            raise ValueError(
+                f"corrupt intermediate {path}: {report.malformed} malformed,"
+                f" {report.duplicates} repeated tweet_id lines"
+            )
         return records
 
     @cached_property

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -148,19 +147,6 @@ class FollowerNetwork:
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
         return cls(users, ptr, keys % n), len(edges) - int(keep.sum())
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Name -> id over the table, built on first use and kept."""
-        return {u: k for k, u in enumerate(self.users)}
-
-    def followers_of(self, user: str) -> tuple[str, ...]:
-        """A user's followers by name, ascending; none for a user outside the table."""
-        j = self.index.get(user)
-        if j is None:
-            return ()
-        ids = self.follower_idx[self.follower_ptr[j] : self.follower_ptr[j + 1]]
-        return tuple(self.users[k] for k in ids.tolist())
 
     @property
     def n_edges(self) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 HASHTAG_RE = re.compile(r"#\w+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One log line: an original tweet or a retweet event."""
 
@@ -110,6 +110,9 @@ class CascadeReport:
 
 _REQUIRED = ("tweet_id", "user_id", "timestamp", "text")
 _OPTIONAL = ("retweet_of", "reply_to", "lang")
+# Fields whose values repeat across a corpus; ``parse_records`` keeps one copy
+# of each distinct string.
+_SHARED = ("user_id", "retweet_of", "reply_to", "lang")
 
 
 def _record_from_obj(obj: object) -> TweetRecord:
@@ -138,18 +141,26 @@ def parse_records(path: str | Path) -> tuple[list[TweetRecord], ParseReport]:
 
     The first occurrence of a tweet_id wins; later ones are dropped and
     counted. A line that is not valid UTF-8 is malformed like one that is not
-    valid JSON. Unreadable files raise OSError.
+    valid JSON. Unreadable files raise OSError. Equal ``_SHARED`` strings are
+    one object across the records of one call.
     """
     report = ParseReport()
     records: list[TweetRecord] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}
     with open(path, "rb") as fh:
         for line in fh:
             if not line.strip():
                 continue
             report.lines += 1
             try:
-                rec = _record_from_obj(json.loads(line.decode("utf-8")))
+                obj = json.loads(line.decode("utf-8"))
+                if isinstance(obj, dict):
+                    for key in _SHARED:
+                        value = obj.get(key)
+                        if isinstance(value, str):
+                            obj[key] = shared.setdefault(value, value)
+                rec = _record_from_obj(obj)
             except ValueError:  # bad UTF-8, bad JSON or a bad field
                 report.malformed += 1
                 continue

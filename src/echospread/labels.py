@@ -301,11 +301,18 @@ def read_features_csv(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """X, y, penalty groups and column names of a features CSV: the value
-    columns plus author indicators built from the author_id column."""
+    columns plus author indicators built from the author_id column. Rows
+    must match the header's width and be in the writer's order, strictly
+    ascending ``tweet_id``: the CV folds follow row positions."""
     with read_csv(path) as (header, reader):
         if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
             raise ValueError(f"unexpected header in {path}: {header}")
         rows = list(reader)
+    for prev, row in zip([None] + rows, rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row!r} has {len(row)} cells, not {len(header)}")
+        if prev is not None and row[0] <= prev[0]:
+            raise ValueError(f"{path}: tweet_id {row[0]!r} is repeated or out of order")
     X, groups, columns = _design(
         header[3:-1], [[float(v) for v in row[3:-1]] for row in rows], [row[1] for row in rows]
     )

@@ -447,6 +447,76 @@ def select_best_lambda(grid: Sequence[float], mean_err: Sequence[float]) -> int:
     return best
 
 
+# Word masks and the PCG64 multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128).
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _fold_order(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).permutation(n)`` for ``n < 2**32``,
+    computed without importing ``numpy.random`` (6 MB resident per process).
+
+    ``SeedSequence`` hashes the seed's 32-bit words into a pool of four and
+    draws four 64-bit words from it; the first two seed the 128-bit PCG64
+    state and the last two its increment (O'Neill, HMC-CS-2014-0905). Each
+    XSL-RR output serves two 32-bit draws, low half first. The shuffle is
+    Fisher-Yates from the end, each index drawn by masked rejection.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+    def hasher(const: int, mult: int):
+        def hash32(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        return hash32
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    half = [draw(pool[i % 4]) for i in range(8)]
+    words = [half[k] | half[k + 1] << 32 for k in (0, 2, 4, 6)]
+
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _M128
+    state = ((words[0] << 64 | words[1]) + inc) * _PCG64_MULT + inc & _M128
+
+    def draws32():
+        nonlocal state
+        while True:
+            state = state * _PCG64_MULT + inc & _M128
+            rot, x = state >> 122, (state >> 64 ^ state) & _M64
+            x = (x >> rot | x << (64 - rot)) & _M64
+            yield x & _M32
+            yield x >> 32
+
+    order, draws = list(range(n)), draws32()
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(draws) & mask
+        while j > i:
+            j = next(draws) & mask
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=np.int64)
+
+
 def cv_select_lambda(
     X: np.ndarray,
     y: np.ndarray,
@@ -471,8 +541,7 @@ def cv_select_lambda(
         fold_labels = sorted(set(fold_ids.tolist()))
         folds = [np.flatnonzero(fold_ids == k) for k in fold_labels]
     else:
-        rng = np.random.default_rng(config.seed)
-        order = rng.permutation(n)
+        order = _fold_order(config.seed, n)
         folds = [np.sort(part) for part in np.array_split(order, config.folds)]
     if any(len(f) == 0 for f in folds):
         raise ValueError("fold with zero rows; reduce folds")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .exposure import build_exposure_ledger
-from .graph import FollowerNetwork
+from .graph import FollowerNetwork, table_id
 from .ingest import TweetRecord, build_cascades, write_records_jsonl
 from .virality import Boundary, mle_virality
 
@@ -299,9 +299,10 @@ def simulate_cascade(
     if r > 1.0 / float(world.alpha.max()) + 1e-12:
         raise ValueError("planted r exceeds 1/max activity")
     users = world.users
-    seed = world.follow.index.get(seed_user)
-    if seed is None:
-        raise ValueError(f"unknown seed user {seed_user!r}")
+    try:
+        seed = table_id(users, seed_user)
+    except ValueError:
+        raise ValueError(f"unknown seed user {seed_user!r}") from None
     ptr, idx = world.follow.follower_ptr, world.follow.follower_idx
     rng = np.random.default_rng([world.config.master_seed, 2, cascade_index])
     seen = np.zeros(len(users), dtype=bool)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from echospread.exposure import ExposureLedger
-from echospread.graph import FollowerNetwork, _cut_weight, _gains
+from echospread.graph import FollowerNetwork, _cut_weight, _gains, table_id
 from echospread.ingest import (
     _OPTIONAL,
     _REQUIRED,
@@ -211,6 +211,16 @@ def follower_sets(net: FollowerNetwork) -> dict[str, frozenset[str]]:
         for j in range(len(users))
         if ptr[j] < ptr[j + 1]
     }
+
+
+def followers_of(net: FollowerNetwork, user: str) -> tuple[str, ...]:
+    """A user's followers by name, ascending; none for a user outside the table."""
+    try:
+        j = table_id(net.users, user)
+    except ValueError:
+        return ()
+    ids = net.follower_idx[net.follower_ptr[j] : net.follower_ptr[j + 1]]
+    return tuple(net.users[k] for k in ids.tolist())
 
 
 # The string-keyed follow graph, exposure ledger and MLE, kept as they were

@@ -304,6 +304,24 @@ class TestParseOnce:
         assert "retweet_edges.csv" in failure and "table_id called" in failure
 
 
+class TestProcessFootprint:
+    def test_run_does_not_import_numpy_random(self, baseline, tmp_path):
+        """The CV folds are drawn without ``numpy.random``, which costs a
+        process about 6 MB resident."""
+        argv = ["run", "--config", str(CONFIG), "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from echospread import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tree_bytes(tmp_path / "out") == tree_bytes(baseline)
+
+
 class TestBenchmarkSpanTargets:
     """The benchmark's traced mode wraps ``echospread`` names and the
     two-parameter ``run_stage`` from outside the package."""
@@ -611,6 +629,65 @@ class TestInputValidation:
         code = main(["regress", "--config", str(CONFIG), "--out", str(out)])
         assert code == EXIT_INPUT
         assert "unexpected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["blank line", "one cell", "four cells", "one cell more"])
+    def test_features_csv_row_of_another_width_exits_one_naming_the_file(
+        self, baseline, tmp_path, capsys, edit
+    ):
+        out = tmp_path / "width"
+        shutil.copytree(baseline, out)
+        path = out / "features_activist.csv"
+        header, *rows = path.read_text().splitlines()
+        cells = rows[-1].split(",")
+        extra = {
+            "blank line": "",
+            "one cell": "t999",
+            "four cells": f"t999,{cells[1]},{cells[2]},{cells[-1]}",
+            "one cell more": f"t999,{','.join(cells[1:])},0",
+        }[edit]
+        path.write_text("\n".join([header, *rows, extra]) + "\n")
+        assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "features_activist.csv" in err and "cells" in err
+
+    @pytest.mark.parametrize(
+        "edit", ["reversed", "first two swapped", "first repeated", "last repeated"]
+    )
+    def test_features_csv_rows_out_of_the_writers_order_exit_one(
+        self, baseline, tmp_path, capsys, edit
+    ):
+        """The CV folds follow row positions, so the reader takes only the
+        writer's order: strictly ascending ``tweet_id``."""
+        out = tmp_path / "order"
+        shutil.copytree(baseline, out)
+        path = out / "features_activist.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = {
+            "reversed": rows[::-1],
+            "first two swapped": [rows[1], rows[0], *rows[2:]],
+            "first repeated": [rows[0], *rows],
+            "last repeated": [*rows, rows[-1]],
+        }[edit]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "features_activist.csv" in err and "repeated or out of order" in err
+
+    def test_filtered_jsonl_with_a_repeated_tweet_id_exits_one(self, baseline, tmp_path, capsys):
+        """``parse_records`` keeps the first of two records with one id; in an
+        intermediate that is corruption, as a malformed line is."""
+        out = tmp_path / "repeated"
+        shutil.copytree(baseline, out)
+        path = out / "filtered.jsonl"
+        text = path.read_text(encoding="utf-8")
+        records = map(json.loads, text.splitlines())
+        copy = next(obj for obj in records if obj["tweet_id"] == "t000r0")
+        assert copy["user_id"] != "a05"
+        copy["user_id"] = "a05"
+        path.write_text(json.dumps(copy, sort_keys=True) + "\n" + text, encoding="utf-8")
+        assert main(["virality", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "filtered.jsonl" in err and "1 repeated tweet_id" in err
 
     def test_negative_activity_count_exits_one(self, baseline, tmp_path, capsys):
         out = tmp_path / "negative"

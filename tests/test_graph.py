@@ -30,6 +30,7 @@ from echospread.ingest import TweetRecord
 from helpers import (
     StringCascade,
     follower_sets,
+    followers_of,
     id_cascade,
     reference_build_retweet_network,
     reference_connected_components,
@@ -249,10 +250,10 @@ class TestFollowerNetwork:
         net, _ = FollowerNetwork.from_edges(
             [("a", "b"), ("c", "b"), ("b", "a")], {"a", "b", "c"}
         )
-        assert net.followers_of("b") == ("a", "c")
-        assert net.followers_of("a") == ("b",)
-        assert net.followers_of("c") == ()
-        assert net.followers_of("ghost") == ()
+        assert followers_of(net, "b") == ("a", "c")
+        assert followers_of(net, "a") == ("b",)
+        assert followers_of(net, "c") == ()
+        assert followers_of(net, "ghost") == ()
         assert net.n_edges == 3
 
     def test_equality_is_by_value(self):
@@ -285,7 +286,7 @@ class TestFollowerNetworkReference:
         assert follower_sets(net) == ref.followers
         assert net.n_edges == ref.n_edges
         for u in ENDPOINTS + ["ghost"]:
-            assert frozenset(net.followers_of(u)) == ref.followers_of(u)
+            assert frozenset(followers_of(net, u)) == ref.followers_of(u)
         assert net.users == tuple(sorted(universe))
 
 

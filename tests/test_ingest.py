@@ -90,6 +90,22 @@ class TestTweetRecord:
 
 
 class TestParseRecords:
+    def test_equal_strings_are_shared_within_a_call(self, tmp_path):
+        """Records hold slots, and equal ``user_id``, ``retweet_of``,
+        ``reply_to`` and ``lang`` values of one call are one object."""
+        objs = [
+            obj("t1", user_id="u1"),
+            obj("t2", user_id="u1", retweet_of="t1", reply_to="t1"),
+            obj("t3", user_id="u1", retweet_of="t1", reply_to="t1"),
+        ]
+        records, _ = parse_records(write_jsonl(tmp_path / "t.jsonl", objs))
+        assert not hasattr(records[0], "__dict__")
+        for key in ("user_id", "retweet_of", "reply_to", "lang"):
+            assert getattr(records[1], key) is getattr(records[2], key)
+        assert records[0].user_id is records[2].user_id
+        again, _ = parse_records(tmp_path / "t.jsonl")
+        assert again == records and again[0].user_id is not records[0].user_id
+
     def test_three_valid_lines(self, tmp_path):
         path = write_jsonl(tmp_path / "t.jsonl", [obj(f"t{i}") for i in range(3)])
         records, report = parse_records(path)

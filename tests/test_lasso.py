@@ -27,7 +27,14 @@ from echospread.lasso import (
     write_cv_curve_csv,
     write_regress_csv,
 )
-from echospread.lasso import _check_groups, _kkt_residual, _penalty, _prox, _solve_std
+from echospread.lasso import (
+    _check_groups,
+    _fold_order,
+    _kkt_residual,
+    _penalty,
+    _prox,
+    _solve_std,
+)
 from helpers import (
     reference_kkt_residual,
     reference_penalty,
@@ -419,6 +426,25 @@ class TestCrossValidation:
         a = cv_select_lambda(X, y, SINGLES_8, cfg)
         b = cv_select_lambda(X, y, SINGLES_8, cfg)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(200), [2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**73 + 12345]],
+        ids=["0-199", "wide"],
+    )
+    def test_fold_order_is_numpy_permutation(self, seeds):
+        """The folds are numpy's ``default_rng(seed).permutation(n)``, drawn
+        without ``numpy.random``: one, two, three and more 32-bit seed words."""
+        for seed in seeds:
+            for n in (1, 2, 3, 5, 10, 37, 100, 257, 500, 1000):
+                expected = np.random.default_rng(seed).permutation(n)
+                order = _fold_order(seed, n)
+                assert order.dtype == expected.dtype
+                np.testing.assert_array_equal(order, expected, err_msg=f"seed {seed}, n {n}")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            _fold_order(-1, 5)
 
 
 class TestPercentChange:

@@ -36,6 +36,7 @@ from echospread.exposure import build_exposure_ledger
 from echospread.virality import Boundary, mle_virality
 from helpers import (
     follower_sets,
+    followers_of,
     named,
     reference_generate_network,
     reference_seed_pool,
@@ -264,9 +265,9 @@ class TestSeedPool:
         world = generate_world(config)
         pool = seed_pool(world)
         assert len(pool) == 5
-        worst = min(len(world.follow.followers_of(u)) for u in pool)
+        worst = min(len(followers_of(world.follow, u)) for u in pool)
         outside = max(
-            len(world.follow.followers_of(u))
+            len(followers_of(world.follow, u))
             for u in world.users
             if u not in pool
         )
