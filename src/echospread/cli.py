@@ -8,15 +8,27 @@ reproduces the one-shot bytes exactly. The manifest carries the config
 echo, library versions, stage counts, and the master seed; it deliberately
 omits the worker count and any timestamps so output bytes are
 schedule-independent.
+
+Importing this module loads only what argument parsing and the
+``Workspace`` base need: ``csvio``, ``ingest`` and ``graph``. Each other
+stage module is imported when a stage that calls it starts, so a stage
+subcommand loads only its own: ``run_stage`` binds the modules that
+``_STAGE_MODULES`` names for the stage, ``simulate`` binds ``sim``, and the
+scoring workers bind ``exposure`` and ``virality``. Binding sets the module
+and the names that ``_DEFERRED`` lists of it as globals here, and the stages
+call them as globals, because the benchmark's tracer wraps them as
+attributes of ``echospread.cli`` and tests patch them there. A name that is
+already bound, such as a wrapper or a patch, is kept. Reading such a name
+from outside before its stage has run binds its module first (PEP 562).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
-import multiprocessing
 import platform
 import sys
 import traceback
@@ -29,9 +41,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__, virality
+from . import __version__
 from .csvio import by_key, read_rows, write_csv
-from .exposure import LEDGER_COLUMNS, build_exposure_ledger, choose_scope, ledger_row
 from .graph import (
     RetweetNetwork,
     bisect_partition,
@@ -52,35 +63,42 @@ from .ingest import (
     seed_pair_users,
     write_records_jsonl,
 )
-from .labels import (
-    CoderSheet,
-    build_feature_matrix,
-    corpus_sheets,
-    extract_marks,
-    krippendorff_alpha,
-    majority_vote,
-    read_features_csv,
-    write_features_csv,
-)
-from .lasso import (
-    ConvergenceError,
-    LassoConfig,
-    fit_cv,
-    kkt_residual_from_fit,
-    report_coefficients,
-    write_cv_curve_csv,
-    write_regress_csv,
-)
-from .sim import SimConfig, generate_world, simulate_corpus, write_world
-from .textstats import cross_group_counts, word_diff_table, write_spread_csv, write_words_csv
-from .virality import (
-    Boundary,
-    ViralityEstimate,
-    activity_array,
-    compute_activities,
-    read_virality_csv,
-    write_virality_csv,
-)
+
+# The names each stage module lends this one, bound by ``_bind``.
+_DEFERRED = {
+    "exposure": ("LEDGER_COLUMNS", "build_exposure_ledger", "choose_scope", "ledger_row"),
+    "virality": ("Boundary", "ViralityEstimate", "activity_array", "compute_activities",
+                 "read_virality_csv", "write_virality_csv"),
+    "labels": ("CoderSheet", "build_feature_matrix", "corpus_sheets", "extract_marks",
+               "krippendorff_alpha", "majority_vote", "read_features_csv",
+               "write_features_csv"),
+    "lasso": ("ConvergenceError", "LassoConfig", "fit_cv", "kkt_residual_from_fit",
+              "report_coefficients", "write_cv_curve_csv", "write_regress_csv"),
+    "sim": ("SimConfig", "generate_world", "simulate_corpus", "write_world"),
+    "textstats": ("cross_group_counts", "word_diff_table", "write_spread_csv",
+                  "write_words_csv"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each stage module named and bind it and its ``_DEFERRED``
+    names as globals here, keeping any that are bound already."""
+    namespace = globals()
+    for name in modules:
+        module = importlib.import_module(f"{__package__}.{name}")
+        namespace.setdefault(name, module)
+        for attr in _DEFERRED[name]:
+            namespace.setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name: str):
+    """A ``_DEFERRED`` name or stage module, bound on first access."""
+    for module, names in _DEFERRED.items():
+        if name == module or name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -143,6 +161,8 @@ def parallel_map(fn, items, workers: int, initializer, initargs):
     if workers <= 1:
         initializer(*initargs)
         return [fn(item) for item in items]
+    import multiprocessing
+
     with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
         return pool.map(fn, items)
 
@@ -378,6 +398,7 @@ _SCORE_CTX: dict = {}
 
 
 def _init_score_worker(*context) -> None:
+    _bind("exposure", "virality")  # a spawned worker imports only this module
     _SCORE_CTX["ctx"] = context
 
 
@@ -550,10 +571,24 @@ STAGES: tuple[tuple[str, object], ...] = (
 )
 
 
+# The stage modules each stage calls into, beyond those imported above.
+_STAGE_MODULES = {
+    "ingest": ("virality",),
+    "virality": ("exposure", "virality"),
+    "words": ("textstats",),
+    "spread": ("textstats",),
+    "labels": ("labels", "virality"),
+    "regress": ("labels", "lasso"),
+}
+
+
 def _exit_code_for(error: Exception) -> int | None:
     """2 for a numerical failure, 1 for bad input, None for anything else:
-    an exception of another type is a bug, which ``main`` exits 3 for."""
-    if isinstance(error, (ConvergenceError, ArithmeticError)):
+    an exception of another type is a bug, which ``main`` exits 3 for. A
+    ``ConvergenceError`` can only come from a loaded ``lasso``."""
+    lasso = sys.modules.get(f"{__package__}.lasso")
+    numerical = (ArithmeticError,) if lasso is None else (ArithmeticError, lasso.ConvergenceError)
+    if isinstance(error, numerical):
         return EXIT_NUMERICAL
     if isinstance(error, (OSError, ValueError, csv.Error)):
         return EXIT_INPUT
@@ -561,6 +596,7 @@ def _exit_code_for(error: Exception) -> int | None:
 
 
 def run_stage(ws: Workspace, name: str) -> int:
+    _bind(*_STAGE_MODULES.get(name, ()))
     fn = dict(STAGES)[name]
     config = ws.config
     config.out.mkdir(parents=True, exist_ok=True)
@@ -715,6 +751,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
+    _bind("sim")
     settings = _read(SimConfig, _config_file(args.config).get("sim", {}), "sim.")
     if args.seed is not None:
         settings["master_seed"] = args.seed
@@ -722,7 +759,8 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    world = generate_world(_sim_config(args))
+    config = _sim_config(args)  # binds sim before its names are looked up
+    world = generate_world(config)
     sims, truth = simulate_corpus(world)
     write_world(world, sims, truth, Path("out" if args.out is None else args.out))
     return EXIT_OK

@@ -8,6 +8,7 @@ labels, mark counts, author indicators, and log-virality responses.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -303,17 +304,26 @@ def read_features_csv(
     """X, y, penalty groups and column names of a features CSV: the value
     columns plus author indicators built from the author_id column. Rows
     must match the header's width and be in the writer's order, strictly
-    ascending ``tweet_id``: the CV folds follow row positions."""
+    ascending ``tweet_id``: the CV folds follow row positions. Every value
+    and ``ln_r`` cell must be a finite number."""
     with read_csv(path) as (header, reader):
         if header is None or header[:3] != FEATURE_KEYS or header[-1:] != ["ln_r"]:
             raise ValueError(f"unexpected header in {path}: {header}")
         rows = list(reader)
+    values = []
     for prev, row in zip([None] + rows, rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {row!r} has {len(row)} cells, not {len(header)}")
         if prev is not None and row[0] <= prev[0]:
             raise ValueError(f"{path}: tweet_id {row[0]!r} is repeated or out of order")
+        try:
+            cells = [float(v) for v in row[3:]]
+        except ValueError:
+            cells = [math.nan]
+        if not all(map(math.isfinite, cells)):
+            raise ValueError(f"{path}: tweet_id {row[0]!r} has a cell that is not a finite number")
+        values.append(cells)
     X, groups, columns = _design(
-        header[3:-1], [[float(v) for v in row[3:-1]] for row in rows], [row[1] for row in rows]
+        header[3:-1], [cells[:-1] for cells in values], [row[1] for row in rows]
     )
-    return X, np.array([float(row[-1]) for row in rows]), groups, columns
+    return X, np.array([cells[-1] for cells in values]), groups, columns

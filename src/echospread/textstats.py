@@ -5,13 +5,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .csvio import write_csv
 from .exposure import classified_counts
-from .ingest import Cascade
+
+if TYPE_CHECKING:
+    from .ingest import Cascade
 
 URL_RE = re.compile(r"[a-z][a-z0-9+.\-]*://\S+")
 TOKEN_RE = re.compile(r"[#@]?\w+")

@@ -24,13 +24,15 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .csvio import by_key, read_rows, write_csv
-from .exposure import ExposureLedger
-from .ingest import TweetRecord
+
+if TYPE_CHECKING:
+    from .exposure import ExposureLedger
+    from .ingest import TweetRecord
 
 
 class Boundary(enum.Enum):

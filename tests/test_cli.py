@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -229,6 +230,20 @@ class TestStageIsolation:
         assert code == EXIT_OK
         assert tree_bytes(out) == tree_bytes(baseline)
 
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_stage_subcommand_in_a_fresh_interpreter(self, baseline, tmp_path, stage):
+        """Each stage binds the stage modules it calls when it starts; in this
+        interpreter earlier tests have bound them all already."""
+        out = tmp_path / stage
+        shutil.copytree(baseline, out)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from echospread.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", stage, "--config", str(CONFIG), "--out", str(out)],
+            capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert tree_bytes(out) == tree_bytes(baseline)
+
     def test_partition_readers_do_not_read_the_retweet_network(self, baseline, tmp_path):
         out = tmp_path / "no_network"
         shutil.copytree(baseline, out)
@@ -443,7 +458,7 @@ class TestParallelMap:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         ready = []
         assert cli.parallel_map(abs, [-1, -2, -3], 8, ready.append, ("init",)) == [1, 2, 3]
         assert asked == [3] and ready == ["init"]
@@ -672,6 +687,24 @@ class TestInputValidation:
         assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "features_activist.csv" in err and "repeated or out of order" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("column", [3, -1], ids=["value", "ln_r"])
+    def test_features_csv_cell_that_is_not_a_finite_number_exits_one(
+        self, baseline, tmp_path, capsys, column, cell
+    ):
+        """A bad cell is an input error naming the file and the row, not a
+        numerical failure of the fit."""
+        out = tmp_path / "cell"
+        shutil.copytree(baseline, out)
+        path = out / "features_activist.csv"
+        header, first, *rows = path.read_text().splitlines()
+        cells = first.split(",")
+        cells[column] = cell
+        path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+        assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "features_activist.csv" in err and repr(cells[0]) in err
 
     def test_filtered_jsonl_with_a_repeated_tweet_id_exits_one(self, baseline, tmp_path, capsys):
         """``parse_records`` keeps the first of two records with one id; in an

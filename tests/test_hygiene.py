@@ -1,10 +1,14 @@
 """Source hygiene: every name a package, test or script module imports is
 used there, every module-level private function or class is used somewhere
 in the package, every defaulted parameter is passed by some call in it, every
-dataclass field is read in it, only the CSV module reads or writes CSV, and
-only the CLI's two boundaries catch every exception."""
+dataclass field is read in it, only the CSV module reads or writes CSV,
+only the CLI's two boundaries catch every exception, and the CLI loads a
+stage module only when a command that calls it runs."""
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,3 +353,74 @@ def test_only_the_cli_boundaries_catch_every_exception():
         for handler in broad_handlers(path.stem, path.read_text(encoding="utf-8"))
     ]
     assert {handler.split(" ")[0] for handler in found} <= BROAD_HANDLER_OWNERS, found
+
+
+# What argument parsing and the ``Workspace`` base need; every other stage
+# module is imported when a stage that calls it starts.
+CLI_IMPORTS = {"csvio", "graph", "ingest"}
+STAGE_ONLY = ("echospread.exposure", "echospread.virality", "echospread.labels",
+              "echospread.lasso", "echospread.textstats", "echospread.sim", "multiprocessing")
+
+
+def package_imports(source: str) -> set[str]:
+    """Package modules that a module's top-level import statements load."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    found = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+            found.update({stmt.module} if stmt.module else
+                         {alias.name for alias in stmt.names} & modules)
+    return found
+
+
+def test_scanner_finds_package_imports():
+    source = (
+        "from . import __version__, sim\n"
+        "from .csvio import write_csv\n"
+        "import json\n"
+        "if TYPE_CHECKING:\n"
+        "    from .lasso import LassoFit\n"
+    )
+    assert package_imports(source) == {"sim", "csvio"}
+
+
+def test_cli_imports_only_the_modules_every_command_needs():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert package_imports(source) == CLI_IMPORTS
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The modules of ``STAGE_ONLY`` loaded once ``code`` has run in a fresh
+    interpreter."""
+    probe = f"import sys\n{code}\nprint(sorted(set(sys.modules) & {set(STAGE_ONLY)!r}))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_stage_module():
+    assert _loaded_after("import echospread.cli") == []
+
+
+def test_network_subcommand_loads_no_stage_module(tmp_path):
+    from echospread.cli import main
+
+    config = ROOT / "fixtures" / "config.json"
+    argv = ["--config", str(config), "--out", str(tmp_path)]
+    assert main(["ingest", *argv]) == 0
+    code = f"from echospread.cli import main\nassert main({['network', *argv]!r}) == 0"
+    assert _loaded_after(code) == []
+
+
+def test_deferred_names_resolve_and_unknown_names_do_not():
+    from echospread import cli
+
+    for module, names in cli._DEFERRED.items():
+        loaded = importlib.import_module(f"echospread.{module}")
+        assert getattr(cli, module) is loaded
+        for name in names:
+            assert hasattr(loaded, name), f"{module}.{name}"
+            assert getattr(cli, name) is getattr(loaded, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cli, "no_such_name")
