@@ -3,10 +3,11 @@
 Every stage reads its inputs from files in the output directory and writes
 its artifacts back there; the one-shot pipeline simply runs the stages in
 order, sharing one ``Workspace`` so that each intermediate is read and
-derived once per process. Re-running a stage in isolation therefore
-reproduces the one-shot bytes exactly. The manifest carries the config
-echo, library versions, stage counts, and the master seed; it deliberately
-omits the worker count and any timestamps so output bytes are
+derived once per process; the seed-pair users and the cascades share one
+walk of the filtered records' chains. Re-running a stage in isolation
+therefore reproduces the one-shot bytes exactly. The manifest carries the
+config echo, library versions, stage counts, and the master seed; it
+deliberately omits the worker count and any timestamps so output bytes are
 schedule-independent.
 
 Importing this module loads only what argument parsing and the
@@ -58,6 +59,8 @@ from .ingest import (
     CascadeReport,
     TweetRecord,
     build_cascades,
+    chain_roots,
+    compute_activities,
     filter_corpus,
     parse_records,
     seed_pair_users,
@@ -67,8 +70,8 @@ from .ingest import (
 # The names each stage module lends this one, bound by ``_bind``.
 _DEFERRED = {
     "exposure": ("LEDGER_COLUMNS", "build_exposure_ledger", "choose_scope", "ledger_row"),
-    "virality": ("Boundary", "ViralityEstimate", "activity_array", "compute_activities",
-                 "read_virality_csv", "write_virality_csv"),
+    "virality": ("Boundary", "ViralityEstimate", "activity_array", "read_virality_csv",
+                 "write_virality_csv"),
     "labels": ("CoderSheet", "build_feature_matrix", "corpus_sheets", "extract_marks",
                "krippendorff_alpha", "majority_vote", "read_features_csv",
                "write_features_csv"),
@@ -234,7 +237,8 @@ class Workspace:
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
     Users are ids into one sorted user table, ``users``, from the cascades
-    on; only the artifact writers and read-backs convert names.
+    on; only the artifact writers and read-backs convert names. The seed
+    pairs and the cascades share ``roots``, aligned with ``filtered``.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -257,10 +261,15 @@ class Workspace:
         return tuple(sorted({rec.user_id for rec in self.filtered}))
 
     @cached_property
+    def roots(self) -> list[TweetRecord | None]:
+        """The chain root of each record of ``filtered``, in its order."""
+        return chain_roots(self.filtered)
+
+    @cached_property
     def pair_users(self) -> dict[tuple[str, str], np.ndarray]:
         """A mask over ``users`` per seed hashtag pair. ``filtered.jsonl`` is
         topical already (filtering is idempotent): it is not filtered again."""
-        return seed_pair_users(self.filtered, self.users)
+        return seed_pair_users(self.filtered, self.roots, self.users)
 
     @cached_property
     def eligible(self) -> np.ndarray:
@@ -269,7 +278,7 @@ class Workspace:
 
     @cached_property
     def cascades(self) -> tuple[list[Cascade], CascadeReport]:
-        return build_cascades(self.filtered, self.users)
+        return build_cascades(self.filtered, self.roots, self.users)
 
     @cached_property
     def activities(self) -> dict[str, int]:
@@ -341,11 +350,7 @@ def stage_ingest(ws: Workspace) -> dict:
 
     write_records_jsonl(topical, config.out / "filtered.jsonl")
     ws.filtered = topical  # what parsing the file just written returns
-    write_csv(
-        config.out / "activities.csv",
-        ["user", "raw"],
-        ([user, activities[user]] for user in sorted(activities)),
-    )
+    write_csv(config.out / "activities.csv", ["user", "raw"], sorted(activities.items()))
     ws.activities = activities
     return {
         "lines": parse_report.lines,
@@ -573,7 +578,6 @@ STAGES: tuple[tuple[str, object], ...] = (
 
 # The stage modules each stage calls into, beyond those imported above.
 _STAGE_MODULES = {
-    "ingest": ("virality",),
     "virality": ("exposure", "virality"),
     "words": ("textstats",),
     "spread": ("textstats",),

@@ -26,11 +26,16 @@ def read_csv(path: str | Path) -> Iterator[tuple[list[str] | None, Iterator[list
 
 
 def read_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:
-    """The rows of a CSV whose header must equal ``header``."""
+    """The rows of a CSV whose header must equal ``header``; a row of
+    another width, a blank line included, is a ValueError naming the file."""
     with read_csv(path) as (found, rows):
         if found != list(header):
             raise ValueError(f"unexpected header in {path}: {found}")
-        return list(rows)
+        rows = list(rows)
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row!r} has {len(row)} cells, not {len(header)}")
+    return rows
 
 
 def by_key(path: str | Path, rows: Iterable[Sequence[str]]) -> dict[str, list[str]]:

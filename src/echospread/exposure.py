@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import FollowerNetwork
-from .ingest import Cascade
+from .ingest import Cascade, classified_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +69,6 @@ def ledger_row(ledger: ExposureLedger) -> list:
     """The ledger's ``ledgers.csv`` row under ``LEDGER_COLUMNS``: its trial counts."""
     return [ledger.tweet_id, len(ledger.exposed), len(ledger.successes),
             len(ledger.failures), len(ledger.unexposed_successes), ";".join(ledger.flags)]
-
-
-def classified_counts(cascade: Cascade, groups: np.ndarray) -> list[int]:
-    """Retweeters per group, the origin author and unclassified users left
-    out; ``groups`` is the partition over the cascade's user table."""
-    g = groups[cascade.retweeters[cascade.retweeters != cascade.author]]
-    return [int(np.count_nonzero(g == 0)), int(np.count_nonzero(g == 1))]
 
 
 def choose_scope(cascade: Cascade, groups: np.ndarray) -> int:

@@ -15,6 +15,8 @@ the corpus (the record itself for an original or for a retweet of an absent
 tweet), and a record whose chain runs into a cycle has no root. A retweet
 carries its root's content, so it is topical, matches a seed pair and joins
 a cascade through its root; a record without a root does none of these.
+``filter_corpus`` walks the whole corpus with ``chain_roots``; the seed pairs
+and the cascades take the roots of one walk of the filtered records.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,6 +91,13 @@ class Cascade:
     author: int
     retweeters: np.ndarray = field(repr=False)
     timestamp_inversion: bool = False
+
+
+def classified_counts(cascade: Cascade, groups: np.ndarray) -> list[int]:
+    """Retweeters per group, the origin author and unclassified users left
+    out; ``groups`` is the partition over the cascade's user table."""
+    g = groups[cascade.retweeters[cascade.retweeters != cascade.author]]
+    return [int(np.count_nonzero(g == 0)), int(np.count_nonzero(g == 1))]
 
 
 @dataclass
@@ -181,6 +190,16 @@ def write_records_jsonl(records: Iterable[TweetRecord], path: str | Path) -> Non
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def compute_activities(records: Sequence[TweetRecord]) -> dict[str, int]:
+    """Per-user activity counts over the pre-filter corpus: every original
+    and retweet a user produced counts once. A user absent from the records
+    has no entry and must be treated as activity zero (never a valid trial)."""
+    counts: dict[str, int] = {}
+    for rec in records:
+        counts[rec.user_id] = counts.get(rec.user_id, 0) + 1
+    return counts
+
+
 def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
     by_id: dict[str, TweetRecord] = {}
     for rec in records:
@@ -188,19 +207,23 @@ def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
     return by_id
 
 
-def _chain_roots(
-    by_id: Mapping[str, TweetRecord], exclude_replies: bool = False
-) -> dict[str, TweetRecord | None]:
-    """The root of every record in ``by_id``, keyed by tweet id: the last
-    record on its ``retweet_of`` chain that is in ``by_id``. None when the
-    chain runs into a cycle or, with ``exclude_replies``, holds a reply.
+def chain_roots(
+    records: Sequence[TweetRecord], exclude_replies: bool = False
+) -> list[TweetRecord | None]:
+    """The root of each of ``records``, whose tweet ids must be distinct, in
+    order: the last record on its ``retweet_of`` chain that is among
+    ``records``. None when the chain runs into a cycle or, with
+    ``exclude_replies``, holds a reply.
 
     Each walk stops at the first record already resolved and then resolves
     every record it passed, so the cost is linear in the corpus even on long
     retweet-of-retweet chains.
     """
+    by_id = {rec.tweet_id: rec for rec in records}
+    if len(by_id) != len(records):
+        raise ValueError("chain_roots needs distinct tweet ids")
     roots: dict[str, TweetRecord | None] = {}
-    for rec in by_id.values():
+    for rec in records:
         chain: list[str] = []
         cur = rec
         root = None
@@ -220,25 +243,23 @@ def _chain_roots(
             root = roots[cur.tweet_id]
         for tweet_id in chain:
             roots[tweet_id] = root
-    return roots
+    return [roots[rec.tweet_id] for rec in records]
 
 
 def seed_pair_users(
-    records: Iterable[TweetRecord], users: Sequence[str]
+    records: Sequence[TweetRecord], roots: Sequence[TweetRecord | None], users: Sequence[str]
 ) -> dict[tuple[str, str], np.ndarray]:
     """Per pair of ``SEED_PAIRS``, a bool mask over the sorted table ``users``
     of every record's user: who posted or retweeted a record matching it.
 
-    A record matches through its chain root's text, since a retweet shares
-    its origin's content; a record without a root matches nothing.
+    ``roots`` are the records' ``chain_roots``. A record matches through its
+    root's text, since a retweet shares its origin's content; a record
+    without a root matches nothing.
     """
     index = {u: k for k, u in enumerate(users)}
-    by_id = _first_by_id(records)
     matches = {pair: np.zeros(len(users), dtype=bool) for pair in SEED_PAIRS}
-    roots = _chain_roots(by_id)
     matched: dict[str, list[np.ndarray]] = {}
-    for rec in by_id.values():
-        root = roots[rec.tweet_id]
+    for rec, root in zip(records, roots):
         if root is None:
             continue
         hits = matched.get(root.tweet_id)
@@ -263,22 +284,18 @@ def filter_corpus(records: Sequence[TweetRecord]) -> list[TweetRecord]:
     when the origin is, and one whose origin is absent is tested on its own
     fields. Filtering is idempotent.
     """
-    by_id = _first_by_id(records)
-    roots = _chain_roots(by_id, exclude_replies=True)
-    return [
-        rec
-        for rec in by_id.values()
-        if (root := roots[rec.tweet_id]) is not None
-        and root.lang in LANGS
-        and TOPIC in root.text.lower()
-    ]
+    firsts = list(_first_by_id(records).values())
+    roots = chain_roots(firsts, exclude_replies=True)
+    return [rec for rec, root in zip(firsts, roots)
+            if root is not None and root.lang in LANGS and TOPIC in root.text.lower()]
 
 
 def build_cascades(
-    records: Sequence[TweetRecord], users: Sequence[str]
+    records: Sequence[TweetRecord], roots: Sequence[TweetRecord | None], users: Sequence[str]
 ) -> tuple[list[Cascade], CascadeReport]:
-    """Assemble one cascade per origin tweet from filtered records, over the
-    sorted user table ``users``, which holds every record's user.
+    """Assemble one cascade per origin tweet from filtered records and their
+    ``chain_roots``, over the sorted user table ``users``, which holds every
+    record's user.
 
     A retweet joins the cascade of its chain root, or of the absent tweet
     that root retweets; a retweet without a root (a cycle) is dropped and
@@ -287,13 +304,10 @@ def build_cascades(
     """
     report = CascadeReport()
     index = {u: k for k, u in enumerate(users)}
-    by_id = _first_by_id(records)
-    roots = _chain_roots(by_id)
     grouped: dict[str, list[TweetRecord]] = {}
-    for rec in by_id.values():
+    for rec, root in zip(records, roots):
         if rec.retweet_of is None:
             continue
-        root = roots[rec.tweet_id]
         if root is None:
             report.dropped_cycles += 1
             continue
@@ -313,7 +327,7 @@ def build_cascades(
         return np.array([index[r.user_id] for r in retweets], dtype=np.int64)
 
     cascades: list[Cascade] = []
-    for rec in by_id.values():
+    for rec in records:
         if rec.retweet_of is not None:
             continue
         retweets = collapse(grouped.pop(rec.tweet_id, []))

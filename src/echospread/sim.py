@@ -32,7 +32,7 @@ import numpy as np
 from .csvio import write_csv
 from .exposure import build_exposure_ledger
 from .graph import FollowerNetwork, table_id
-from .ingest import TweetRecord, build_cascades, write_records_jsonl
+from .ingest import TweetRecord, build_cascades, chain_roots, write_records_jsonl
 from .virality import Boundary, mle_virality
 
 
@@ -403,7 +403,8 @@ def recovery_experiment(config: SimConfig) -> tuple[list[RecoveryRow], Synthetic
         exposures: list[int] = []
         unscorable = 0
         for sim in by_r[r]:
-            cascades, _ = build_cascades(sim.records, world.users)
+            records = sim.records
+            cascades, _ = build_cascades(records, chain_roots(records), world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             exposures.append(len(ledger.exposed))
             est = mle_virality(ledger, world.alpha)

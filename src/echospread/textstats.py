@@ -5,15 +5,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .csvio import write_csv
-from .exposure import classified_counts
-
-if TYPE_CHECKING:
-    from .ingest import Cascade
+from .ingest import Cascade, classified_counts
 
 URL_RE = re.compile(r"[a-z][a-z0-9+.\-]*://\S+")
 TOKEN_RE = re.compile(r"[#@]?\w+")

@@ -32,7 +32,6 @@ from .csvio import by_key, read_rows, write_csv
 
 if TYPE_CHECKING:
     from .exposure import ExposureLedger
-    from .ingest import TweetRecord
 
 
 class Boundary(enum.Enum):
@@ -59,19 +58,6 @@ class ViralityEstimate:
     ln_r: float | None
     boundary: Boundary
     dropped_zero_activity: int = 0
-
-
-def compute_activities(records: Sequence[TweetRecord]) -> dict[str, int]:
-    """Per-user activity counts over the full record set.
-
-    Activities come from the pre-filter corpus: every original and retweet a
-    user produced counts once. Users absent from the records simply have no
-    entry and must be treated as activity zero (never a valid trial).
-    """
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.user_id] = counts.get(rec.user_id, 0) + 1
-    return counts
 
 
 def activity_array(

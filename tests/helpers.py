@@ -30,6 +30,7 @@ from echospread.ingest import (
     TweetRecord,
     _first_by_id,
     build_cascades,
+    chain_roots,
     seed_pair_users,
 )
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
@@ -190,16 +191,20 @@ def cascade_view(cascade: Cascade, users: Sequence[str]) -> CascadeView:
 
 
 def named_cascades(records: Sequence[TweetRecord]) -> tuple[list[CascadeView], CascadeReport]:
-    """``build_cascades`` over the table of the records' users, in names."""
+    """``build_cascades`` over the first occurrence of each tweet id, on the
+    table of the records' users, in names."""
+    records = list(_first_by_id(records).values())
     users = sorted({r.user_id for r in records})
-    cascades, report = build_cascades(records, users)
+    cascades, report = build_cascades(records, chain_roots(records), users)
     return [cascade_view(c, users) for c in cascades], report
 
 
 def named_seed_pair_users(records: Sequence[TweetRecord]) -> dict[tuple[str, str], set[str]]:
-    """``seed_pair_users`` over the table of the records' users, in names."""
+    """``seed_pair_users`` over the first occurrence of each tweet id, on the
+    table of the records' users, in names."""
+    records = list(_first_by_id(records).values())
     users = sorted({r.user_id for r in records})
-    masks = seed_pair_users(records, users)
+    masks = seed_pair_users(records, chain_roots(records), users)
     return {pair: {users[k] for k in np.flatnonzero(mask)} for pair, mask in masks.items()}
 
 

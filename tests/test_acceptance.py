@@ -32,7 +32,7 @@ from echospread.graph import (
     RetweetNetwork,
     bisect_partition,
 )
-from echospread.ingest import TweetRecord, build_cascades
+from echospread.ingest import TweetRecord, build_cascades, chain_roots
 from echospread.labels import CoderSheet, krippendorff_alpha
 from echospread.lasso import (
     LassoConfig,
@@ -196,7 +196,7 @@ def scenario_ledger(follow_edges, retweets):
                 lang="en",
             )
         )
-    cascades, _ = build_cascades(records, follow.users)
+    cascades, _ = build_cascades(records, chain_roots(records), follow.users)
     groups = np.zeros(len(follow.users), dtype=np.int8)
     return named(build_exposure_ledger(cascades[0], follow, groups, 0))
 
@@ -366,7 +366,8 @@ def test_criterion_08_planted_effect_recovery():
         for i, r in enumerate(world.config.r_values):
             seed_user = pool[int(rng.integers(len(pool)))]
             sim = simulate_cascade(world, seed_user, r, i)
-            cascades, _ = build_cascades(list(sim.records), world.users)
+            records = sim.records
+            cascades, _ = build_cascades(records, chain_roots(records), world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, user_groups, 0)
             est = mle_virality(ledger, world.alpha)
             if est.boundary is Boundary.INTERIOR:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echospread import cli, virality
+from echospread import cli, ingest, virality
 from echospread.cli import (
     EXIT_BUG,
     EXIT_INPUT,
@@ -68,6 +68,18 @@ ARTIFACTS = frozenset(
 )
 
 STAGE_NAMES = tuple(name for name, _ in STAGES)
+
+# The stage modules, those of ``cli._DEFERRED``, that each stage subcommand loads.
+STAGE_LOADS = {
+    "ingest": [],
+    "network": [],
+    "partition": [],
+    "virality": ["exposure", "virality"],
+    "words": ["textstats"],
+    "spread": ["textstats"],
+    "labels": ["labels", "virality"],
+    "regress": ["labels", "lasso", "virality"],
+}
 
 # sha256 of each artifact of `run` on the fixture config, manifest.json
 # without its library versions; computed before activities became one array,
@@ -232,17 +244,27 @@ class TestStageIsolation:
 
     @pytest.mark.parametrize("stage", STAGE_NAMES)
     def test_stage_subcommand_in_a_fresh_interpreter(self, baseline, tmp_path, stage):
-        """Each stage binds the stage modules it calls when it starts; in this
-        interpreter earlier tests have bound them all already."""
+        """Each stage binds the stage modules it calls when it starts, and
+        loads no other; in this interpreter earlier tests have bound them all
+        already."""
         out = tmp_path / stage
         shutil.copytree(baseline, out)
+        probe = {f"echospread.{name}" for name in cli._DEFERRED} | {"multiprocessing"}
+        code = (
+            "import json, sys\n"
+            "from echospread.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print(json.dumps(sorted(set(sys.modules) & {probe!r})))\n"
+            "sys.exit(code)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from echospread.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", stage, "--config", str(CONFIG), "--out", str(out)],
+            [sys.executable, "-c", code, stage, "--config", str(CONFIG), "--out", str(out)],
             capture_output=True, text=True, check=False,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert tree_bytes(out) == tree_bytes(baseline)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == [f"echospread.{name}" for name in STAGE_LOADS[stage]]
 
     def test_partition_readers_do_not_read_the_retweet_network(self, baseline, tmp_path):
         out = tmp_path / "no_network"
@@ -300,6 +322,30 @@ class TestParseOnce:
         assert "activities.csv" not in read
         assert "partition.csv" not in read
         assert "virality.csv" in read  # the recorder sees the stages' reads
+
+    def test_each_command_walks_the_filtered_corpus_once(self, baseline, monkeypatch, tmp_path):
+        """The seed pairs and the cascades share one chain walk over the
+        filtered records; ``ingest`` also walks the whole corpus to filter
+        it, and ``regress`` reads no record."""
+        walks = []
+        real = ingest.chain_roots
+
+        def counting(records, *args, **kwargs):
+            walks.append(len(records))
+            return real(records, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "chain_roots", counting)
+        monkeypatch.setattr(cli, "chain_roots", counting)
+        counts = {}
+        for command in ("run", *STAGE_NAMES):
+            out = tmp_path / command
+            shutil.copytree(baseline, out)
+            walks.clear()
+            assert main([command, "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+            assert tree_bytes(out) == tree_bytes(baseline)
+            counts[command] = len(walks)
+        assert counts == {"run": 2, "ingest": 2, "network": 1, "partition": 1, "virality": 1,
+                          "words": 1, "spread": 1, "labels": 1, "regress": 0}
 
     def test_run_maps_no_name_to_an_id_after_the_cascades(self, baseline, monkeypatch, tmp_path):
         """The seed-pair users, the retweet network and the groups stay on the
@@ -664,6 +710,29 @@ class TestInputValidation:
         assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "features_activist.csv" in err and "cells" in err
+
+    @pytest.mark.parametrize("edit", ["blank line", "one cell more"])
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("activities.csv", "virality"),
+            ("retweet_edges.csv", "partition"),
+            ("partition.csv", "spread"),
+            ("virality.csv", "labels"),
+        ],
+    )
+    def test_read_back_row_of_another_width_exits_one_naming_the_file(
+        self, baseline, tmp_path, capsys, name, stage, edit
+    ):
+        out = tmp_path / "width"
+        shutil.copytree(baseline, out)
+        path = out / name
+        header, *rows = path.read_text().splitlines()
+        extra = "" if edit == "blank line" else rows[-1] + ",0"
+        path.write_text("\n".join([header, *rows, extra]) + "\n")
+        assert main([stage, "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "cells" in err
 
     @pytest.mark.parametrize(
         "edit", ["reversed", "first two swapped", "first repeated", "last repeated"]

@@ -403,16 +403,6 @@ def test_importing_the_cli_loads_no_stage_module():
     assert _loaded_after("import echospread.cli") == []
 
 
-def test_network_subcommand_loads_no_stage_module(tmp_path):
-    from echospread.cli import main
-
-    config = ROOT / "fixtures" / "config.json"
-    argv = ["--config", str(config), "--out", str(tmp_path)]
-    assert main(["ingest", *argv]) == 0
-    code = f"from echospread.cli import main\nassert main({['network', *argv]!r}) == 0"
-    assert _loaded_after(code) == []
-
-
 def test_deferred_names_resolve_and_unknown_names_do_not():
     from echospread import cli
 

@@ -17,6 +17,7 @@ from echospread.ingest import (
     SEED_PAIRS,
     TweetRecord,
     build_cascades,
+    chain_roots,
     filter_corpus,
     parse_records,
     write_records_jsonl,
@@ -169,7 +170,7 @@ class TestParseRecords:
         assert [r.tweet_id for r in records] == ["t1", "t2"]
         assert (report.lines, report.parsed, report.malformed) == (3, 2, 1)
         users = sorted({r.user_id for r in records})
-        cascades, _ = build_cascades(records, users)
+        cascades, _ = build_cascades(records, chain_roots(records), users)
         assert [(c.tweet_id, c.author) for c in cascades] == [("absent", -1), ("t0", -1)]
         eligible = np.ones(len(users), dtype=bool)
         assert build_retweet_network(cascades, eligible).edges() == []
@@ -262,6 +263,25 @@ class TestSeedPairUsers:
         assert users[("climate", "hoax")] == {"b"}
 
 
+class TestChainRoots:
+    def test_roots_follow_the_records_order(self):
+        records = [
+            rec("r2", retweet_of="r1"),
+            rec("o"),
+            rec("r1", retweet_of="o"),
+            rec("x", retweet_of="y"),
+            rec("y", retweet_of="x"),
+        ]
+        roots = chain_roots(records)
+        assert [None if r is None else r.tweet_id for r in roots] == ["o", "o", "o", None, None]
+
+    def test_repeated_tweet_id_raises(self):
+        """The roots align with the records, so each record needs its own id;
+        callers take first occurrences before they walk."""
+        with pytest.raises(ValueError, match="distinct tweet ids"):
+            chain_roots([rec("o"), rec("r", retweet_of="o"), rec("o", user_id="v")])
+
+
 class TestBuildCascades:
     def test_retweets_sorted_by_time(self):
         records = [
@@ -286,7 +306,7 @@ class TestBuildCascades:
 
     def test_stub_origin_flagged(self):
         records = [rec("r1", user_id="u", timestamp=4, text="rt climate", retweet_of="gone")]
-        cascades, report = build_cascades(records, ["u"])
+        cascades, report = build_cascades(records, chain_roots(records), ["u"])
         assert len(cascades) == 1
         assert cascades[0].author == -1
         assert cascades[0].tweet_id == "gone"
@@ -324,7 +344,8 @@ class TestBuildCascades:
         assert report.inversions == 1
 
     def test_zero_retweet_original_is_a_cascade(self):
-        cascades, _ = build_cascades([rec("o", user_id="a")], ["a"])
+        records = [rec("o", user_id="a")]
+        cascades, _ = build_cascades(records, chain_roots(records), ["a"])
         assert len(cascades) == 1
         assert (cascades[0].author, cascades[0].retweeters.tolist()) == (0, [])
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from echospread import sim
 from echospread.graph import FollowerNetwork, build_follower_network
-from echospread.ingest import build_cascades, filter_corpus, parse_records
+from echospread.ingest import build_cascades, chain_roots, filter_corpus, parse_records
 from echospread.sim import (
     ActivitySpec,
     GraphSpec,
@@ -298,7 +298,7 @@ class TestRoundTrip:
         assert report.malformed == 0
         kept = filter_corpus(records)
         assert len(kept) == len(records)
-        cascades, _ = build_cascades(kept, world.users)
+        cascades, _ = build_cascades(kept, chain_roots(kept), world.users)
         follow, dropped = build_follower_network(paths["edges"], set(world.users))
         assert dropped == 0
         groups = world_groups(world)
@@ -343,8 +343,8 @@ class TestRecovery:
         edges = [(f"f{i}", "hub") for i in range(k)]
         acts = {f"f{i}": 1.0 for i in range(k)} | {"hub": 1.0}
         world = hand_world(edges, acts)
-        sim = simulate_cascade(world, "hub", 1.0, 0)
-        cascades, _ = build_cascades(list(sim.records), world.users)
+        records = simulate_cascade(world, "hub", 1.0, 0).records
+        cascades, _ = build_cascades(records, chain_roots(records), world.users)
         ledger = build_exposure_ledger(cascades[0], world.follow, world_groups(world), 0)
         est = mle_virality(ledger, world.alpha)
         assert est.boundary is Boundary.UPPER_BOUNDARY
@@ -389,8 +389,8 @@ class TestRecovery:
         groups = world_groups(world)
         errors = []
         for idx in range(reps):
-            sim = simulate_cascade(world, "hub", r, idx)
-            cascades, _ = build_cascades(list(sim.records), world.users)
+            records = simulate_cascade(world, "hub", r, idx).records
+            cascades, _ = build_cascades(records, chain_roots(records), world.users)
             ledger = build_exposure_ledger(cascades[0], world.follow, groups, 0)
             assert len(ledger.exposed) == spokes
             est = mle_virality(ledger, world.alpha)

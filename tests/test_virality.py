@@ -17,11 +17,10 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echospread.ingest import TweetRecord
+from echospread.ingest import TweetRecord, compute_activities
 from echospread.virality import (
     Boundary,
     activity_array,
-    compute_activities,
     mle_virality,
     read_virality_csv,
     write_virality_csv,
