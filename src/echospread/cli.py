@@ -4,7 +4,7 @@ Every stage reads its inputs from files in the output directory and writes
 its artifacts back there; the one-shot pipeline simply runs the stages in
 order, sharing one ``Workspace`` so that each intermediate is read and
 derived once per process; the seed-pair users and the cascades share one
-walk of the filtered records' chains. Re-running a stage in isolation
+chain walk, the filter's in ``ingest``. Re-running a stage in isolation
 therefore reproduces the one-shot bytes exactly. The manifest carries the
 config echo, library versions, stage counts, and the master seed; it
 deliberately omits the worker count and any timestamps so output bytes are
@@ -231,14 +231,16 @@ class Workspace:
     Each intermediate is read from its artifact on first use and kept for
     the rest of the process, so ``run`` reads each one once and a stage
     subcommand reads only what it needs; ``ingest`` hands its filtered
-    records and activity counts over directly, ``network`` its component
-    and ``partition`` its groups, so ``run`` never reads ``filtered.jsonl``,
-    ``activities.csv``, ``retweet_edges.csv`` or ``partition.csv``. A
+    records, their chain roots and its activity counts over directly,
+    ``network`` its component and ``partition`` its groups, so ``run``
+    never reads ``filtered.jsonl``, ``activities.csv``,
+    ``retweet_edges.csv`` or ``partition.csv``. A
     stage never touches a property backed by an artifact that it or a later
     stage writes: that file may be stale until its producing stage has run.
     Users are ids into one sorted user table, ``users``, from the cascades
     on; only the artifact writers and read-backs convert names. The seed
-    pairs and the cascades share ``roots``, aligned with ``filtered``.
+    pairs and the cascades share ``roots``, aligned with ``filtered``: the
+    roots of the filter's walk, or else of one walk of ``filtered.jsonl``.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -345,11 +347,11 @@ def name_groups(hoax: np.ndarray, groups: np.ndarray) -> dict[int, str]:
 def stage_ingest(ws: Workspace) -> dict:
     config = ws.config
     records, parse_report = parse_records(_require(config.tweets, "tweets file"))
-    topical = filter_corpus(records)
+    topical, roots = filter_corpus(records)
     activities = compute_activities(records)
 
     write_records_jsonl(topical, config.out / "filtered.jsonl")
-    ws.filtered = topical  # what parsing the file just written returns
+    ws.filtered, ws.roots = topical, roots  # what parsing and walking the file would give
     write_csv(config.out / "activities.csv", ["user", "raw"], sorted(activities.items()))
     ws.activities = activities
     return {
@@ -588,11 +590,8 @@ _STAGE_MODULES = {
 
 def _exit_code_for(error: Exception) -> int | None:
     """2 for a numerical failure, 1 for bad input, None for anything else:
-    an exception of another type is a bug, which ``main`` exits 3 for. A
-    ``ConvergenceError`` can only come from a loaded ``lasso``."""
-    lasso = sys.modules.get(f"{__package__}.lasso")
-    numerical = (ArithmeticError,) if lasso is None else (ArithmeticError, lasso.ConvergenceError)
-    if isinstance(error, numerical):
+    an exception of another type is a bug, which ``main`` exits 3 for."""
+    if isinstance(error, ArithmeticError):
         return EXIT_NUMERICAL
     if isinstance(error, (OSError, ValueError, csv.Error)):
         return EXIT_INPUT

@@ -507,12 +507,12 @@ def bisect_partition(
         level_adj, level_w = levels[level]
         allowed = cap(level_w, strict=level == 0)
         _rebalance(level_adj, level_w, side, allowed)
-        _fm_refine(level_adj, level_w, side, allowed)
+        cut = _fm_refine(level_adj, level_w, side, allowed)  # level 0's is the result's
 
     if side[0] == 1:
         side = [1 - s for s in side]
     balance = max(sum(side), n - sum(side)) / n
-    return Bisection(np.array(side, dtype=np.int8), _cut_weight(adj, side), balance)
+    return Bisection(np.array(side, dtype=np.int8), cut, balance)
 
 
 def to_dot(net: RetweetNetwork, side: np.ndarray, users: Sequence[str]) -> str:

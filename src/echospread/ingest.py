@@ -15,8 +15,8 @@ the corpus (the record itself for an original or for a retweet of an absent
 tweet), and a record whose chain runs into a cycle has no root. A retweet
 carries its root's content, so it is topical, matches a seed pair and joins
 a cascade through its root; a record without a root does none of these.
-``filter_corpus`` walks the whole corpus with ``chain_roots``; the seed pairs
-and the cascades take the roots of one walk of the filtered records.
+``filter_corpus`` walks the whole corpus with ``chain_roots`` and returns the
+kept records' roots, which the seed pairs and the cascades take.
 """
 
 from __future__ import annotations
@@ -200,13 +200,6 @@ def compute_activities(records: Sequence[TweetRecord]) -> dict[str, int]:
     return counts
 
 
-def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
-    by_id: dict[str, TweetRecord] = {}
-    for rec in records:
-        by_id.setdefault(rec.tweet_id, rec)
-    return by_id
-
-
 def chain_roots(
     records: Sequence[TweetRecord], exclude_replies: bool = False
 ) -> list[TweetRecord | None]:
@@ -275,19 +268,22 @@ def seed_pair_users(
     return matches
 
 
-def filter_corpus(records: Sequence[TweetRecord]) -> list[TweetRecord]:
-    """The topical records, first occurrence of each tweet id, in input order.
+def filter_corpus(records: Sequence[TweetRecord]) -> tuple[list[TweetRecord], list[TweetRecord]]:
+    """The topical records, in input order, and the ``chain_roots`` of each.
 
-    A record is topical when its chain has a root and holds no reply, and
-    the root's language is in ``LANGS`` and its text contains ``TOPIC``
+    ``records`` must have distinct tweet ids, as ``parse_records`` returns
+    them. A record is topical when its chain has a root and holds no reply,
+    and the root's language is in ``LANGS`` and its text contains ``TOPIC``
     case-insensitively. So a retweet whose origin is present is kept exactly
     when the origin is, and one whose origin is absent is tested on its own
-    fields. Filtering is idempotent.
+    fields. Every record on a kept record's chain is kept too, so the roots
+    are the same in the topical records as in ``records``, and filtering is
+    idempotent.
     """
-    firsts = list(_first_by_id(records).values())
-    roots = chain_roots(firsts, exclude_replies=True)
-    return [rec for rec, root in zip(firsts, roots)
+    roots = chain_roots(records, exclude_replies=True)
+    keep = [k for k, root in enumerate(roots)
             if root is not None and root.lang in LANGS and TOPIC in root.text.lower()]
+    return [records[k] for k in keep], [roots[k] for k in keep]
 
 
 def build_cascades(

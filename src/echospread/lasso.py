@@ -93,7 +93,7 @@ class CoefficientReport:
     authors_selected: bool = False
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Carries the last iterate and KKT residual on solver failure."""
 
     def __init__(self, message: str, beta: np.ndarray, residual: float):

@@ -156,18 +156,28 @@ def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) 
 
 
 def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
-    """The estimates of a ``write_virality_csv`` file, in row order, one per tweet id."""
-    return [
-        ViralityEstimate(
-            tweet_id=tweet_id,
-            group=int(group),
-            successes=int(successes),
-            failures=int(failures),
-            exposed=int(exposed),
-            r_hat=float(r_hat) if r_hat else None,
-            ln_r=float(ln_r) if ln_r else None,
-            boundary=Boundary(boundary),
-        )
-        for tweet_id, (group, successes, failures, exposed, r_hat, ln_r, boundary)
-        in by_key(path, read_rows(path, VIRALITY_COLUMNS)).items()
-    ]
+    """The estimates of a ``write_virality_csv`` file, in row order, one per tweet id.
+
+    A bad cell is a ValueError naming the file and the tweet id: ``group``
+    must be 0 or 1, the counts ASCII digits, ``boundary`` a ``Boundary``
+    value, and ``r_hat`` and ``ln_r`` empty exactly for zero successes and
+    finite numbers otherwise.
+    """
+    estimates = []
+    rows = by_key(path, read_rows(path, VIRALITY_COLUMNS))
+    for tweet_id, (group, *counts, r_hat, ln_r, boundary) in rows.items():
+        try:
+            if group not in ("0", "1"):
+                raise ValueError(f"group {group!r} is not 0 or 1")
+            if not all(c.isascii() and c.isdigit() for c in counts):
+                raise ValueError(f"counts {counts} are not all nonnegative integers")
+            kind = Boundary(boundary)
+            values = [float(v) for v in (r_hat, ln_r) if v]
+            expected = 0 if kind is Boundary.ZERO_SUCCESSES else 2
+            if len(values) != expected or not all(map(math.isfinite, values)):
+                raise ValueError(f"r_hat {r_hat!r} and ln_r {ln_r!r} do not fit {boundary}")
+        except ValueError as error:
+            raise ValueError(f"{path}: tweet {tweet_id!r}: {error}") from error
+        r, ln = values or (None, None)
+        estimates.append(ViralityEstimate(tweet_id, int(group), *map(int, counts), r, ln, kind))
+    return estimates

@@ -1,6 +1,7 @@
 """Shared test utilities: id ledgers built from names, id ledgers and
 simulated cascades mapped back to names, cascades held on names and put on
-a user table, the string-keyed follow graph,
+a user table, the first record of each tweet id and the topical records
+among them, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
 the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
@@ -28,9 +29,9 @@ from echospread.ingest import (
     Cascade,
     CascadeReport,
     TweetRecord,
-    _first_by_id,
     build_cascades,
     chain_roots,
+    filter_corpus,
     seed_pair_users,
 )
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
@@ -188,6 +189,21 @@ def cascade_view(cascade: Cascade, users: Sequence[str]) -> CascadeView:
         cascade.tweet_id, cascade.text, users[cascade.author] if cascade.author >= 0 else "",
         tuple(users[k] for k in cascade.retweeters.tolist()), cascade.timestamp_inversion,
     )
+
+
+def _first_by_id(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
+    """The first record of each tweet id, in the records' order, as
+    ``parse_records`` keeps them."""
+    by_id: dict[str, TweetRecord] = {}
+    for rec in records:
+        by_id.setdefault(rec.tweet_id, rec)
+    return by_id
+
+
+def topical_records(records: Sequence[TweetRecord]) -> list[TweetRecord]:
+    """``filter_corpus``'s topical records over the first occurrence of each
+    tweet id."""
+    return filter_corpus(list(_first_by_id(records).values()))[0]
 
 
 def named_cascades(records: Sequence[TweetRecord]) -> tuple[list[CascadeView], CascadeReport]:

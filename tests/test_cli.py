@@ -44,6 +44,7 @@ from echospread.virality import Boundary, ViralityEstimate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIG = FIXTURES / "config.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ARTIFACTS = frozenset(
     {
@@ -105,6 +106,28 @@ FIXTURE_DIGESTS = {
     "words_skeptic.csv": "f7870ecc8c14d4671fa606d14f0f5c929bddb7f75f8fbaa1abdcbdd99312acd9",
 }
 
+# sha256 of each artifact of `run` on the benchmark world, `WorldSpec()` of
+# perfbench/world.py at seed 1, manifest.json without its library versions.
+WORLD_DIGESTS = {
+    "activities.csv": "e2807fe62ae2656ce85e34591ad8861bab1e7dae555af7b1b302ccdf1f4ae328",
+    "cv_curve_activist.csv": "6a651c6b61fad68dcc95f586f0e5d86773f4bea99c102c3b66a077a3c65c53ee",
+    "cv_curve_skeptic.csv": "476ff93f4d61de6046e26d381f4cdd4db4e742d1d65d517619bc7f9e78fb3a93",
+    "features_activist.csv": "050e8cf6398351e46cf043caaad3b63d52bd90fe40dd5fabe157463c39f87b0d",
+    "features_skeptic.csv": "2f6ea882dcc6516ae5812751794f9a91ca094b51e96eadb083d1eb32ec604f9c",
+    "filtered.jsonl": "e5f20e00de7b702fd23bab62115e38bc66c13baadc7912ad246a5ee9b99c4d45",
+    "ledgers.csv": "9e75c69a98bf7b82c5d5f5aa164252a6926ff52febdb2e06d24c0ba1f2696782",
+    "manifest.json": "52c01a980967c9a3109003ac431451291bbbdddbb80058c7ca8fdc66db539157",
+    "network.dot": "78d0eb691a396fa2d313325dc29b68b1cb6279d626a9927f8a566cb6dd6c9131",
+    "partition.csv": "b9b8db7528eaf2924ed44a265fd98eeb090d0e6be62c7e6d7dbb16749294bf7b",
+    "regress_activist.csv": "0fbd125aa9125f76914f00a16d16a18a728c034776cfbf136a1c5cf1dfc10fc9",
+    "regress_skeptic.csv": "a99e2b8ec76b34fc02d2c634a9bf47399cf61f74870c1539cffc60a8057f0702",
+    "retweet_edges.csv": "2f652a46579cea27e41553d5263d276826d9a1ad527a0a01c492dd160fad9127",
+    "spread.csv": "c10df66911129d9520f15cbb061db948c3dbfaafc93241b0d7af2b219ab47456",
+    "virality.csv": "8b18e4117be4a5f2b5967f93b8aa19527c0897cdc4c199a27be1b3218345ed93",
+    "words_activist.csv": "4e172bccdb8daa504775562f883798ca9f3dc46f3d760d9e7bfb91e4cd2cbc0a",
+    "words_skeptic.csv": "d808bec6caeaf584178d54c0162747d76cb31e46f08c6fcb8553404eb3ab0a7c",
+}
+
 # The CV-selected penalty of each group on the fixture config; the lasso's
 # Newton finish left both as the ISTA-only path solves chose them.
 FIXTURE_LAMBDAS = {"activist": "0x1.e456a87767303p-4", "skeptic": "0x1.6aac720124ce5p-4"}
@@ -138,6 +161,19 @@ def run_cli(argv, hash_seed="1"):
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+def artifact_digests(root: Path) -> dict[str, str]:
+    """sha256 of each artifact in ``root``, manifest.json without its library
+    versions."""
+    digests = {}
+    for name, data in tree_bytes(root).items():
+        if name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["versions"]
+            data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -181,14 +217,7 @@ class TestPipelineArtifacts:
         assert names == {"0": "activist", "1": "skeptic"}
 
     def test_artifacts_match_pinned_digests(self, baseline):
-        digests = {}
-        for name, data in tree_bytes(baseline).items():
-            if name == "manifest.json":
-                manifest = json.loads(data)
-                del manifest["versions"]
-                data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
-            digests[name] = hashlib.sha256(data).hexdigest()
-        assert digests == FIXTURE_DIGESTS
+        assert artifact_digests(baseline) == FIXTURE_DIGESTS
 
     def test_selected_lambdas_pinned(self, baseline):
         regress = json.loads((baseline / "manifest.json").read_text())["stages"]["regress"]
@@ -324,9 +353,9 @@ class TestParseOnce:
         assert "virality.csv" in read  # the recorder sees the stages' reads
 
     def test_each_command_walks_the_filtered_corpus_once(self, baseline, monkeypatch, tmp_path):
-        """The seed pairs and the cascades share one chain walk over the
-        filtered records; ``ingest`` also walks the whole corpus to filter
-        it, and ``regress`` reads no record."""
+        """The seed pairs and the cascades share one chain walk: the one
+        that filters the whole corpus in ``run`` and ``ingest``, one of the
+        filtered records in the other stages; ``regress`` reads no record."""
         walks = []
         real = ingest.chain_roots
 
@@ -344,7 +373,7 @@ class TestParseOnce:
             assert main([command, "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
             assert tree_bytes(out) == tree_bytes(baseline)
             counts[command] = len(walks)
-        assert counts == {"run": 2, "ingest": 2, "network": 1, "partition": 1, "virality": 1,
+        assert counts == {"run": 1, "ingest": 1, "network": 1, "partition": 1, "virality": 1,
                           "words": 1, "spread": 1, "labels": 1, "regress": 0}
 
     def test_run_maps_no_name_to_an_id_after_the_cascades(self, baseline, monkeypatch, tmp_path):
@@ -383,13 +412,41 @@ class TestProcessFootprint:
         assert tree_bytes(tmp_path / "out") == tree_bytes(baseline)
 
 
+class TestBenchmarkWorld:
+    """The benchmark's two-block world, about 15k records, whose retweet
+    network gives the partitioner and the scoring pool work that the
+    fixture's 39 nodes do not."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("world")
+        spec = importlib.util.spec_from_file_location("_perfbench_world", PERFBENCH / "world.py")
+        world = importlib.util.module_from_spec(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, spec.name, world)
+            spec.loader.exec_module(world)
+            world.generate(world.WorldSpec(), 1, root)
+        return root / "config.json"
+
+    def test_run_matches_pinned_digests(self, world, tmp_path):
+        assert main(["run", "--config", str(world), "--out", str(tmp_path)]) == EXIT_OK
+        assert artifact_digests(tmp_path) == WORLD_DIGESTS
+
+    def test_stage_subcommands_with_two_workers_match_pinned_digests(self, world, tmp_path):
+        out = tmp_path / "stages"
+        for stage in STAGE_NAMES:
+            argv = [stage, "--config", str(world), "--out", str(out), "--workers", "2"]
+            assert main(argv) == EXIT_OK, stage
+        assert artifact_digests(out) == WORLD_DIGESTS
+
+
 class TestBenchmarkSpanTargets:
     """The benchmark's traced mode wraps ``echospread`` names and the
     two-parameter ``run_stage`` from outside the package."""
 
     @pytest.fixture
     def spans(self, monkeypatch):
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        path = PERFBENCH / "spans.py"
         spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, spans)
@@ -678,6 +735,37 @@ class TestInputValidation:
         code = main(["labels", "--config", str(CONFIG), "--out", str(out)])
         assert code == EXIT_INPUT
         assert "unexpected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("group", "7"),
+            ("group", "x"),
+            ("failures", "\u0669"),
+            ("exposed", " 11"),
+            ("r_hat", ""),
+            ("ln_r", "inf"),
+            ("ln_r", "x"),
+            ("boundary", "bogus"),
+            ("boundary", "zero_successes"),
+        ],
+    )
+    def test_virality_csv_bad_cell_exits_one_naming_file_and_tweet(
+        self, baseline, tmp_path, capsys, column, cell
+    ):
+        """One cell of the first row, an interior estimate, is edited; a
+        well-formed but impossible cell fails like an unparsable one."""
+        out = tmp_path / "bad_cell"
+        shutil.copytree(baseline, out)
+        path = out / "virality.csv"
+        header, first, *rows = path.read_text(encoding="utf-8").splitlines()
+        cells = first.split(",")
+        assert cells[-1] == "interior"
+        cells[header.split(",").index(column)] = cell
+        path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n", encoding="utf-8")
+        assert main(["labels", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and f"tweet {cells[0]!r}" in err
 
     def test_features_csv_with_wrong_response_column_exits_one(
         self, baseline, tmp_path, capsys

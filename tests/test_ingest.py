@@ -23,12 +23,14 @@ from echospread.ingest import (
     write_records_jsonl,
 )
 from helpers import (
+    _first_by_id,
     named_cascades,
     named_seed_pair_users,
     reference_build_cascades,
     reference_filter_corpus,
     reference_record_from_obj,
     reference_seed_pair_users,
+    topical_records,
 )
 
 
@@ -54,7 +56,7 @@ def obj(tweet_id, user_id="u", timestamp=0, text="climate talk", **kw):
 def eligible_users(records):
     """The eligible users as ``ingest`` counts them: the seed-pair users of
     the topical records."""
-    return set().union(*named_seed_pair_users(filter_corpus(records)).values())
+    return set().union(*named_seed_pair_users(topical_records(records)).values())
 
 
 def write_jsonl(path, objs):
@@ -189,23 +191,23 @@ class TestParseRecords:
 
 class TestFilterCorpus:
     def test_case_insensitive_substring(self):
-        topical = filter_corpus([rec("t1", text="The CLIMATE emergency")])
+        topical = topical_records([rec("t1", text="The CLIMATE emergency")])
         assert [r.tweet_id for r in topical] == ["t1"]
 
     def test_off_topic_dropped(self):
-        topical = filter_corpus([rec("t1", text="kittens are soft")])
+        topical = topical_records([rec("t1", text="kittens are soft")])
         assert topical == []
 
     def test_reply_excluded(self):
-        topical = filter_corpus([rec("t1", reply_to="t0", lang="en")])
+        topical = topical_records([rec("t1", reply_to="t0", lang="en")])
         assert topical == []
 
     def test_disallowed_lang_dropped(self):
-        topical = filter_corpus([rec("t1", lang="de"), rec("t2", lang="en")])
+        topical = topical_records([rec("t1", lang="de"), rec("t2", lang="en")])
         assert [r.tweet_id for r in topical] == ["t2"]
 
     def test_missing_lang_dropped_under_allow_list(self):
-        topical = filter_corpus([rec("t1", lang=None)])
+        topical = topical_records([rec("t1", lang=None)])
         assert topical == []
 
     def test_retweet_follows_origin_retention(self):
@@ -213,7 +215,7 @@ class TestFilterCorpus:
             rec("o1", user_id="a", text="climate update", lang="en"),
             rec("r1", user_id="b", text="RT @a: climate up...", retweet_of="o1", lang="en"),
         ]
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         assert {r.tweet_id for r in topical} == {"o1", "r1"}
 
     def test_retweet_of_reply_dropped(self):
@@ -221,11 +223,17 @@ class TestFilterCorpus:
             rec("o1", user_id="a", text="climate update", reply_to="x", lang="en"),
             rec("r1", user_id="b", text="RT @a: climate update", retweet_of="o1", lang="en"),
         ]
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         assert topical == []
 
+    def test_repeated_tweet_id_raises(self):
+        """The roots align with the records, so each record needs its own id;
+        ``parse_records`` keeps the first occurrence of each."""
+        with pytest.raises(ValueError, match="distinct tweet ids"):
+            filter_corpus([rec("o"), rec("r", retweet_of="o"), rec("o", user_id="v")])
+
     def test_orphan_retweet_tested_on_own_fields(self):
-        topical = filter_corpus(
+        topical = topical_records(
             [rec("r1", text="RT @a: climate update", retweet_of="gone", lang="en")]
         )
         assert [r.tweet_id for r in topical] == ["r1"]
@@ -409,8 +417,8 @@ class TestCorpusProperties:
     @given(corpora(wide=True))
     @settings(max_examples=300)
     def test_filter_is_idempotent(self, records):
-        topical = filter_corpus(records)
-        again = filter_corpus(topical)
+        topical = topical_records(records)
+        again = topical_records(topical)
         assert again == topical
         assert eligible_users(topical) == eligible_users(records)
 
@@ -429,7 +437,7 @@ class TestCorpusProperties:
     @settings(max_examples=150)
     def test_event_count_bounded_by_topical_records(self, records):
         # all retweet targets exist in the corpus, so no stub inflation
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         cascades, _ = named_cascades(topical)
         total = sum(1 + len(c.retweeters) for c in cascades)
         assert total <= len(topical)
@@ -494,7 +502,7 @@ class TestChainReference:
     @given(corpora(wide=True))
     @settings(max_examples=400)
     def test_topical_records_and_cascades_equal_reference(self, records):
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         ref_topical, ref_eligible = reference_filter_corpus(records)
         assert topical == ref_topical
         assert set().union(*named_seed_pair_users(topical).values()) == ref_eligible
@@ -506,8 +514,21 @@ class TestChainReference:
 
     @given(corpora(wide=True))
     @settings(max_examples=400)
+    def test_filter_roots_are_the_chain_roots_of_the_topical_records(self, records):
+        """Every record on a kept record's chain is kept too, so the filter's
+        walk gives each kept record the root that a walk of the kept records
+        gives it, with or without replies excluded."""
+        topical, roots = filter_corpus(list(_first_by_id(records).values()))
+        assert topical == topical_records(records)
+        for exclude_replies in (False, True):
+            walked = chain_roots(topical, exclude_replies)
+            assert len(roots) == len(walked)
+            assert all(a is b for a, b in zip(roots, walked))
+
+    @given(corpora(wide=True))
+    @settings(max_examples=400)
     def test_seed_pairs_equal_reference_without_a_cycle(self, records):
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         assert named_seed_pair_users(topical) == reference_seed_pair_users(topical, SEED_PAIRS)
         if not has_cycle(records):
             assert named_seed_pair_users(records) == reference_seed_pair_users(records, SEED_PAIRS)
@@ -520,7 +541,7 @@ class TestChainReference:
             rec("z", user_id="d", text="#ClimateHoax", retweet_of="x"),
         ]
         assert named_seed_pair_users(records)[("climate", "hoax")] == {"a"}
-        assert [r.tweet_id for r in filter_corpus(records)] == ["o"]
+        assert [r.tweet_id for r in topical_records(records)] == ["o"]
         cascades, report = named_cascades(records)
         assert [c.tweet_id for c in cascades] == ["o"]
         assert report.dropped_cycles == 3
@@ -535,7 +556,7 @@ class TestChainReference:
             for k in reversed(range(n))
         ]
         start = time.perf_counter()
-        topical = filter_corpus(records)
+        topical = topical_records(records)
         users = named_seed_pair_users(records)
         cascades, report = named_cascades(records)
         assert time.perf_counter() - start < 1.0

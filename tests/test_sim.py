@@ -296,9 +296,9 @@ class TestRoundTrip:
 
         records, report = parse_records(paths["tweets"])
         assert report.malformed == 0
-        kept = filter_corpus(records)
+        kept, roots = filter_corpus(records)
         assert len(kept) == len(records)
-        cascades, _ = build_cascades(kept, chain_roots(kept), world.users)
+        cascades, _ = build_cascades(kept, roots, world.users)
         follow, dropped = build_follower_network(paths["edges"], set(world.users))
         assert dropped == 0
         groups = world_groups(world)
