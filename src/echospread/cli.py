@@ -240,7 +240,8 @@ class Workspace:
     Users are ids into one sorted user table, ``users``, from the cascades
     on; only the artifact writers and read-backs convert names. The seed
     pairs and the cascades share ``roots``, aligned with ``filtered``: the
-    roots of the filter's walk, or else of one walk of ``filtered.jsonl``.
+    roots of the filter's walk, or else of one walk of ``filtered.jsonl``;
+    ``network`` drops them once both are built.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -371,6 +372,7 @@ def stage_network(ws: Workspace) -> dict:
     write_csv(ws.config.out / "retweet_edges.csv", ["a", "b"],
               ((ws.users[a], ws.users[b]) for a, b in comp.edges()))
     ws.network = comp  # as read back, except that a lone node is kept
+    del ws.roots  # the seed pairs and the cascades are built: nothing reads them again
     return {
         "cascades": report.cascades,
         "stub_origins": report.stub_origins,
@@ -427,7 +429,7 @@ def stage_virality(ws: Workspace) -> dict:
     """Each cascade is scored where its ledger is built: the pool gets
     cascade indices and returns rows and estimates, in tweet-id order."""
     config = ws.config
-    cascades = sorted(ws.cascades[0], key=lambda c: c.tweet_id)
+    cascades, _ = ws.cascades
     follow, dropped_edges = build_follower_network(
         _require(config.edges, "edges file"), ws.users
     )
@@ -464,7 +466,7 @@ def stage_words(ws: Workspace) -> dict:
     groups = ws.groups
     activist = ws.activist
     texts: dict[int, list[str]] = {0: [], 1: []}
-    for cascade in sorted(cascades, key=lambda c: c.tweet_id):
+    for cascade in cascades:
         if cascade.author >= 0 and groups[cascade.author] >= 0:
             texts[int(groups[cascade.author])].append(cascade.text)
     rows_act, rows_ske = word_diff_table(

@@ -13,15 +13,18 @@ The bisection is a self-contained multilevel partitioner: heavy-edge-matching
 coarsening, greedy initial growing, and Fiduccia-Mattheyses-style refinement
 with a balance constraint. It is deterministic for a fixed seed.
 
-Growing, rebalancing and FM moves each pick the next node from a min-heap
-keyed ``(-gain, v)``: among the admissible nodes of maximal gain (or
-attachment), the lowest index, the node a full scan would pick. The output
-bytes depend on that tie-break. A changed gain pushes a fresh entry, and an
-entry whose node moved, got locked or no longer has that gain is dropped
-when it surfaces. FM keeps one heap per side, skips a side that no node may
-leave, and sets aside the entries above a side's balance cap while it looks
-for that side's best admissible entry. A move then costs O(deg log m)
-amortized instead of a scan of all nodes.
+Each level is refined by one routine, ``_refine``. A pass scans the gains
+and the cut once, moves nodes off a side over the balance cap, then makes FM
+moves; rebalancing and FM share one move rule. Growing and each move pick
+the next node from a min-heap keyed ``(-gain, v)``: among the admissible
+nodes of maximal gain (or attachment), the lowest index, the node a full
+scan would pick. The output bytes depend on that tie-break. A changed gain
+or side pushes a fresh entry, and an entry whose node changed sides, got
+locked or no longer has that gain is dropped when it surfaces. A pass keeps
+one heap per side; FM skips a side that no node may leave, and sets aside
+the entries above a side's balance cap while it looks for that side's best
+admissible entry. A move then costs O(deg log m) amortized instead of a
+scan of all nodes.
 """
 
 from __future__ import annotations
@@ -236,15 +239,6 @@ def allowed_group_size(total_weight: int, balance_tol: float) -> int:
     return max(cap, (total_weight + 1) // 2)
 
 
-def _cut_weight(adj: list[dict[int, int]], side: list[int]) -> int:
-    cut = 0
-    for v, nbrs in enumerate(adj):
-        for u, w in nbrs.items():
-            if u > v and side[u] != side[v]:
-                cut += w
-    return cut
-
-
 def _match_heavy_edges(
     adj: list[dict[int, int]], rng: random.Random
 ) -> list[int]:
@@ -324,79 +318,79 @@ def _grow_partition(
     return side
 
 
-def _gains(adj: list[dict[int, int]], side: list[int]) -> list[int]:
+def _gains(adj: list[dict[int, int]], side: list[int]) -> tuple[list[int], int]:
+    """Each node's gain, how much the cut falls if it alone switches sides,
+    and the cut, from one scan."""
     gains = []
+    twice_cut = 0
     for v, nbrs in enumerate(adj):
-        g = 0
+        s = side[v]
+        g = ext = 0
         for u, w in nbrs.items():
-            g += w if side[u] != side[v] else -w
+            if side[u] == s:
+                g -= w
+            else:
+                g += w
+                ext += w
         gains.append(g)
-    return gains
+        twice_cut += ext
+    return gains, twice_cut // 2
 
 
-def _side_heaps(gains: list[int], side: list[int]) -> list[list[tuple[int, int]]]:
-    """One min-heap of ``(-gain, v)`` per side."""
-    heaps: list[list[tuple[int, int]]] = [[], []]
-    for v, s in enumerate(side):
-        heaps[s].append((-gains[v], v))
-    for heap in heaps:
-        heapify(heap)
-    return heaps
-
-
-def _rebalance(
-    adj: list[dict[int, int]],
-    node_w: list[int],
-    side: list[int],
-    allowed: int,
-) -> None:
-    """Move max-gain nodes off the heavy side until the balance cap holds."""
-    w_side = [0, 0]
-    for v, s in enumerate(side):
-        w_side[s] += node_w[v]
-    gains = _gains(adj, side)
-    heaps = _side_heaps(gains, side)
-    while max(w_side) > allowed:
-        heavy = 0 if w_side[0] >= w_side[1] else 1
-        heap = heaps[heavy]
-        g, v = heappop(heap)
-        while side[v] != heavy or gains[v] != -g:
-            g, v = heappop(heap)
-        side[v] = 1 - heavy
-        w_side[heavy] -= node_w[v]
-        w_side[1 - heavy] += node_w[v]
-        gains[v] = -gains[v]
-        heappush(heaps[1 - heavy], (-gains[v], v))
-        for u, w in adj[v].items():
-            gains[u] += 2 * w if side[u] == heavy else -2 * w
-            heappush(heaps[side[u]], (-gains[u], u))
-
-
-def _fm_refine(
+def _refine(
     adj: list[dict[int, int]],
     node_w: list[int],
     side: list[int],
     allowed: int,
 ) -> int:
-    """FM refinement: sequences of locked moves, keeping the best prefix, for
-    at most 30 passes.
+    """Rebalance, then FM refinement: sequences of locked moves, keeping the
+    best prefix, for at most 30 passes.
 
+    While a side is over the balance cap, its max-gain node moves off it.
     Returns the final cut weight. The final state admits no single-node move
     that both respects the balance cap and strictly reduces the cut.
     """
     n = len(adj)
     min_w = min(node_w)
-    cut = _cut_weight(adj, side)
     for _ in range(30):
+        gains, cut = _gains(adj, side)
         w_side = [0, 0]
+        heaps: list[list[tuple[int, int]]] = [[], []]
         for v, s in enumerate(side):
             w_side[s] += node_w[v]
-        gains = _gains(adj, side)
-        heaps = _side_heaps(gains, side)
+            heaps[s].append((-gains[v], v))
+        for heap in heaps:
+            heapify(heap)
         locked = [False] * n
+
+        def move(v: int) -> None:
+            """Switch v's side, keeping the weights, the cut and the unlocked
+            nodes' gains and heap entries exact."""
+            nonlocal cut
+            s = side[v]
+            side[v] = 1 - s
+            w_side[s] -= node_w[v]
+            w_side[1 - s] += node_w[v]
+            cut -= gains[v]
+            gains[v] = -gains[v]
+            if not locked[v]:
+                heappush(heaps[1 - s], (-gains[v], v))
+            for u, w in adj[v].items():
+                if not locked[u]:
+                    gains[u] += 2 * w if side[u] == s else -2 * w
+                    heappush(heaps[side[u]], (-gains[u], u))
+
+        # only a first pass can start over the cap: FM moves keep to it
+        while max(w_side) > allowed:
+            heavy = 0 if w_side[0] >= w_side[1] else 1
+            heap = heaps[heavy]
+            g, v = heappop(heap)
+            while side[v] != heavy or gains[v] != -g:
+                g, v = heappop(heap)
+            move(v)
+
+        start = best_cut = cut
         moves: list[int] = []
-        cur = cut
-        best_cut = cut
         best_len = 0
         while True:
             pick = None
@@ -409,7 +403,8 @@ def _fm_refine(
                 aside = []
                 while heap:
                     g, v = heap[0]
-                    if locked[v] or gains[v] != -g:
+                    # a node the rebalance moved may leave a matching entry
+                    if locked[v] or side[v] != s or gains[v] != -g:
                         heappop(heap)
                     elif node_w[v] > cap:
                         aside.append(heappop(heap))
@@ -421,27 +416,18 @@ def _fm_refine(
                     heappush(heap, entry)
             if pick is None:
                 break
-            best_g, best_v = -pick[0], pick[1]
-            s = side[best_v]
-            side[best_v] = 1 - s
-            w_side[s] -= node_w[best_v]
-            w_side[1 - s] += node_w[best_v]
-            cur -= best_g
-            locked[best_v] = True
-            moves.append(best_v)
-            for u, w in adj[best_v].items():
-                if not locked[u]:
-                    gains[u] += 2 * w if side[u] == s else -2 * w
-                    heappush(heaps[side[u]], (-gains[u], u))
-            if cur < best_cut:
-                best_cut = cur
+            v = pick[1]
+            locked[v] = True
+            moves.append(v)
+            move(v)
+            if cut < best_cut:
+                best_cut = cut
                 best_len = len(moves)
         for v in moves[best_len:]:
             side[v] = 1 - side[v]
-        if best_cut >= cut:
+        if best_cut >= start:
             break
-        cut = best_cut
-    return cut
+    return best_cut
 
 
 def bisect_partition(
@@ -491,8 +477,7 @@ def bisect_partition(
         side = _grow_partition(c_adj, c_w, start, allowed_c)
         if len(set(side)) < 2:
             continue
-        _rebalance(c_adj, c_w, side, allowed_c)
-        cut = _fm_refine(c_adj, c_w, side, allowed_c)
+        cut = _refine(c_adj, c_w, side, allowed_c)
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best_side = side
@@ -506,8 +491,7 @@ def bisect_partition(
             side = [side[c] for c in maps[level]]
         level_adj, level_w = levels[level]
         allowed = cap(level_w, strict=level == 0)
-        _rebalance(level_adj, level_w, side, allowed)
-        cut = _fm_refine(level_adj, level_w, side, allowed)  # level 0's is the result's
+        cut = _refine(level_adj, level_w, side, allowed)  # level 0's is the result's
 
     if side[0] == 1:
         side = [1 - s for s in side]

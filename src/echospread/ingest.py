@@ -296,7 +296,8 @@ def build_cascades(
     A retweet joins the cascade of its chain root, or of the absent tweet
     that root retweets; a retweet without a root (a cycle) is dropped and
     counted. Repeated retweets by one user collapse to the earliest event.
-    Retweets whose origin record is absent make a stub origin cascade.
+    Retweets whose origin record is absent make a stub origin cascade. The
+    cascades come in tweet-id order.
     """
     report = CascadeReport()
     index = {u: k for k, u in enumerate(users)}
@@ -332,10 +333,11 @@ def build_cascades(
                                 timestamp_inversion=inverted))
         report.inversions += int(inverted)
 
-    for origin_id in sorted(grouped):
-        retweets = collapse(grouped[origin_id])
+    for origin_id, events in grouped.items():
+        retweets = collapse(events)
         cascades.append(Cascade(origin_id, retweets[0].text, -1, ids(retweets)))
         report.stub_origins += 1
 
+    cascades.sort(key=lambda c: c.tweet_id)
     report.cascades = len(cascades)
     return cascades, report

@@ -522,7 +522,6 @@ def cv_select_lambda(
     y: np.ndarray,
     groups: Groups,
     config: LassoConfig,
-    fold_ids: Sequence[int] | None = None,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """K-fold CV over a geometric grid with warm starts down the path.
 
@@ -536,13 +535,8 @@ def cv_select_lambda(
         raise ValueError("need at least one row per fold")
     layout = _check_groups(groups, X.shape[1])
 
-    if fold_ids is not None:
-        fold_ids = np.asarray(list(fold_ids))
-        fold_labels = sorted(set(fold_ids.tolist()))
-        folds = [np.flatnonzero(fold_ids == k) for k in fold_labels]
-    else:
-        order = _fold_order(config.seed, n)
-        folds = [np.sort(part) for part in np.array_split(order, config.folds)]
+    order = _fold_order(config.seed, n)
+    folds = [np.sort(part) for part in np.array_split(order, config.folds)]
     if any(len(f) == 0 for f in folds):
         raise ValueError("fold with zero rows; reduce folds")
 

@@ -114,12 +114,12 @@ def cross_group_counts(
     threshold: int = 10,
     activist_group: int = 0,
 ) -> tuple[list[SpreadCount], SpreadSummary]:
-    """Per-tweet classified retweeter counts per group, plus how many
-    tweets exceed the threshold in both groups; ``groups`` is the partition
-    over the cascades' user table."""
+    """Per-tweet classified retweeter counts per group, in the cascades'
+    order, plus how many tweets exceed the threshold in both groups;
+    ``groups`` is the partition over the cascades' user table."""
     counts: list[SpreadCount] = []
     qualifying = 0
-    for cascade in sorted(cascades, key=lambda c: c.tweet_id):
+    for cascade in cascades:
         per_group = classified_counts(cascade, groups)
         activist = per_group[activist_group]
         skeptic = per_group[1 - activist_group]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -155,13 +156,18 @@ def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) 
     )
 
 
+# a number as ``.12g`` writes it
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
+
+
 def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
     """The estimates of a ``write_virality_csv`` file, in row order, one per tweet id.
 
     A bad cell is a ValueError naming the file and the tweet id: ``group``
     must be 0 or 1, the counts ASCII digits, ``boundary`` a ``Boundary``
     value, and ``r_hat`` and ``ln_r`` empty exactly for zero successes and
-    finite numbers otherwise.
+    otherwise finite numbers in the writer's form, ``ln_r`` the log of
+    ``r_hat`` within ``1e-9 * max(1, abs(ln_r))``.
     """
     estimates = []
     rows = by_key(path, read_rows(path, VIRALITY_COLUMNS))
@@ -172,10 +178,16 @@ def read_virality_csv(path: str | Path) -> list[ViralityEstimate]:
             if not all(c.isascii() and c.isdigit() for c in counts):
                 raise ValueError(f"counts {counts} are not all nonnegative integers")
             kind = Boundary(boundary)
-            values = [float(v) for v in (r_hat, ln_r) if v]
+            cells = [v for v in (r_hat, ln_r) if v]
             expected = 0 if kind is Boundary.ZERO_SUCCESSES else 2
-            if len(values) != expected or not all(map(math.isfinite, values)):
+            if len(cells) != expected or not all(map(_NUMBER.fullmatch, cells)):
                 raise ValueError(f"r_hat {r_hat!r} and ln_r {ln_r!r} do not fit {boundary}")
+            values = [float(v) for v in cells]
+            if values and not (
+                all(map(math.isfinite, values)) and values[0] > 0
+                and abs(values[1] - math.log(values[0])) <= 1e-9 * max(1.0, abs(values[1]))
+            ):
+                raise ValueError(f"ln_r {ln_r!r} is not the log of r_hat {r_hat!r}")
         except ValueError as error:
             raise ValueError(f"{path}: tweet {tweet_id!r}: {error}") from error
         r, ln = values or (None, None)

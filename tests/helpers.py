@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from echospread.exposure import ExposureLedger
-from echospread.graph import FollowerNetwork, _cut_weight, _gains, table_id
+from echospread.graph import FollowerNetwork, table_id
 from echospread.ingest import (
     _OPTIONAL,
     _REQUIRED,
@@ -787,6 +787,21 @@ def reference_grow_partition(
     return side
 
 
+def reference_gains(adj: list[dict[int, int]], side: list[int]) -> list[int]:
+    """How much the cut falls if each node alone switches sides."""
+    return [
+        sum(w if side[u] != side[v] else -w for u, w in nbrs.items())
+        for v, nbrs in enumerate(adj)
+    ]
+
+
+def reference_cut(adj: list[dict[int, int]], side: list[int]) -> int:
+    """The weight of the edges whose ends are on different sides, each once."""
+    return sum(
+        w for v, nbrs in enumerate(adj) for u, w in nbrs.items() if u > v and side[u] != side[v]
+    )
+
+
 def reference_rebalance(
     adj: list[dict[int, int]],
     node_w: list[int],
@@ -797,7 +812,7 @@ def reference_rebalance(
     w_side = [0, 0]
     for v, s in enumerate(side):
         w_side[s] += node_w[v]
-    gains = _gains(adj, side)
+    gains = reference_gains(adj, side)
     while max(w_side) > allowed:
         heavy = 0 if w_side[0] >= w_side[1] else 1
         movable = [v for v in range(len(side)) if side[v] == heavy]
@@ -823,12 +838,12 @@ def reference_fm_refine(
     that both respects the balance cap and strictly reduces the cut.
     """
     n = len(adj)
-    cut = _cut_weight(adj, side)
+    cut = reference_cut(adj, side)
     for _ in range(max_passes):
         w_side = [0, 0]
         for v, s in enumerate(side):
             w_side[s] += node_w[v]
-        gains = _gains(adj, side)
+        gains = reference_gains(adj, side)
         locked = [False] * n
         moves: list[int] = []
         cur = cut
@@ -1147,7 +1162,8 @@ def reference_build_cascades(
     Retweet chains are resolved to their ultimate origin; unresolvable
     cycles are dropped and counted. Repeated retweets by one user collapse
     to the earliest event. Retweets whose origin record is absent get a
-    synthesized stub origin and the cascade is flagged.
+    synthesized stub origin and the cascade is flagged. The cascades come in
+    tweet-id order.
     """
     report = CascadeReport()
     by_id = _first_by_id(records)
@@ -1195,4 +1211,4 @@ def reference_build_cascades(
         report.stub_origins += 1
 
     report.cascades = len(cascades)
-    return cascades, report
+    return sorted(cascades, key=lambda c: c.origin.tweet_id), report

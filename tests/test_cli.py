@@ -376,6 +376,21 @@ class TestParseOnce:
         assert counts == {"run": 1, "ingest": 1, "network": 1, "partition": 1, "virality": 1,
                           "words": 1, "spread": 1, "labels": 1, "regress": 0}
 
+    def test_run_drops_the_chain_roots_after_network(self, monkeypatch, tmp_path):
+        """Nothing reads the roots once the seed pairs and the cascades are
+        built, so they do not stay alive for the later stages."""
+        held = {}
+        real = cli.run_stage
+
+        def recording(ws, name):
+            code = real(ws, name)
+            held[name] = "roots" in vars(ws)
+            return code
+
+        monkeypatch.setattr(cli, "run_stage", recording)
+        assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        assert held == {"ingest": True, **dict.fromkeys(STAGE_NAMES[1:], False)}
+
     def test_run_maps_no_name_to_an_id_after_the_cascades(self, baseline, monkeypatch, tmp_path):
         """The seed-pair users, the retweet network and the groups stay on the
         user table's ids; only a read-back looks a name up."""
@@ -744,6 +759,11 @@ class TestInputValidation:
             ("failures", "\u0669"),
             ("exposed", " 11"),
             ("r_hat", ""),
+            # ``float`` reads these three as the written 0.775327758802
+            ("r_hat", " 0.775327758802"),
+            ("r_hat", "0.77_5327758802"),
+            ("r_hat", "+0.775327758802"),
+            ("ln_r", "-0.5"),  # a number, but not the log of r_hat
             ("ln_r", "inf"),
             ("ln_r", "x"),
             ("boundary", "bogus"),
@@ -760,7 +780,7 @@ class TestInputValidation:
         path = out / "virality.csv"
         header, first, *rows = path.read_text(encoding="utf-8").splitlines()
         cells = first.split(",")
-        assert cells[-1] == "interior"
+        assert cells[:1] + cells[5:] == ["t000", "0.775327758802", "-0.254469424449", "interior"]
         cells[header.split(",").index(column)] = cell
         path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n", encoding="utf-8")
         assert main(["labels", "--config", str(CONFIG), "--out", str(out)]) == EXIT_INPUT

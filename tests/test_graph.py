@@ -9,16 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echospread.csvio import write_csv
 from echospread.graph import (
     FollowerNetwork,
     RetweetNetwork,
-    _fm_refine,
     _grow_partition,
-    _rebalance,
+    _refine,
     allowed_group_size,
     bisect_partition,
     build_retweet_network,
@@ -476,6 +475,34 @@ def groups_digest(net, result):
     return hashlib.sha256(rows.encode()).hexdigest()[:16]
 
 
+def refine_case(seed, n, unit):
+    """A random graph and sides, with a cap ``bisect_partition`` passes:
+    ``allowed_group_size`` at unit weights, and at least ``total // 2`` plus
+    the largest node weight at the coarse levels."""
+    rng = np.random.default_rng(seed)
+    adj, node_w = weighted_graph(rng, n, unit)
+    side = [int(s) for s in rng.integers(0, 2, size=n)]
+    total = sum(node_w)
+    if unit:
+        allowed = allowed_group_size(total, float(rng.choice([0.0, 0.05, 0.1, 0.3])))
+    else:
+        allowed = total // 2 + max(node_w) + int(rng.integers(0, total // 2 + 1))
+    return adj, node_w, side, allowed
+
+
+# moving node 0 (gain 6, weight 4) off side 0 puts side 1 over the cap
+HEAVY_SIDE_FLIP = ([{3: 3, 4: 3}, {}, {}, {0: 3}, {0: 3}], [4, 1, 1, 1, 1], [0, 0, 0, 1, 1], 5)
+# the rebalance moves node 0, of gain 0, off side 1: side 1's heap keeps a
+# (0, 0) entry that matches node 0's negated gain, and FM must skip it
+STALE_ZERO_GAIN = (
+    [{2: 1, 5: 1}, {3: 1, 4: 1, 5: 1, 6: 1}, {0: 1}, {1: 1, 4: 1, 5: 1},
+     {1: 1, 3: 1, 5: 1}, {0: 1, 1: 1, 3: 1, 4: 1}, {1: 1}],
+    [1] * 7,
+    [1, 1, 1, 1, 1, 0, 1],
+    4,
+)
+
+
 class TestHeapSelection:
     """The heaps pick the node the linear scans in tests/helpers.py pick:
     among the admissible nodes of maximal gain, the lowest index."""
@@ -484,57 +511,36 @@ class TestHeapSelection:
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=2, max_value=40),
         st.booleans(),
-        st.sampled_from(["side 0", "side 1", "any"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_grow_and_refine_equal_the_scans(self, seed, n, unit, cap):
+    def test_grow_equals_the_scan(self, seed, n, unit):
         rng = np.random.default_rng(seed)
         adj, node_w = weighted_graph(rng, n, unit)
-        side = [int(s) for s in rng.integers(0, 2, size=n)]
-        w_side = [sum(w for w, s in zip(node_w, side) if s == k) for k in (0, 1)]
-        # a cap at one side's weight leaves that side at it and may put the
-        # other over it; "any" runs from no admissible move to no cap at all
-        allowed = {
-            "side 0": w_side[0],
-            "side 1": w_side[1],
-            "any": int(rng.integers(0, sum(node_w) + 1)),
-        }[cap]
+        # from no admissible move to no cap at all
+        allowed = int(rng.integers(0, sum(node_w) + 1))
         start = int(rng.integers(n))
         assert _grow_partition(adj, node_w, start, allowed) == reference_grow_partition(
             adj, node_w, start, allowed
         )
-        heap_side, scan_side = side[:], side[:]
-        assert _fm_refine(adj, node_w, heap_side, allowed) == reference_fm_refine(
-            adj, node_w, scan_side, allowed
-        )
-        assert heap_side == scan_side
 
     @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=2, max_value=40),
-        st.booleans(),
+        st.builds(
+            refine_case,
+            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=2, max_value=40),
+            st.booleans(),
+        )
     )
-    @settings(max_examples=200, deadline=None)
-    def test_rebalance_equals_the_scan(self, seed, n, unit):
-        rng = np.random.default_rng(seed)
-        adj, node_w = weighted_graph(rng, n, unit)
-        side = [int(s) for s in rng.integers(0, 2, size=n)]
-        total = sum(node_w)
-        # the caps bisect_partition passes: at least total // 2 + max weight
-        allowed = total // 2 + max(node_w) + int(rng.integers(0, total // 2 + 1))
+    @example(HEAVY_SIDE_FLIP)
+    @example(STALE_ZERO_GAIN)
+    @settings(max_examples=300, deadline=None)
+    def test_refine_equals_rebalance_then_fm_scans(self, case):
+        adj, node_w, side, allowed = case
         heap_side, scan_side = side[:], side[:]
-        _rebalance(adj, node_w, heap_side, allowed)
+        cut = _refine(adj, node_w, heap_side, allowed)
         reference_rebalance(adj, node_w, scan_side, allowed)
+        assert cut == reference_fm_refine(adj, node_w, scan_side, allowed)
         assert heap_side == scan_side
-
-    def test_rebalance_follows_a_heavy_side_that_flips(self):
-        # moving node 0 (gain 6, weight 4) off side 0 puts side 1 over the cap
-        adj = [{3: 3, 4: 3}, {}, {}, {0: 3}, {0: 3}]
-        node_w = [4, 1, 1, 1, 1]
-        heap_side, scan_side = [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]
-        _rebalance(adj, node_w, heap_side, 5)
-        reference_rebalance(adj, node_w, scan_side, 5)
-        assert heap_side == scan_side == [1, 0, 0, 0, 1]
 
     @pytest.mark.parametrize(
         "build, digest, cut",

@@ -160,8 +160,6 @@ def test_scanner_flags_an_unpassed_default():
 
 # Defaults that stay although no call in the package passes them.
 UNPASSED_DEFAULTS = {
-    # The tests' exact-copy folds oracle fixes the fold of every row.
-    "lasso.cv_select_lambda.fold_ids",
     # The entry point reads sys.argv; tests pass argument lists.
     "cli.main.argv",
 }

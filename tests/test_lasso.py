@@ -398,9 +398,10 @@ class TestCrossValidation:
         np.testing.assert_allclose(fit.beta[0:3], beta[0:3], atol=0.15)
         assert len(fit.cv_curve) == 40
 
-    def test_duplicated_folds_match_training_error(self):
+    def test_duplicated_folds_match_training_error(self, monkeypatch):
         """Folds that are exact copies validate on the training distribution,
-        so the CV curve must equal the single-copy training error curve."""
+        so the CV curve must equal the single-copy training error curve. With
+        rows in order, ``array_split`` cuts the three copies apart."""
         rng = np.random.default_rng(22)
         X1 = rng.normal(size=(20, 4))
         y1 = X1 @ np.array([0.6, 0.0, -0.4, 0.0]) + 0.2 * rng.normal(size=20)
@@ -408,8 +409,8 @@ class TestCrossValidation:
         y = np.concatenate([y1, y1, y1])
         groups = tuple((j,) for j in range(4))
         cfg = LassoConfig(lambda_grid=12, folds=3)
-        fold_ids = [0] * 20 + [1] * 20 + [2] * 20
-        _, curve = cv_select_lambda(X, y, groups, cfg, fold_ids=fold_ids)
+        monkeypatch.setattr(lasso, "_fold_order", lambda seed, n: np.arange(n))
+        _, curve = cv_select_lambda(X, y, groups, cfg)
         for lam, mse in curve:
             fit = fit_group_lasso(X1, y1, groups, lam)
             train_mse = float(np.mean((y1 - fit.intercept - X1 @ fit.beta) ** 2))

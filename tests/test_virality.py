@@ -1,6 +1,8 @@
 """Activity computation and MLE virality against independent oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from echospread.ingest import TweetRecord, compute_activities
 from echospread.virality import (
     Boundary,
+    ViralityEstimate,
     activity_array,
     mle_virality,
     read_virality_csv,
@@ -264,6 +267,18 @@ class TestViralityCsv:
             for value, written in ((got.r_hat, est.r_hat), (got.ln_r, est.ln_r)):
                 assert value == (None if written is None else float(f"{written:.12g}"))
         assert again[2].r_hat is None and again[2].boundary is Boundary.ZERO_SUCCESSES
+
+    @given(st.floats(min_value=5e-324, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_any_written_estimate_reads_back(self, r):
+        """Every ``.12g`` cell the writer makes passes the read-back's form and
+        log checks, subnormal and huge ``r_hat`` included."""
+        est = ViralityEstimate("t1", 0, 1, 1, 2, r, math.log(r), Boundary.INTERIOR)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "virality.csv"
+            write_virality_csv([est], path)
+            (got,) = read_virality_csv(path)
+        assert got.r_hat == float(f"{r:.12g}")
 
 
 # Names whose sorted order differs from their numeric order.
