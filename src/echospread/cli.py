@@ -552,9 +552,9 @@ def stage_regress(ws: Workspace) -> dict:
         )
         fit = fit_cv(X, y, groups, lasso_cfg)
         residual = kkt_residual_from_fit(X, y, groups, fit)
-        if residual > 1e-6:
+        if not residual <= 1e-6:  # a NaN residual fails too
             raise ConvergenceError(
-                f"{name}: KKT residual {residual:.3g} above 1e-6", fit.beta, residual
+                f"{name}: KKT residual {residual:.3g} not within 1e-6", fit.beta, residual
             )
         report = report_coefficients(fit, columns)
         write_regress_csv(report, config.out / f"regress_{name}.csv")

@@ -20,6 +20,19 @@ its objective is no higher than the current iterate's and its KKT residual
 is within the KKT tolerance, the certificate ISTA itself must pass;
 otherwise ISTA goes on.
 
+A cross-validation path is walked by continuation (Friedman, Hastie and
+Tibshirani, J. Stat. Softw. 2010) with that same Newton kernel. ISTA solves
+the first grid point below the fold's lambda_top. Newton then solves every
+later grid point at once on the current support, one stacked
+``np.linalg.solve`` per iteration, and one pass of the KKT certificate over
+the rows accepts the longest prefix within ``CV_KKT_TOL`` (a NaN residual
+never passes). Where the support changes, one prox step from the last
+accepted solution proposes the new support, which the kernel solves and the
+certificate judges in the same way; only if that fails does ISTA solve the
+grid point. Stacked products give every row the bits of its own call, so a
+path whose stacked rows are all rejected is the per-lambda loop's, bit for
+bit.
+
 The groups of a problem are split once into a layout: the singleton groups
 are thresholded together as arrays, and only the multi-column blocks are
 visited one at a time. Two choices keep every bit equal to the per-group
@@ -217,89 +230,129 @@ def _prox(v: np.ndarray, layout: _Layout, t: float) -> np.ndarray:
     return out
 
 
+def _rowdot(a: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, bit for bit ``row.dot(row)``: the
+    stacked matmul makes the same BLAS ``ddot`` call per contiguous row."""
+    a = np.ascontiguousarray(a)
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
 def _kkt_residual(
-    Gb: np.ndarray, c: np.ndarray, beta: np.ndarray, lam: float, layout: _Layout
-) -> float:
+    Gb: np.ndarray, c: np.ndarray, beta: np.ndarray, lam: float | np.ndarray, layout: _Layout
+) -> float | np.ndarray:
+    """Largest violation of the optimality conditions of each row of beta at
+    its penalty in lam (a float for a 1-D beta), NaN where any term is NaN."""
+    one = beta.ndim == 1
+    Gb, beta = Gb.reshape(-1, c.size), beta.reshape(-1, c.size)
+    lam = np.asarray(lam, dtype=float).reshape(-1, 1)
     res = c - Gb
-    r = res[layout.single_cols]
-    b = beta[layout.single_cols]
+    r = res.take(layout.single_cols, axis=1)
+    b = beta.take(layout.single_cols, axis=1)
     norm = np.sqrt(b * b)
-    active = norm > 0.0
+    active = norm != 0.0  # a NaN coefficient is active, so its term is NaN
     d = r - lam * b / np.where(active, norm, 1.0)
-    per_group = np.where(active, np.sqrt(d * d), np.sqrt(r * r) - lam)
-    # Python's max ignores a NaN that is not first, as the group loop did.
-    worst = max([0.0, *per_group.tolist()])
+    terms = [np.where(active, np.sqrt(d * d), np.sqrt(r * r) - lam)]
     for _, idx, w in layout.blocks:
-        r_g = res[idx]
-        b_g = beta[idx]
-        norm = math.sqrt(b_g.dot(b_g))
-        if norm > 0.0:
-            d = r_g - lam * w * b_g / norm
-            worst = max(worst, math.sqrt(d.dot(d)))
-        else:
-            worst = max(worst, math.sqrt(r_g.dot(r_g)) - lam * w)
-    return worst
+        r_g = res.take(idx, axis=1)
+        b_g = beta.take(idx, axis=1)
+        norm = np.sqrt(_rowdot(b_g))[:, None]
+        active = norm != 0.0
+        d = r_g - lam * w * b_g / np.where(active, norm, 1.0)
+        terms.append(np.where(active, np.sqrt(_rowdot(d))[:, None],
+                              np.sqrt(_rowdot(r_g))[:, None] - lam * w))
+    # np.max, unlike Python's max, keeps a NaN wherever it stands.
+    worst = np.concatenate(terms, axis=1).max(axis=1, initial=0.0)
+    return float(worst[0]) if one else worst
 
 
 def _penalty(b: np.ndarray, lam: float, layout: _Layout) -> float:
     return lam * sum((layout.w * layout.norms(b)).tolist())
 
 
-def _newton_finish(
-    G: np.ndarray, c: np.ndarray, lam: float, layout: _Layout, beta: np.ndarray
-) -> np.ndarray | None:
-    """Newton on the stationarity equations of beta's support, or None.
+def _newton_rows(
+    G: np.ndarray, c: np.ndarray, lams: np.ndarray, layout: _Layout, beta: np.ndarray
+) -> np.ndarray:
+    """Newton on the stationarity equations of beta's support at each penalty
+    in lams, started from beta: one row per penalty, NaN where it fails.
 
     With the active singletons' signs and the active blocks fixed, the
     optimum solves G_AA b - c_A + lam d(b) = 0, where d is sign(b_j) for a
-    singleton and w b_g / ||b_g|| for a block. Returns None when a singleton
-    changes sign or a block's norm reaches zero: the support was not final.
+    singleton and w b_g / ||b_g|| for a block. A row fails when a singleton
+    changes sign or a block's norm reaches zero (the support was not final);
+    a singular Jacobian fails every row still iterating. Their Jacobians are
+    stacked, so each iteration is one ``np.linalg.solve`` call, and every
+    row takes the steps it would take alone, bit for bit.
     """
     s = beta[layout.single_cols]
     on = s != 0.0
     sign = np.sign(s[on])
     n_single = int(on.sum())
     cols = [layout.single_cols[on]]
-    spans = []  # (start, stop, w) of each active block within the active set
+    spans = []  # (start, stop, w, identity) of each active block in the active set
     start = n_single
     for _, idx, w in layout.blocks:
         if beta[idx].any():
             cols.append(idx)
-            spans.append((start, start + idx.size, w))
+            spans.append((start, start + idx.size, w, np.eye(idx.size)))
             start += idx.size
     A = np.concatenate(cols)
-    G_AA = G[np.ix_(A, A)]
+    G_AA = G[A[:, None], A]
     c_A = c[A]
-    b = beta[A]
     # The ridge keeps J invertible where G_AA is singular (collinear columns,
     # or indicators that sum to the intercept); lstsq, pinv and eigh would
     # page in about a megabyte more on their first call than solve does.
-    ridge = 1e-10 * np.eye(A.size)
-    d = np.empty(A.size)
-    d[:n_single] = sign
-    for _ in range(12):
-        J = G_AA + ridge
-        for lo, hi, w in spans:
-            b_g = b[lo:hi]
-            norm = math.sqrt(b_g.dot(b_g))
-            if norm == 0.0:
-                return None
-            u = b_g / norm
-            d[lo:hi] = w * u
-            # The Jacobian of w b_g / ||b_g|| is w (I - u u') / ||b_g||.
-            J[lo:hi, lo:hi] += (lam * w / norm) * (np.eye(hi - lo) - np.outer(u, u))
-        F = G_AA @ b - c_A + lam * d
-        if not np.abs(F).max(initial=0.0) > 1e-15:
+    J0 = G_AA + 1e-10 * np.eye(A.size)
+    rows = np.full((lams.size, A.size), np.nan)
+    live = np.arange(lams.size)  # the rows still iterating, in grid order
+    b = np.repeat(beta[A][None], lams.size, axis=0)
+    lam = lams[:, None]
+    for it in range(13):  # 12 steps; the last pass only checks the last step
+        # A singleton that changed sign fails its row, and every row after
+        # it, which can no longer join a certified prefix.
+        keep = ~np.logical_or.accumulate(np.any(b[:, :n_single] * sign <= 0.0, axis=1))
+        if not keep.all():
+            live, b, lam = live[keep], b[keep], lam[keep]
+        if it == 12 or not live.size:
             break
+        broken = np.zeros(live.size, dtype=bool)
+        J = np.repeat(J0[None], live.size, axis=0)
+        d = np.empty_like(b)
+        d[:, :n_single] = sign
+        for lo, hi, w, eye in spans:
+            norm = np.sqrt(_rowdot(b[:, lo:hi]))[:, None]
+            zero = norm == 0.0
+            broken |= zero[:, 0]
+            norm[zero] = 1.0  # a broken row, kept from dividing by zero
+            u = b[:, lo:hi] / norm
+            d[:, lo:hi] = w * u
+            # The Jacobian of w b_g / ||b_g|| is w (I - u u') / ||b_g||.
+            outer = u[:, :, None] * u[:, None, :]
+            J[:, lo:hi, lo:hi] += (lam * w / norm)[:, :, None] * (eye - outer)
+        F = np.matmul(G_AA, b[:, :, None])[:, :, 0] - c_A + lam * d
+        done = ~(np.abs(F).max(axis=1, initial=0.0) > 1e-15) & ~broken
+        rows[live[done]] = b[done]
+        go = ~(done | np.logical_or.accumulate(broken))
+        if not go.all():
+            live, b, lam, J, F = live[go], b[go], lam[go], J[go], F[go]
+            if not live.size:
+                break
         try:
-            b = b - np.linalg.solve(J, F)
+            b = b - np.linalg.solve(J, F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return None
-        if np.any(b[:n_single] * sign <= 0.0):
-            return None
-    out = np.zeros_like(beta)
-    out[A] = b
+            live, b = live[:0], b[:0]
+            break
+    rows[live] = b
+    out = np.zeros((lams.size, beta.size))
+    out[:, A] = rows
     return out
+
+
+def _newton_finish(
+    G: np.ndarray, c: np.ndarray, lam: float, layout: _Layout, beta: np.ndarray
+) -> np.ndarray | None:
+    """``_newton_rows`` at one penalty, or None where it fails."""
+    out = _newton_rows(G, c, np.array([lam]), layout, beta)[0]
+    return None if np.isnan(out).any() else out
 
 
 def _solve_std(
@@ -517,13 +570,48 @@ def _fold_order(seed: int, n: int) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
+def _cv_path(
+    G: np.ndarray, c: np.ndarray, grid: np.ndarray, lam_top: float, layout: _Layout
+) -> np.ndarray:
+    """The solutions at every grid point, one row each: zero at or above
+    lam_top, below it each certified within ``CV_KKT_TOL`` (see the module
+    docstring)."""
+    path = np.zeros((grid.size, c.size))
+    j = int(np.count_nonzero(grid >= lam_top))
+    beta = np.zeros(c.size)
+    start = None  # where Newton starts next; None to solve grid[j] by ISTA
+    while j < grid.size:
+        if start is None:
+            beta, _, _ = _solve_std(
+                G, c, float(grid[j]), layout, beta, TOL, MAX_ITER, CV_KKT_TOL
+            )
+            path[j], start = beta, beta
+            j += 1
+            continue
+        rows = _newton_rows(G, c, grid[j:], layout, start)
+        Gb = np.matmul(G, rows[:, :, None])[:, :, 0]
+        certified = _kkt_residual(Gb, c, rows, grid[j:], layout) <= CV_KKT_TOL
+        n = certified.size if certified.all() else int(certified.argmin())
+        path[j : j + n] = rows[:n]
+        j += n
+        if n:
+            beta = rows[n - 1]
+        elif start is not beta:
+            start = None  # the proposed support failed as well
+            continue
+        if j < grid.size:
+            # The support changed at grid[j]: one prox step there proposes it.
+            start = _prox(beta - (G @ beta - c), layout, float(grid[j]))
+    return path
+
+
 def cv_select_lambda(
     X: np.ndarray,
     y: np.ndarray,
     groups: Groups,
     config: LassoConfig,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """K-fold CV over a geometric grid with warm starts down the path.
+    """K-fold CV over a geometric grid, each fold's path by ``_cv_path``.
 
     Returns (lambda_best, curve) where curve pairs each lambda with its mean
     validation squared error; ties resolve to the larger lambda.
@@ -547,19 +635,11 @@ def cv_select_lambda(
         mask[val_idx] = False
         X_val, y_val = X[val_idx], y[val_idx]
         cen = _center(X[mask], y[mask])
-        lam_top = _lam_top(cen.c, layout)
-        beta_std = np.zeros(X.shape[1])
-        for j, lam in enumerate(grid):
-            if lam >= lam_top:
-                beta_std = np.zeros(X.shape[1])
-            else:
-                beta_std, _, _ = _solve_std(
-                    cen.G, cen.c, float(lam), layout, beta_std, TOL, MAX_ITER, CV_KKT_TOL
-                )
-            beta = beta_std / cen.sd
-            intercept = cen.y_mean - float(beta @ cen.mu)
-            pred = intercept + X_val @ beta
-            errors[k, j] = float(np.mean((y_val - pred) ** 2))
+        path = _cv_path(cen.G, cen.c, grid, _lam_top(cen.c, layout), layout) / cen.sd
+        # Stacked products make the per-row BLAS calls of a per-lambda loop.
+        intercept = cen.y_mean - np.matmul(path[:, None, :], cen.mu[:, None])[:, 0, 0]
+        pred = intercept[:, None] + np.matmul(X_val, path[:, :, None])[:, :, 0]
+        errors[k] = np.mean((y_val - pred) ** 2, axis=1)
 
     mean_err = errors.mean(axis=0)
     best = select_best_lambda(grid, mean_err)

@@ -143,6 +143,8 @@ def mle_virality(ledger: ExposureLedger, alpha: np.ndarray) -> ViralityEstimate:
 
 
 def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) -> None:
+    """One row per estimate, in the order given (the virality stage's is
+    tweet-id order)."""
     write_csv(
         path,
         VIRALITY_COLUMNS,
@@ -151,7 +153,7 @@ def write_virality_csv(estimates: Iterable[ViralityEstimate], path: str | Path) 
              "" if est.r_hat is None else f"{est.r_hat:.12g}",
              "" if est.ln_r is None else f"{est.ln_r:.12g}",
              est.boundary.value]
-            for est in sorted(estimates, key=lambda e: e.tweet_id)
+            for est in estimates
         ),
     )
 

@@ -5,10 +5,10 @@ among them, the string-keyed follow graph,
 exposure ledger and MLE as reference copies, random ledgers, a reference
 exposure ledger, an exhaustive likelihood oracle, per-group references for
 the group-lasso prox, KKT residual and penalty, the ISTA-only group-lasso
-solver, the frozenset retweet network with its components and DOT export,
-the linear-scan bisection steps, the string-set simulator, and
-ingest's record builder, filter, seed-pair scan and cascade builder as they
-were before they shared one chain walk."""
+solver, the per-lambda cross-validation loop, the frozenset retweet network
+with its components and DOT export, the linear-scan bisection steps, the
+string-set simulator, and ingest's record builder, filter, seed-pair scan
+and cascade builder as they were before they shared one chain walk."""
 
 import math
 from dataclasses import dataclass, field
@@ -34,6 +34,7 @@ from echospread.ingest import (
     filter_corpus,
     seed_pair_users,
 )
+from echospread import lasso
 from echospread.lasso import ConvergenceError, _kkt_residual, _penalty, _prox
 from echospread.sim import SimCascade, SimConfig, _user_ids
 from echospread.virality import Boundary, ViralityEstimate, _dlog_likelihood, mle_virality
@@ -657,6 +658,52 @@ def reference_solve_std(G, c, lam, layout, beta0, tol, max_iter, kkt_tol):
         best_beta,
         best_res,
     )
+
+
+def reference_cv_select_lambda(X, y, groups, config):
+    """``lasso.cv_select_lambda`` before the path was solved by stacked
+    Newton continuation: one ``lasso._solve_std`` per grid point below each
+    fold's lambda_top, warm-started from the last, and one validation error
+    at a time. ``_solve_std`` is looked up at each call, so a patched solver
+    runs here too."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    if n < config.folds:
+        raise ValueError("need at least one row per fold")
+    layout = lasso._check_groups(groups, X.shape[1])
+
+    order = lasso._fold_order(config.seed, n)
+    folds = [np.sort(part) for part in np.array_split(order, config.folds)]
+    if any(len(f) == 0 for f in folds):
+        raise ValueError("fold with zero rows; reduce folds")
+
+    grid = lasso.lambda_grid(lasso._lam_top(lasso._center(X, y).c, layout), config.lambda_grid)
+    errors = np.zeros((len(folds), len(grid)))
+    for k, val_idx in enumerate(folds):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        X_val, y_val = X[val_idx], y[val_idx]
+        cen = lasso._center(X[mask], y[mask])
+        lam_top = lasso._lam_top(cen.c, layout)
+        beta_std = np.zeros(X.shape[1])
+        for j, lam in enumerate(grid):
+            if lam >= lam_top:
+                beta_std = np.zeros(X.shape[1])
+            else:
+                beta_std, _, _ = lasso._solve_std(
+                    cen.G, cen.c, float(lam), layout, beta_std,
+                    lasso.TOL, lasso.MAX_ITER, lasso.CV_KKT_TOL,
+                )
+            beta = beta_std / cen.sd
+            intercept = cen.y_mean - float(beta @ cen.mu)
+            pred = intercept + X_val @ beta
+            errors[k, j] = float(np.mean((y_val - pred) ** 2))
+
+    mean_err = errors.mean(axis=0)
+    best = lasso.select_best_lambda(grid, mean_err)
+    curve = tuple((float(l), float(e)) for l, e in zip(grid, mean_err))
+    return float(grid[best]), curve
 
 
 # The retweet network as frozensets of canonical name pairs, kept as it was

@@ -12,13 +12,13 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from echospread import cli, ingest, virality
+from echospread import cli, ingest, lasso, virality
 from echospread.cli import (
     EXIT_BUG,
     EXIT_INPUT,
@@ -32,6 +32,7 @@ from echospread.cli import (
     build_parser,
     main,
 )
+from echospread.labels import read_features_csv
 from echospread.lasso import ConvergenceError
 from echospread.sim import (
     GraphSpec,
@@ -222,6 +223,20 @@ class TestPipelineArtifacts:
     def test_selected_lambdas_pinned(self, baseline):
         regress = json.loads((baseline / "manifest.json").read_text())["stages"]["regress"]
         assert {g: regress[g]["lambda"].hex() for g in FIXTURE_LAMBDAS} == FIXTURE_LAMBDAS
+
+    def test_cv_paths_run_few_ista_solves(self, baseline, monkeypatch):
+        """The fixture's two CV paths (5 folds x 60 lambdas each) call
+        ``_solve_std`` only where Newton continuation cannot go on; the
+        per-lambda loop called it at all 597 grid points below a fold's
+        lambda_top."""
+        solve, calls = lasso._solve_std, []
+        monkeypatch.setattr(lasso, "_solve_std", lambda *args: calls.append(1) or solve(*args))
+        config = json.loads(CONFIG.read_text())
+        cfg = lasso.LassoConfig(config["lambda_grid"], config["folds"], config["seed"])
+        for name, pinned in FIXTURE_LAMBDAS.items():
+            X, y, groups, _ = read_features_csv(baseline / f"features_{name}.csv")
+            assert lasso.cv_select_lambda(X, y, groups, cfg)[0].hex() == pinned
+        assert len(calls) <= 20
 
 
 class TestByteDeterminism:
@@ -1183,6 +1198,20 @@ class TestExitCodes:
         assert "Traceback" in err and "KeyError: 'u0042'" in err
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert failure == {"stage": "words", "error": "'u0042'"}
+
+    def test_nan_coefficient_fails_the_regress_certificate(self, baseline, tmp_path, monkeypatch):
+        out = tmp_path / "nan"
+        shutil.copytree(baseline, out)
+        fit_cv = lasso.fit_cv
+
+        def nan_fit(*args):
+            fit = fit_cv(*args)
+            return replace(fit, beta=np.where(np.arange(fit.beta.size) == 0, math.nan, fit.beta))
+
+        monkeypatch.setattr(cli, "fit_cv", nan_fit)
+        assert main(["regress", "--config", str(CONFIG), "--out", str(out)]) == EXIT_NUMERICAL
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "regress" and "KKT residual nan" in failure["error"]
 
     def test_simulate_bug_surfaces(self, tmp_path, monkeypatch, capsys):
         def broken(config):

@@ -1,9 +1,10 @@
-"""Group-lasso solver tests against closed-form and least-squares oracles and
-the ISTA-only reference solver, and the vectorized group operations against
-their per-group references."""
+"""Group-lasso solver tests against closed-form and least-squares oracles,
+the ISTA-only reference solver and the per-lambda cross-validation loop, and
+the vectorized group operations against their per-group references."""
 
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,14 +29,18 @@ from echospread.lasso import (
     write_regress_csv,
 )
 from echospread.lasso import (
+    _center,
     _check_groups,
+    _cv_path,
     _fold_order,
     _kkt_residual,
+    _lam_top,
     _penalty,
     _prox,
     _solve_std,
 )
 from helpers import (
+    reference_cv_select_lambda,
     reference_kkt_residual,
     reference_penalty,
     reference_prox,
@@ -171,6 +176,17 @@ class TestKktCertificates:
         fit = fit_group_lasso(X, y, groups, lam)
         assert kkt_residual_from_fit(X, y, groups, fit) <= 1e-6
 
+    @pytest.mark.parametrize("nan_cols", [[0], [2], [0, 1, 2, 3]],
+                             ids=["singleton", "block", "all"])
+    def test_nan_coefficient_is_not_certified(self, nan_cols):
+        X, y = random_problem(26, n=30, p=4)
+        groups = ((0,), (1, 2), (3,))
+        fit = fit_group_lasso(X, y, groups, 0.1 * lambda_max(X, y, groups))
+        beta = fit.beta.copy()
+        beta[nan_cols] = math.nan
+        residual = kkt_residual_from_fit(X, y, groups, replace(fit, beta=beta))
+        assert math.isnan(residual) and not residual <= lasso.KKT_TOL
+
     def test_objective_nondecreasing_in_penalty(self):
         X, y = random_problem(11)
         lam_top = lambda_max(X, y, SINGLES_8)
@@ -247,11 +263,100 @@ class TestAgainstIstaReference:
         lam, _ = cv_select_lambda(X, y, groups, cfg)
         try:
             with with_reference_solver():
-                ref_lam, ref_curve = cv_select_lambda(X, y, groups, cfg)
+                ref_lam, ref_curve = reference_cv_select_lambda(X, y, groups, cfg)
         except ConvergenceError:
             return
-        ref_err = dict(ref_curve)
-        assert lam == ref_lam or ref_err[lam] <= ref_err[ref_lam] * (1 + 1e-5)
+        assert_same_choice(lam, ref_lam, ref_curve)
+
+
+def assert_same_choice(lam, ref_lam, ref_curve):
+    """The reference's lambda, or one whose error on the reference's curve
+    ties the reference's minimum within the path solves' precision."""
+    ref_err = dict(ref_curve)
+    assert lam == ref_lam or ref_err[lam] <= ref_err[ref_lam] * (1 + 1e-5)
+
+
+def never_certified(G, c, lams, layout, beta):
+    """A Newton kernel whose every row fails."""
+    return np.full((lams.size, beta.size), np.nan)
+
+
+class TestPathContinuation:
+    """The CV paths solved by stacked Newton continuation against the
+    per-lambda loop, each of whose path solves is certified to 1e-6."""
+
+    @given(small_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_curve_matches_per_lambda_reference(self, problem):
+        """Both sides certify their path solves to 1e-9, not ``CV_KKT_TOL``:
+        at 1e-6 an ISTA iterate of the reference sat 1.05e-5 (relative) off
+        the curve on a design with a duplicated column, where the stacked
+        Newton value was within 4e-8 of a 1e-8 solve. At 1e-9 the curves
+        agreed within 1.3e-13 on 1,500 drawn problems; a solve that cannot
+        reach 1e-9 skips the problem."""
+        X, y, groups = problem
+        cfg = LassoConfig(lambda_grid=12, folds=3)
+        try:
+            with mock.patch.object(lasso, "CV_KKT_TOL", 1e-9):
+                lam, curve = cv_select_lambda(X, y, groups, cfg)
+                ref_lam, ref_curve = reference_cv_select_lambda(X, y, groups, cfg)
+        except ConvergenceError:
+            return
+        assert [l for l, _ in curve] == [l for l, _ in ref_curve]
+        np.testing.assert_allclose(
+            [e for _, e in curve], [e for _, e in ref_curve], rtol=1e-8, atol=0
+        )
+        assert_same_choice(lam, ref_lam, ref_curve)
+
+    @given(small_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_every_path_row_is_certified(self, problem):
+        """Rows at or above lambda_top are zero, and every row below it,
+        solved by ISTA or accepted from a stacked Newton solve, passes the
+        per-group certificate."""
+        X, y, groups = problem
+        layout, garr, weights = references(groups, X.shape[1])
+        cen = _center(X, y)
+        lam_top = _lam_top(cen.c, layout)
+        grid = lambda_grid(lam_top * 1.5, 30)
+        path = _cv_path(cen.G, cen.c, grid, lam_top, layout)
+        assert not path[grid >= lam_top].any()
+        for lam, row in zip(grid, path):
+            residual = reference_kkt_residual(cen.G @ row, cen.c, row, lam, garr, weights)
+            assert residual <= lasso.CV_KKT_TOL
+
+    @pytest.mark.parametrize("seed", range(40, 44))
+    def test_all_rejected_equals_reference_bits(self, seed):
+        """With every stacked row rejected, each grid point falls back to
+        ``_solve_std`` from the last, so the curve is the reference's bit
+        for bit (both run ISTA alone: the one-row Newton finish is the same
+        kernel)."""
+        X, y = random_problem(seed, n=45, p=7)
+        groups = ((0, 1), (2,), (3, 4, 5), (6,))
+        cfg = LassoConfig(lambda_grid=20, folds=3, seed=seed)
+        with mock.patch.object(lasso, "_newton_rows", never_certified):
+            got = cv_select_lambda(X, y, groups, cfg)
+            ref = reference_cv_select_lambda(X, y, groups, cfg)
+        assert bits(got[1]) == bits(ref[1]) and got[0] == ref[0]
+
+    def test_few_ista_solves_on_a_path(self):
+        """Continuation leaves ``_solve_std`` the first grid point below
+        lambda_top and the few where a proposed support fails."""
+        X, y = random_problem(44, n=80, p=10)
+        groups = ((0, 1, 2), (3,), (4,), (5, 6), (7,), (8,), (9,))
+        layout = _check_groups(groups, 10)
+        cen = _center(X, y)
+        lam_top = _lam_top(cen.c, layout)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _solve_std(*args)
+
+        grid = lambda_grid(lam_top, 60)
+        with mock.patch.object(lasso, "_solve_std", counted):
+            _cv_path(cen.G, cen.c, grid, lam_top, layout)
+        assert calls[0] == grid[1] and len(calls) <= 3
 
 
 class TestNewtonFallback:
@@ -567,6 +672,23 @@ class TestVectorizedGroupOps:
 
     @given(grouped_vectors())
     @settings(max_examples=300)
+    def test_kkt_rows_equal_one_row_calls(self, case):
+        """The certificate over stacked rows gives each row the bits of its
+        own call, and NaN to a row with a NaN coefficient."""
+        groups, lam, beta, c = case
+        layout = _check_groups(groups, len(beta))
+        nan_row = beta.copy()
+        nan_row[0] = math.nan
+        rows = np.stack([beta, c, nan_row])
+        lams = np.array([lam, 2.0 * lam, lam])
+        Gb = 0.5 * rows[::-1]
+        got = _kkt_residual(Gb, c, rows, lams, layout)
+        for k in range(2):
+            assert bits(got[k]) == bits(_kkt_residual(Gb[k], c, rows[k], lams[k], layout))
+        assert math.isnan(got[2]) and math.isnan(_kkt_residual(Gb[2], c, nan_row, lam, layout))
+
+    @given(grouped_vectors())
+    @settings(max_examples=300)
     def test_penalty_and_norms_equal_reference(self, case):
         groups, lam, b, _ = case
         layout, garr, weights = references(groups, len(b))
@@ -576,13 +698,18 @@ class TestVectorizedGroupOps:
         assert bits(layout.norms(b)) == bits([np.linalg.norm(b[g]) for g in garr])
 
 
-def fit_fingerprint(seed, n, groups, binary):
-    """Digests of a CV selection and the final fit on one random problem."""
+def pinned_problem(seed, n, groups, binary):
+    """A random problem of ``PINNED_FITS`` and its CV config."""
     rng = np.random.default_rng(seed)
     p = sum(len(g) for g in groups)
     X = (rng.random((n, p)) < 0.4).astype(float) if binary else rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + 0.5 * rng.normal(size=n)
-    cfg = LassoConfig(lambda_grid=15, folds=3, seed=seed)
+    return X, y, LassoConfig(lambda_grid=15, folds=3, seed=seed)
+
+
+def fit_fingerprint(seed, n, groups, binary):
+    """Digests of a CV selection and the final fit on one random problem."""
+    X, y, cfg = pinned_problem(seed, n, groups, binary)
     lam, curve = cv_select_lambda(X, y, groups, cfg)
     fit = fit_group_lasso(X, y, groups, lam)
     digest = hashlib.sha256(bits(curve) + bits(fit.beta)).hexdigest()[:16]
@@ -591,23 +718,43 @@ def fit_fingerprint(seed, n, groups, binary):
 
 
 # Computed by the solver with its Newton finish, with numpy 2.4 on x86-64;
-# another BLAS may round the Gram products differently.
+# another BLAS may round the Gram products differently. The last element
+# digests the CV curve's raw bits, which moved by at most 1.2e-15 relative
+# when the paths became stacked Newton continuation; the elements before it
+# describe the final fit, which did not move.
 PINNED_FITS = (
     ((31, 40, ((0, 1, 2), (3,), (4,), (5, 6)), False),
      ('0x1.4f1ea9a22437cp-4', '0x1.15da29001d992p-5', '0x1.dd3e45edc64e0p-2', 8,
-      '0x1.c000000000000p-52', '5210d60f5faceb91')),
+      '0x1.c000000000000p-52', 'e45f7edcd8a0d170')),
     ((32, 60, ((0,), (1, 2), (3,), (4, 5, 6), (7,)), True),
      ('0x1.98e051757a1cap-8', '-0x1.0c911332c6400p-3', '0x1.622e9a7c45560p-4', 9,
-      '0x1.4334f6818ea9fp-51', '09fbeee5a7f0e077')),
+      '0x1.4334f6818ea9fp-51', '56a68e45aeb18b46')),
     ((33, 30, ((1, 3), (0,), (2,), (4,)), False),
      ('0x1.25ddb8ec197f7p-4', '0x1.5fb4d8f6f7fa2p-7', '0x1.6283a16610648p-2', 7,
-      '0x1.33debf0938797p-52', '28a827221f42d382')),
+      '0x1.33debf0938797p-52', 'f5cd050f212d301a')),
     ((34, 50, ((0,), (1,), (2,), (3, 4, 5, 6, 7, 8)), True),
      ('0x1.e2194e0294be3p-14', '-0x1.ca0c29ad72518p-3', '0x1.d0542904df240p-4', 8,
-      '0x1.d074000000000p-52', 'aad0bfbcbd3e8e9d')),
+      '0x1.d074000000000p-52', 'a51a8c3fc10d093f')),
+)
+
+# sha256 of each ``PINNED_FITS`` problem's CV curve as ``write_cv_curve_csv``
+# writes it: the bytes an artifact holds, which no solver change has moved.
+PINNED_CURVES = (
+    "63f600e6fab640d5ad233630df79330d6139affef9d138a5f49388f9b2bb77c8",
+    "1133eaf4897f0c8b77c75ab3aa81f669191d60cc6d38f66e1fcc37ba335ed17e",
+    "1f0065665bf20f31260465acfd4e549e128d33ee01b170ca4121f03242e91055",
+    "d427f3391437fa65f2472ff11eae0e8a6c1beebc6bea8857bec86e4bc3689815",
 )
 
 
 @pytest.mark.parametrize("problem, pinned", PINNED_FITS)
 def test_fit_bits_pinned(problem, pinned):
     assert fit_fingerprint(*problem) == pinned
+
+
+@pytest.mark.parametrize("problem, pinned", zip([p for p, _ in PINNED_FITS], PINNED_CURVES))
+def test_curve_renderings_pinned(problem, pinned, tmp_path):
+    X, y, cfg = pinned_problem(*problem)
+    _, curve = cv_select_lambda(X, y, problem[2], cfg)
+    write_cv_curve_csv(curve, tmp_path / "curve.csv")
+    assert hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest() == pinned

@@ -257,7 +257,7 @@ class TestViralityCsv:
     def test_csv_reads_back_to_the_estimates_as_written(self, tmp_path):
         estimates = self.estimates()
         out = tmp_path / "virality.csv"
-        write_virality_csv(reversed(estimates), out)
+        write_virality_csv(estimates, out)
         again = read_virality_csv(out)
         assert [e.tweet_id for e in again] == ["t1", "t2", "t3"]
         for got, est in zip(again, estimates):
